@@ -33,7 +33,6 @@ from .linalg import (
     joint_eigenspaces,
     rank,
     solve,
-    vec_add,
     vec_scale,
 )
 from .scalars import ALPHA, HALF, IUNIT, MINUS_ONE, ONE, ZERO, scalar
@@ -47,6 +46,7 @@ from .superalg import (
     derivation_superalgebra,
     derivations,
     invariant_pairings,
+    is_derivation,
     lie_closure,
 )
 
@@ -147,24 +147,6 @@ def _int_of(s):
     if f.denominator != 1:
         raise AlgebraError("expected an integer, got %s" % f)
     return int(f)
-
-
-def _is_derivation(A, D, parity=0):
-    """Super-Leibniz check of a matrix on basis pairs."""
-    n = A.dim
-    basis = [A.basis_vec(i) for i in range(n)]
-    for i in range(n):
-        sign = MINUS_ONE if (parity * A.parity[i]) % 2 else ONE
-        di = D.apply(basis[i])
-        for j in range(n):
-            lhs = D.apply(A.multiply(basis[i], basis[j]))
-            rhs = vec_add(
-                A.multiply(di, basis[j]),
-                vec_scale(sign, A.multiply(basis[i], D.apply(basis[j]))),
-            )
-            if lhs != rhs:
-                return False
-    return True
 
 
 def _small_generating_set(g0):
@@ -322,7 +304,7 @@ def cayley_weight_basis(C):
     t1 = P * _diag([scalar(v) for v in (0, 0, 1, 0, -1, -1, 0, 1)]) * Pinv
     t2 = P * _diag([scalar(v) for v in (0, 0, 0, 1, -1, 0, -1, 1)]) * Pinv
     for t in (t1, t2):
-        if not _is_derivation(A, t):
+        if not is_derivation(A, t):
             raise AlgebraError("torus element is not a derivation")
     return {
         "names": names,
@@ -557,7 +539,7 @@ def build_tkk(J, der_basis=None, verify=True):
                 % (len(ders), len(evens) + len(odds))
             )
         for (m, p) in ders:
-            if not _is_derivation(J, m, parity=p):
+            if not is_derivation(J, m, parity=p):
                 raise AlgebraError("supplied matrix is not a superderivation")
     nder = len(ders)
     flat = Mat.from_cols([_flatten(m) for (m, _) in ders], nrows=n * n)

@@ -19,10 +19,10 @@ from .constructions import (
     d21_triple_automorphism,
     verify_tkk_iso_lemma,
 )
-from .errors import GradingError
+from .errors import AlgebraError, GradingError
 from .linalg import Mat, joint_eigenspaces, solve
 from .scalars import IUNIT, MINUS_ONE, OMEGA, ONE, ZERO, root_of_unity, scalar
-from .superalg import LinMap, change_basis, is_homomorphism
+from .superalg import LinMap, change_basis, check_homomorphism
 
 __all__ = [
     "Grading",
@@ -242,8 +242,10 @@ def grading_from_diag(A, gens):
             raise GradingError("automorphism orders must be positive")
         if f.source is not A or f.target is not A:
             raise GradingError("generator is not an endomorphism of the algebra")
-        if not is_homomorphism(A, A, f, bijective=True):
-            raise GradingError("generator is not an automorphism")
+        try:
+            check_homomorphism(A, A, f, bijective=True)
+        except AlgebraError as exc:
+            raise GradingError("generator is not an automorphism: %s" % exc) from None
         true_order = f.order(bound=order)
         if order % true_order:
             raise GradingError(

@@ -4,12 +4,15 @@ A :class:`SuperAlgebra` is a Z_2-graded algebra given by a sparse
 multiplication table over the scalar field; the same class carries
 associative algebras (quaternions, Clifford algebras), composition algebras
 and Lie superalgebras — what distinguishes them is which checkers one runs.
-Elements are dense coordinate tuples.
+The verifiers and basis changes work on that table through one private
+sparse product kernel; dense coordinate tuples remain only as the element
+API (:meth:`SuperAlgebra.multiply`, :meth:`ModuleAction.act`), which wraps
+the same kernel.
 
 The heavy lifting lives in the verification and completion routines:
 
 * :func:`check_lie_super` — super anticommutativity plus the super Jacobi
-  identity, checked exactly on basis pairs/triples.
+  identity, checked exactly on basis pairs/triples of the table.
 * :func:`derivations` — super-Leibniz kernel, per parity of the derivation.
 * :func:`invariant_pairings` — symmetric equivariant pairings S^2 m -> g0,
   optionally cut down by supplied diagonal weight data before solving.
@@ -23,15 +26,7 @@ from __future__ import annotations
 import json
 
 from .errors import AlgebraError
-from .linalg import (
-    Mat,
-    is_zero_vec,
-    kernel,
-    solve,
-    sparse_kernel,
-    vec_add,
-    vec_scale,
-)
+from .linalg import Mat, kernel, solve, sparse_kernel
 from .scalars import ONE, ZERO, format_scalar, parse_scalar, scalar
 
 __all__ = [
@@ -41,6 +36,7 @@ __all__ = [
     "check_lie_super",
     "check_homomorphism",
     "is_homomorphism",
+    "is_derivation",
     "derivations",
     "derivation_superalgebra",
     "lie_closure",
@@ -54,6 +50,61 @@ __all__ = [
     "dumps_algebra",
     "loads_algebra",
 ]
+
+
+# ---------------------------------------------------------------------------
+# sparse product kernel
+# ---------------------------------------------------------------------------
+
+
+def _accumulate(acc, f, terms):
+    """acc[k] += f * c over the (k, c) of ``terms``; entries that cancel go."""
+    for k, c in terms:
+        v = f * c
+        if k in acc:
+            v = acc[k] + v
+        if v.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = v
+
+
+def _product(table, x, y, acc=None):
+    """Add x * y to ``acc`` (a new dict by default) and return it.
+
+    ``x`` and ``y`` are sparse elements {index: Scalar}; ``table`` maps
+    (i, j) to the (k, c) terms of e_i * e_j.
+    """
+    if acc is None:
+        acc = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            terms = table.get((i, j))
+            if terms:
+                _accumulate(acc, xi * yj, terms)
+    return acc
+
+
+def _entry(terms):
+    """Table entry from (k, c) terms: coefficients of a repeated k summed,
+    zeros dropped, sorted by k."""
+    acc = {}
+    for k, c in terms:
+        c = scalar(c)
+        if not c.is_zero():
+            acc[k] = acc[k] + c if k in acc else c
+    return tuple((k, v) for k, v in sorted(acc.items()) if not v.is_zero())
+
+
+def _sparse(vec):
+    return {i: c for i, c in enumerate(vec) if not c.is_zero()}
+
+
+def _dense(acc, dim):
+    out = [ZERO] * dim
+    for k, c in acc.items():
+        out[k] = c
+    return tuple(out)
 
 
 class SuperAlgebra:
@@ -71,15 +122,7 @@ class SuperAlgebra:
         for (i, j), terms in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise AlgebraError("table index out of range: (%d, %d)" % (i, j))
-            acc = {}
-            for k, c in terms:
-                c = scalar(c)
-                if c.is_zero():
-                    continue
-                acc[k] = acc.get(k, ZERO) + c
-            entry = tuple(
-                (k, v) for k, v in sorted(acc.items()) if not v.is_zero()
-            )
+            entry = _entry(terms)
             if not entry:
                 continue
             if check_parity:
@@ -124,21 +167,7 @@ class SuperAlgebra:
         return tuple(v)
 
     def multiply(self, x, y):
-        out = [ZERO] * self.dim
-        tab = self.table
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                terms = tab.get((i, j))
-                if not terms:
-                    continue
-                f = xi * yj
-                for k, c in terms:
-                    out[k] = out[k] + f * c
-        return tuple(out)
+        return _dense(_product(self.table, _sparse(x), _sparse(y)), self.dim)
 
     bracket = multiply
 
@@ -188,29 +217,14 @@ class ModuleAction:
         self.module_parity = tuple(int(p) % 2 for p in module_parity)
         tab = {}
         for (i, j), terms in table.items():
-            entry = tuple(
-                (k, scalar(c)) for k, c in sorted(terms) if not scalar(c).is_zero()
-            )
+            entry = _entry(terms)
             if entry:
                 tab[(i, j)] = entry
         self.table = tab
         self._matrices = None
 
     def act(self, x, v):
-        out = [ZERO] * self.module_dim
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, vj in enumerate(v):
-                if vj.is_zero():
-                    continue
-                terms = self.table.get((i, j))
-                if not terms:
-                    continue
-                f = xi * vj
-                for k, c in terms:
-                    out[k] = out[k] + f * c
-        return tuple(out)
+        return _dense(_product(self.table, _sparse(x), _sparse(v)), self.module_dim)
 
     def basis_matrices(self):
         if self._matrices is None:
@@ -298,35 +312,39 @@ def check_lie_super(A):
 
     Anticommutativity is checked on pairs i <= j; once it holds, the Jacobi
     expression only changes sign under permutations, so triples i <= j <= k
-    suffice.
+    suffice.  Both run on the table: [e_i, [e_j, e_k]] is the sum of
+    c * table[(i, t)] over the terms (t, c) of table[(j, k)].
     """
     n = A.dim
     par = A.parity
-    basis = [A.basis_vec(i) for i in range(n)]
-    prod = {}
-    for i in range(n):
-        for j in range(n):
-            prod[(i, j)] = A.multiply(basis[i], basis[j])
+    tab = A.table
     for i in range(n):
         for j in range(i, n):
-            sign = -ONE if (par[i] * par[j]) % 2 else ONE
-            lhs = prod[(i, j)]
-            rhs = vec_scale(-sign, prod[(j, i)])
-            if lhs != rhs:
+            # [e_i, e_j] + (-1)^(|i||j|) [e_j, e_i] must vanish
+            acc = {}
+            _accumulate(acc, ONE, tab.get((i, j), ()))
+            _accumulate(acc, -ONE if par[i] & par[j] else ONE, tab.get((j, i), ()))
+            if acc:
                 raise AlgebraError(
                     "super anticommutativity fails at (%s, %s)"
                     % (A.names[i], A.names[j])
                 )
+
+    def nested(acc, negate, a, b, c):
+        # acc += (-1)^negate [e_a, [e_b, e_c]]
+        for t, x in tab.get((b, c), ()):
+            terms = tab.get((a, t))
+            if terms:
+                _accumulate(acc, -x if negate else x, terms)
+
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
-                s_ik = -ONE if (par[i] * par[k]) % 2 else ONE
-                s_ji = -ONE if (par[j] * par[i]) % 2 else ONE
-                s_kj = -ONE if (par[k] * par[j]) % 2 else ONE
-                t1 = vec_scale(s_ik, A.multiply(basis[i], prod[(j, k)]))
-                t2 = vec_scale(s_ji, A.multiply(basis[j], prod[(k, i)]))
-                t3 = vec_scale(s_kj, A.multiply(basis[k], prod[(i, j)]))
-                if not is_zero_vec(vec_add(vec_add(t1, t2), t3)):
+                acc = {}
+                nested(acc, par[i] & par[k], i, j, k)
+                nested(acc, par[j] & par[i], j, k, i)
+                nested(acc, par[k] & par[j], k, i, j)
+                if acc:
                     raise AlgebraError(
                         "super Jacobi fails at (%s, %s, %s)"
                         % (A.names[i], A.names[j], A.names[k])
@@ -337,25 +355,31 @@ def check_homomorphism(A, B, F, bijective=False, check_parity=True):
     """Verify that the linear map F (dim B x dim A) satisfies F(xy)=F(x)F(y).
 
     Returns True on success; raises AlgebraError naming the first violation.
-    F may be a Mat or a LinMap.
+    F may be a Mat or a LinMap.  Runs on sparse columns of F and the two
+    tables: F(e_i e_j) is the sum of c * F e_t over the terms (t, c) of
+    e_i e_j.
     """
     if isinstance(F, LinMap):
         F = F.matrix
     if F.shape != (B.dim, A.dim):
         raise AlgebraError("map shape %s, expected (%d, %d)" % (F.shape, B.dim, A.dim))
-    cols = [F.col(j) for j in range(A.dim)]
+    cols = [_sparse(F.col(j)) for j in range(A.dim)]
     if check_parity:
         for j, col in enumerate(cols):
-            for k, c in enumerate(col):
-                if not c.is_zero() and B.parity[k] != A.parity[j]:
+            for k in col:
+                if B.parity[k] != A.parity[j]:
                     raise AlgebraError(
                         "map does not preserve parity at %s" % A.names[j]
                     )
+    neg_cols = [{k: -c for k, c in col.items()} for col in cols]
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = F.apply(A.multiply(A.basis_vec(i), A.basis_vec(j)))
-            rhs = B.multiply(cols[i], cols[j])
-            if lhs != rhs:
+            # F(e_i e_j) - F(e_i) F(e_j) must vanish
+            acc = {}
+            for t, c in A.table.get((i, j), ()):
+                _accumulate(acc, c, cols[t].items())
+            _product(B.table, neg_cols[i], cols[j], acc)
+            if acc:
                 raise AlgebraError(
                     "not a homomorphism at pair (%s, %s)" % (A.names[i], A.names[j])
                 )
@@ -373,6 +397,29 @@ def is_homomorphism(A, B, F, bijective=False, check_parity=True):
         return check_homomorphism(A, B, F, bijective=bijective, check_parity=check_parity)
     except AlgebraError:
         return False
+
+
+def is_derivation(A, D, parity=0):
+    """Super-Leibniz check of the matrix D on basis pairs, run on the table.
+
+    D(e_i e_j) = D(e_i) e_j + (-1)^(parity |e_i|) e_i D(e_j) for all i, j.
+    """
+    n = A.dim
+    tab = A.table
+    cols = [_sparse(D.col(j)) for j in range(n)]
+    for i in range(n):
+        odd = (parity * A.parity[i]) % 2
+        for j in range(n):
+            acc = {}
+            for t, c in tab.get((i, j), ()):
+                _accumulate(acc, c, cols[t].items())
+            for a, x in cols[i].items():
+                _accumulate(acc, -x, tab.get((a, j), ()))
+            for b, y in cols[j].items():
+                _accumulate(acc, y if odd else -y, tab.get((i, b), ()))
+            if acc:
+                return False
+    return True
 
 
 def derivations(A, parity=0):
@@ -467,38 +514,43 @@ def derivation_superalgebra(A, names=None):
     return der, mats
 
 
-def lie_closure(A, vectors):
-    """Basis of the subalgebra generated by the given elements."""
+def _closure(A, vectors, gens=None):
+    """Echelon basis of the smallest span holding ``vectors`` and closed
+    under both products with ``gens`` (default: the span itself).  Rows are
+    sparse {index: Scalar} with pivot coefficient 1."""
     basis = []
 
-    def insert(vec):
-        v = list(vec)
+    def insert(v):
+        # v is a fresh sparse element; it is reduced in place
         for piv, row in basis:
-            if not v[piv].is_zero():
-                f = v[piv]
-                v = [x - f * y for x, y in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if not x.is_zero()), None)
-        if piv is None:
+            f = v.get(piv)
+            if f is not None:
+                _accumulate(v, -f, row.items())
+        if not v:
             return None
+        piv = min(v)
         inv = v[piv].inverse()
-        v = tuple(inv * x for x in v)
+        v = {k: inv * c for k, c in v.items()}
         basis.append((piv, v))
         return v
 
-    frontier = [v for v in (insert(w) for w in vectors) if v is not None]
+    frontier = [v for v in (insert(_sparse(w)) for w in vectors) if v is not None]
     while frontier:
         new = []
-        current = [row for _, row in basis]
+        current = [row for _, row in basis] if gens is None else gens
         for f in frontier:
             for b in current:
-                w = insert(A.multiply(b, f))
-                if w is not None:
-                    new.append(w)
-                w = insert(A.multiply(f, b))
-                if w is not None:
-                    new.append(w)
+                for w in (_product(A.table, b, f), _product(A.table, f, b)):
+                    r = insert(w)
+                    if r is not None:
+                        new.append(r)
         frontier = new
-    return [row for _, row in basis]
+    return [_dense(row, A.dim) for _, row in basis]
+
+
+def lie_closure(A, vectors):
+    """Basis of the subalgebra generated by the given elements."""
+    return _closure(A, vectors)
 
 
 def lie_generates(A, vectors):
@@ -507,34 +559,7 @@ def lie_generates(A, vectors):
 
 def ideal_generated_by(A, vectors):
     """Basis of the two-sided ideal generated by the given elements."""
-    basis = []
-
-    def insert(vec):
-        v = list(vec)
-        for piv, row in basis:
-            if not v[piv].is_zero():
-                f = v[piv]
-                v = [x - f * y for x, y in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if not x.is_zero()), None)
-        if piv is None:
-            return None
-        inv = v[piv].inverse()
-        v = tuple(inv * x for x in v)
-        basis.append((piv, v))
-        return v
-
-    frontier = [v for v in (insert(w) for w in vectors) if v is not None]
-    gens = [A.basis_vec(i) for i in range(A.dim)]
-    while frontier:
-        new = []
-        for f in frontier:
-            for g in gens:
-                for w in (A.multiply(g, f), A.multiply(f, g)):
-                    r = insert(w)
-                    if r is not None:
-                        new.append(r)
-        frontier = new
-    return [row for _, row in basis]
+    return _closure(A, vectors, gens=[{i: ONE} for i in range(A.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -690,23 +715,17 @@ def complete_superalgebra(
     if npair == 0:
         raise AlgebraError("no candidate pairings supplied")
 
-    amats = {}
-
-    def act_of(gvec):
-        key = tuple(gvec)
-        if key not in amats:
-            amats[key] = action.matrix(gvec)
-        return amats[key]
-
-    basis_m = [
-        tuple(ONE if t == s else ZERO for t in range(md)) for s in range(md)
+    sparse_pairings = [
+        {ij: tuple(_sparse(vec).items()) for ij, vec in b.items()} for b in pairings
     ]
 
     def jac_terms(t, i, j, k):
-        b = pairings[t]
-        out = act_of(pairing_value(b, n0, j, k)).apply(basis_m[i])
-        out = vec_add(out, act_of(pairing_value(b, n0, k, i)).apply(basis_m[j]))
-        out = vec_add(out, act_of(pairing_value(b, n0, i, j)).apply(basis_m[k]))
+        # b(j, k).e_i + b(k, i).e_j + b(i, j).e_k, read off the action table
+        b = sparse_pairings[t]
+        out = {}
+        for p, q, m in ((j, k, i), (k, i, j), (i, j, k)):
+            for l, c in b.get((p, q) if p <= q else (q, p), ()):
+                _accumulate(out, c, action.table.get((l, m), ()))
         return out
 
     def rows():
@@ -715,11 +734,7 @@ def complete_superalgebra(
                 for k in range(j, md):
                     per_t = [jac_terms(t, i, j, k) for t in range(npair)]
                     for l in range(md):
-                        row = {}
-                        for t in range(npair):
-                            c = per_t[t][l]
-                            if not c.is_zero():
-                                row[t] = c
+                        row = {t: p[l] for t, p in enumerate(per_t) if l in p}
                         if row:
                             yield row
 
@@ -801,13 +816,17 @@ def change_basis(A, P, names=None):
     Pinv = inverse(P)
     cols = [P.col(j) for j in range(n)]
     parity = [A.parity_of(c) for c in cols]
+    cols = [_sparse(c) for c in cols]
+    inv_cols = [tuple(_sparse(Pinv.col(k)).items()) for k in range(n)]
     table = {}
     for i in range(n):
         for j in range(n):
-            prod = Pinv.apply(A.multiply(cols[i], cols[j]))
-            entry = [(k, c) for k, c in enumerate(prod) if not c.is_zero()]
+            # P^-1 [P e_i, P e_j]
+            entry = {}
+            for k, c in _product(A.table, cols[i], cols[j]).items():
+                _accumulate(entry, c, inv_cols[k])
             if entry:
-                table[(i, j)] = entry
+                table[(i, j)] = list(entry.items())
     if names is None:
         names = ["b%d" % i for i in range(n)]
     return SuperAlgebra(names, parity, table)

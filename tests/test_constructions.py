@@ -368,6 +368,16 @@ def test_tkk_dimensions(tkk10):
     assert unit[0] == ONE and all(c.is_zero() for c in unit[1:])
 
 
+def test_tkk_rejects_a_non_derivation_in_der_basis(kac):
+    _, K10b = kac
+    K = K10b.algebra
+    ders = [(m, 0) for m in derivations(K, 0)] + [(m, 1) for m in derivations(K, 1)]
+    assert len(ders) > 1
+    ders[-1] = (Mat.identity(K.dim), 0)
+    with pytest.raises(AlgebraError, match="not a superderivation"):
+        build_tkk(K, der_basis=ders)
+
+
 def test_tkk_even_part_ideals(tkk10, kac):
     from finegrading.superalg import SuperAlgebra
 

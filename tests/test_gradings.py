@@ -267,7 +267,9 @@ def test_from_diag_rejects_non_automorphism(d21):
     for k in range(17):
         entries[k][k] = scalar(2) if k == 0 else ONE
     f = LinMap(d21.algebra, d21.algebra, Mat(entries))
-    with pytest.raises(GradingError):
+    # the witness is the first basis pair the map fails on: F([E1, F1]) = H1
+    # but [F E1, F F1] = 2 H1
+    with pytest.raises(GradingError, match=r"at pair \(E1, F1\)"):
         grading_from_diag(d21.algebra, DiagGenerators((), [(f, 2)]))
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from finegrading.errors import AlgebraError
-from finegrading.linalg import Mat, rank
+from finegrading.linalg import Mat, inverse, rank
 from finegrading.scalars import ONE, ZERO, scalar
 from finegrading.superalg import (
     ModuleAction,
@@ -15,6 +15,7 @@ from finegrading.superalg import (
     dumps_algebra,
     ideal_generated_by,
     invariant_pairings,
+    is_derivation,
     lie_closure,
     lie_generates,
     loads_algebra,
@@ -61,6 +62,24 @@ def gl2():
     return SuperAlgebra(names, [0] * 4, table)
 
 
+def osp12():
+    g = sl2()
+    act = standard_rep(g)
+    return complete_superalgebra(g, act, invariant_pairings(g, act))[0]
+
+
+def reordered(A, order):
+    """A with its basis listed in the given order of old indices."""
+    pos = {old: new for new, old in enumerate(order)}
+    table = {
+        (pos[i], pos[j]): [(pos[k], c) for k, c in terms]
+        for (i, j), terms in A.table.items()
+    }
+    return SuperAlgebra(
+        [A.names[i] for i in order], [A.parity[i] for i in order], table
+    )
+
+
 class TestSuperAlgebraBasics:
     def test_multiply_and_element(self):
         g = sl2()
@@ -85,6 +104,13 @@ class TestSuperAlgebraBasics:
         assert g.parity_of(g.basis_vec("v")) == 1
         with pytest.raises(AlgebraError):
             g.parity_of(g.element({"u": 1, "v": 1}))
+
+    def test_module_table_sums_repeated_indices(self):
+        g = sl2()
+        act = ModuleAction(g, ["x", "y"], {(0, 0): [(0, 1), (0, 2)]})
+        assert act.table == {(0, 0): ((0, scalar(3)),)}
+        h, x = g.basis_vec("h"), (ONE, ZERO)
+        assert act.act(h, x) == act.matrix(h).apply(x) == (scalar(3), ZERO)
 
     def test_ad_matrix(self):
         g = sl2()
@@ -114,6 +140,18 @@ class TestAxiomCheckers:
         with pytest.raises(AlgebraError, match="anticommutativity"):
             check_lie_super(bad)
 
+    def test_broken_odd_jacobi_names_the_triple(self):
+        # odd basis first, so the odd-odd-odd triples are checked first
+        osp = reordered(osp12(), [3, 4, 0, 1, 2])
+        assert osp.names[:2] == ("x", "y")
+        check_lie_super(osp)
+        table = dict(osp.table)
+        for ij in ((0, 1), (1, 0)):
+            table[ij] = [(k, scalar(2) * c) for k, c in table[ij]]
+        bad = SuperAlgebra(osp.names, osp.parity, table)
+        with pytest.raises(AlgebraError, match=r"super Jacobi fails at \(x, x, y\)"):
+            check_lie_super(bad)
+
     def test_homomorphism_sl2_into_gl2(self):
         F = Mat.from_cols(
             [
@@ -134,6 +172,15 @@ class TestAxiomCheckers:
         )
         with pytest.raises(AlgebraError, match="homomorphism"):
             check_homomorphism(sl2(), gl2(), F)
+
+    def test_homomorphism_parity_failure_detected(self):
+        osp = osp12()
+        # h -> x is an even-to-odd entry
+        F = Mat.from_cols(
+            [osp.basis_vec("x")] + [osp.basis_vec(i) for i in range(1, 5)]
+        )
+        with pytest.raises(AlgebraError, match="does not preserve parity at h"):
+            check_homomorphism(osp, osp, F)
 
     def test_representation_check(self):
         g = sl2()
@@ -163,6 +210,16 @@ class TestDerivations:
     def test_abelian_algebra_has_gl_of_derivations(self):
         triv = SuperAlgebra(["u", "v"], [0, 0], {})
         assert len(derivations(triv)) == 4
+
+    def test_is_derivation_agrees_with_the_kernel(self):
+        osp = osp12()
+        for parity in (0, 1):
+            for D in derivations(osp, parity=parity):
+                assert is_derivation(osp, D, parity=parity)
+        D0 = derivations(osp, parity=0)[0]
+        D1 = derivations(osp, parity=1)[0]
+        assert not is_derivation(osp, D1, parity=0)
+        assert not is_derivation(osp, D0 + Mat.identity(5))
 
     def test_derivation_superalgebra_of_osp12(self):
         g = sl2()
@@ -276,6 +333,31 @@ class TestBasisAndSerialization:
         # structure transported: [S, T] = [e+f, e-f] = -2h = -2H
         s, t = g2.basis_vec("S"), g2.basis_vec("T")
         assert g2.multiply(s, t) == g2.element({"H": -2})
+
+    def test_change_basis_matches_dense_transport(self):
+        osp = osp12()
+        # parity homogeneous, not diagonal: mixes h, e, f and x, y
+        P = Mat(
+            [
+                [1, 1, 0, 0, 0],
+                [0, 1, 2, 0, 0],
+                [1, 0, 1, 0, 0],
+                [0, 0, 0, 1, 1],
+                [0, 0, 0, -1, 2],
+            ]
+        )
+        new = change_basis(osp, P)
+        Pinv = inverse(P)
+        want = {}
+        for i in range(5):
+            for j in range(5):
+                prod = Pinv.apply(osp.multiply(P.col(i), P.col(j)))
+                entry = tuple((k, c) for k, c in enumerate(prod) if not c.is_zero())
+                if entry:
+                    want[(i, j)] = entry
+        assert new.table == want
+        assert new.parity == (0, 0, 0, 1, 1)
+        check_lie_super(new)
 
     def test_serialization_round_trip(self):
         g = sl2()
