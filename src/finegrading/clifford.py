@@ -28,7 +28,7 @@ from itertools import combinations, permutations
 
 from .constructions import BuiltAlgebra, build_cayley, build_quaternions
 from .errors import CliffordError
-from .linalg import Mat, inverse, rank, solve, sparse_row_reduce, vec_add, vec_scale
+from .linalg import Mat, flatten, inverse, kron, rank, solve, sparse_row_reduce, vec_add, vec_scale
 from .scalars import HALF, IUNIT, MINUS_ONE, ONE, ZERO, scalar
 from .superalg import LinMap, SuperAlgebra
 
@@ -1189,20 +1189,6 @@ def _centralizer(alg, elems):
 # ---------------------------------------------------------------------------
 
 
-def _kron(A, B):
-    ra, ca = A.shape
-    rb, cb = B.shape
-    rows = []
-    for i in range(ra):
-        for p in range(rb):
-            rows.append(
-                tuple(
-                    A[(i, j)] * B[(p, q)] for j in range(ca) for q in range(cb)
-                )
-            )
-    return Mat(tuple(rows))
-
-
 def verify_octonion_clifford_model():
     """Left multiplication identifies Cl0 of the trace-zero split octonions
     (with the negated norm) with all 8x8 matrices.
@@ -1250,11 +1236,7 @@ def verify_octonion_clifford_model():
                 hom = False
     report["homomorphism"] = hom
 
-    even_cols = [
-        tuple(imgs[k][(r, c)] for r in range(8) for c in range(8))
-        for k, w in enumerate(words)
-        if len(w) % 2 == 0
-    ]
+    even_cols = [flatten(imgs[k]) for k, w in enumerate(words) if len(w) % 2 == 0]
     report["span_dim"] = rank(Mat.from_cols(even_cols, nrows=64))
     report["spans_end"] = report["span_dim"] == 64
 
@@ -1333,7 +1315,7 @@ def verify_quaternion_clifford_model():
         left = lmat(a) * rmat(b)
         if b != 0:
             left = left.scale(MINUS_ONE)
-        return _kron(left, lmat(c))
+        return kron(left, lmat(c))
 
     basisQ = [alg.basis_vec(i) for i in range(4)]
 
@@ -1371,13 +1353,10 @@ def verify_quaternion_clifford_model():
                 hom = False
     report["homomorphism"] = hom
 
-    flat = [
-        tuple(mats[t][(r, c)] for r in range(16) for c in range(16))
-        for t in triples
-    ]
+    flat = [flatten(mats[t]) for t in triples]
     report["independent"] = rank(Mat.from_cols(flat, nrows=256)) == 64
 
-    right = [_kron(Mat.identity(4), rmat(i)) for i in (1, 2)]
+    right = [kron(Mat.identity(4), rmat(i)) for i in (1, 2)]
     comm = all(
         mats[t] * R == R * mats[t] for t in gens for R in right
     )

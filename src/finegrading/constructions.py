@@ -29,8 +29,11 @@ from .abgroup import GradingGroup
 from .errors import AlgebraError
 from .linalg import (
     Mat,
+    diag,
+    flatten,
     inverse,
     joint_eigenspaces,
+    kron,
     rank,
     solve,
     vec_scale,
@@ -105,30 +108,6 @@ class BuiltAlgebra:
 # ---------------------------------------------------------------------------
 # small matrix helpers
 # ---------------------------------------------------------------------------
-
-
-def _diag(entries):
-    n = len(entries)
-    return Mat(
-        [[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)]
-    )
-
-
-def _kron(A, B):
-    rows = []
-    for i in range(A.nrows):
-        for k in range(B.nrows):
-            row = []
-            for j in range(A.ncols):
-                a = A[i, j]
-                for l in range(B.ncols):
-                    row.append(a * B[k, l])
-            rows.append(row)
-    return Mat(rows, ncols=A.ncols * B.ncols)
-
-
-def _flatten(m):
-    return [m[r, c] for r in range(m.nrows) for c in range(m.ncols)]
 
 
 def _block_diag(A, B):
@@ -206,7 +185,7 @@ def build_quaternions():
             table[(i, j)] = entry
     alg = SuperAlgebra(names, (0, 0, 0, 0), table)
 
-    bar = LinMap(alg, alg, _diag([ONE, -ONE, -ONE, -ONE]))
+    bar = LinMap(alg, alg, diag([ONE, -ONE, -ONE, -ONE]))
     # polar form of the determinant norm, computed rather than postulated
     gram = []
     for i in range(4):
@@ -264,8 +243,8 @@ def build_cayley():
             table[(y, x)] = [(z, -ONE)]
     alg = SuperAlgebra(names, (0,) * 8, table)
 
-    bar = LinMap(alg, alg, _diag([ONE] + [-ONE] * 7))
-    gram = _diag([2 * ONE] * 8)
+    bar = LinMap(alg, alg, diag([ONE] + [-ONE] * 7))
+    gram = diag([2 * ONE] * 8)
     group = GradingGroup(0, (2, 2, 2))
     degrees = tuple(group.element((), t) for t in _CAYLEY_SIGN_DEGREES)
     extras = {"bar": bar, "norm_gram": gram, "lines": _FANO}
@@ -301,8 +280,8 @@ def cayley_weight_basis(C):
     weights = ((0, 0), (0, 0), (1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
     P = Mat.from_cols(vecs, nrows=8)
     Pinv = inverse(P)
-    t1 = P * _diag([scalar(v) for v in (0, 0, 1, 0, -1, -1, 0, 1)]) * Pinv
-    t2 = P * _diag([scalar(v) for v in (0, 0, 0, 1, -1, 0, -1, 1)]) * Pinv
+    t1 = P * diag([scalar(v) for v in (0, 0, 1, 0, -1, -1, 0, 1)]) * Pinv
+    t2 = P * diag([scalar(v) for v in (0, 0, 0, 1, -1, 0, -1, 1)]) * Pinv
     for t in (t1, t2):
         if not is_derivation(A, t):
             raise AlgebraError("torus element is not a derivation")
@@ -542,10 +521,10 @@ def build_tkk(J, der_basis=None, verify=True):
             if not is_derivation(J, m, parity=p):
                 raise AlgebraError("supplied matrix is not a superderivation")
     nder = len(ders)
-    flat = Mat.from_cols([_flatten(m) for (m, _) in ders], nrows=n * n)
+    flat = Mat.from_cols([flatten(m) for (m, _) in ders], nrows=n * n)
 
     def dcoords(mat):
-        sol = solve(flat, _flatten(mat))
+        sol = solve(flat, flatten(mat))
         if sol is None:
             raise AlgebraError(
                 "left multiplications do not close into the derivation algebra"
@@ -769,7 +748,7 @@ def verify_tkk_iso_lemma(tkkb=None):
 
     if len(dom) != 21:
         raise AlgebraError("expected 21 generators, got %d" % len(dom))
-    flat = Mat.from_cols([_flatten(m) for m in images], nrows=49)
+    flat = Mat.from_cols([flatten(m) for m in images], nrows=49)
     if rank(flat) != 21:
         raise AlgebraError("the images do not span a 21-dimensional space")
     for m in images:
@@ -1089,9 +1068,9 @@ def build_G3(verify=True):
         raise AlgebraError(
             "expected 14 Cayley derivations, found %d" % der_alg.dim
         )
-    flatD = Mat.from_cols([_flatten(m) for m in der_mats], nrows=64)
-    t1c = solve(flatD, _flatten(wb["t1"]))
-    t2c = solve(flatD, _flatten(wb["t2"]))
+    flatD = Mat.from_cols([flatten(m) for m in der_mats], nrows=64)
+    t1c = solve(flatD, flatten(wb["t1"]))
+    t2c = solve(flatD, flatten(wb["t2"]))
     if t1c is None or t2c is None:
         raise AlgebraError("torus elements are not in the derivation span")
 
@@ -1400,15 +1379,15 @@ def _build_f4_tkk(verify=True):
     K10 = K10b.algebra
 
     # weight-adapted derivations of K3: split by the grading derivation delta
-    delta = _diag([ZERO, ONE, -ONE])
+    delta = diag([ZERO, ONE, -ONE])
     evens3 = derivations(K3, 0)
     odds3 = derivations(K3, 1)
     if len(evens3) != 3 or len(odds3) != 2:
         raise AlgebraError("unexpected Kaplansky derivation dimensions")
-    flat3 = Mat.from_cols([_flatten(m) for m in evens3 + odds3], nrows=9)
+    flat3 = Mat.from_cols([flatten(m) for m in evens3 + odds3], nrows=9)
 
     def coords3(m):
-        c = solve(flat3, _flatten(m))
+        c = solve(flat3, flatten(m))
         if c is None:
             raise AlgebraError("matrix is outside the derivation space")
         return c
@@ -1487,7 +1466,7 @@ def _build_f4_tkk(verify=True):
             cols.append(tuple(col))
     for (D, p) in der10:
         conj = tau * D * tau
-        c = solve(flat10, _flatten(conj))
+        c = solve(flat10, flatten(conj))
         if c is None:
             raise AlgebraError("swap does not normalize the derivations")
         col = [ZERO] * 40
@@ -1508,7 +1487,7 @@ def _build_f4_tkk(verify=True):
             conj = Qa.multiply(Qa.multiply(gvec, Qa.basis_vec(a + 1)), gvec)
             signs += [conj[a + 1]] * 10
         signs += [ONE] * 10
-        adq.append(LinMap(alg, alg, _diag(signs)))
+        adq.append(LinMap(alg, alg, diag(signs)))
 
     ztot = []
     for a in range(3):
@@ -1588,7 +1567,7 @@ def _build_f4_quaternion(verify=True):
     Tw = []
     for (a, b, c) in _W_TRIPLES:
         first = lmult(a) * rmult(b).scale(bar_signs[b])
-        Tw.append(_kron(first, lmult(c)))
+        Tw.append(kron(first, lmult(c)))
     ident16 = Mat.identity(16)
     for k in range(7):
         sq = Tw[k] * Tw[k]
@@ -1648,7 +1627,7 @@ def _build_f4_quaternion(verify=True):
     ]
     mtab = {}
     for a in range(3):
-        act = _kron(Mat.identity(4), rmult(a + 1)).scale(MINUS_ONE)
+        act = kron(Mat.identity(4), rmult(a + 1)).scale(MINUS_ONE)
         for c in range(16):
             col = act.col(c)
             terms = [(k, v) for k, v in enumerate(col) if not v.is_zero()]

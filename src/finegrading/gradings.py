@@ -20,7 +20,7 @@ from .constructions import (
     verify_tkk_iso_lemma,
 )
 from .errors import AlgebraError, GradingError
-from .linalg import Mat, joint_eigenspaces, solve
+from .linalg import Mat, diag, flatten, joint_eigenspaces, solve
 from .scalars import IUNIT, MINUS_ONE, OMEGA, ONE, ZERO, root_of_unity, scalar
 from .superalg import LinMap, change_basis, check_homomorphism
 
@@ -199,14 +199,6 @@ class DiagGenerators:
         self.finite_autos = tuple((f, int(n)) for (f, n) in finite_autos)
 
 
-def _diag_mat(entries):
-    n = len(entries)
-    rows = [[ZERO] * n for _ in range(n)]
-    for k, e in enumerate(entries):
-        rows[k][k] = scalar(e)
-    return Mat(rows)
-
-
 def _int_of(s):
     f = scalar(s).constant_value().to_fraction()
     if f.denominator != 1:
@@ -255,7 +247,7 @@ def grading_from_diag(A, gens):
         if order > 1:
             kept.append((f, order))
 
-    ops = [_diag_mat(ws) for ws in gens.torus_weights]
+    ops = [diag(ws) for ws in gens.torus_weights]
     cands = [sorted(set(ws)) for ws in gens.torus_weights]
     for (f, order) in kept:
         ops.append(f.matrix)
@@ -316,11 +308,6 @@ def cayley_sign_characters(C):
     return out
 
 
-def _flatten(m):
-    rows, ncols = m.shape
-    return tuple(m[i, j] for i in range(rows) for j in range(ncols))
-
-
 def g3_character_autos(built):
     """The Cayley sign characters lifted to automorphisms of the G(3) model.
 
@@ -332,17 +319,17 @@ def g3_character_autos(built):
     cz = built.extras["zero_part"]
     g2mats = built.extras["g2_matrices"]
     A = built.algebra
-    flat = Mat.from_cols([_flatten(m) for m in g2mats], nrows=64)
+    flat = Mat.from_cols([flatten(m) for m in g2mats], nrows=64)
     autos = []
     for signs in cayley_sign_characters(C):
-        chi = _diag_mat(signs)
+        chi = diag(signs)
         cols = []
         for k in range(3):
             col = [ZERO] * 31
             col[k] = ONE
             cols.append(tuple(col))
         for m in g2mats:
-            c14 = solve(flat, _flatten(chi * m * chi))
+            c14 = solve(flat, flatten(chi * m * chi))
             if c14 is None:
                 raise GradingError(
                     "character does not normalize the derivation algebra"
@@ -377,8 +364,8 @@ def f4_character_autos(built):
     A = built.algebra
     autos = []
     for signs in cayley_sign_characters(C):
-        chi8 = _diag_mat(signs)
-        chi7 = _diag_mat(signs[1:])
+        chi8 = diag(signs)
+        chi7 = diag(signs[1:])
         cols = []
         for k in range(3):
             col = [ZERO] * 40

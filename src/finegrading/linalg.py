@@ -30,6 +30,9 @@ __all__ = [
     "vec_sub",
     "vec_scale",
     "is_zero_vec",
+    "diag",
+    "kron",
+    "flatten",
 ]
 
 
@@ -183,6 +186,25 @@ def vec_scale(c, u):
 
 def is_zero_vec(u):
     return all(a.is_zero() for a in u)
+
+
+def diag(entries):
+    """Square matrix with the given diagonal."""
+    n = len(entries)
+    return Mat([[e if i == j else ZERO for j in range(n)] for i, e in enumerate(entries)], ncols=n)
+
+
+def kron(A, B):
+    """Kronecker product: entry ((i, k), (j, l)) is A[i, j] * B[k, l]."""
+    return Mat(
+        [[a * b for a in ra for b in rb] for ra in A.rows for rb in B.rows],
+        ncols=A.ncols * B.ncols,
+    )
+
+
+def flatten(m):
+    """The entries of ``m`` row by row, as a tuple."""
+    return tuple(x for r in m.rows for x in r)
 
 
 def rref(mat):
@@ -353,16 +375,17 @@ def joint_eigenspaces(ops, candidates, ambient=None):
             if ops[a] * ops[b] != ops[b] * ops[a]:
                 raise LinAlgError("operators %d and %d do not commute" % (a, b))
     ident = Mat.identity(ambient)
-    for op, cands in zip(ops, candidates):
+    for index, (op, cands) in enumerate(zip(ops, candidates)):
         ann = ident
         for lam in cands:
             ann = ann * (op - ident.scale(scalar(lam)))
         if not ann.is_zero():
             raise LinAlgError(
-                "operator is not annihilated by its candidate eigenvalues"
+                "operator %d is not annihilated by its candidate eigenvalues (%s)"
+                % (index, ", ".join(map(str, cands)))
             )
     blocks = [((), [ident.col(j) for j in range(ambient)])]
-    for op, cands in zip(ops, candidates):
+    for index, (op, cands) in enumerate(zip(ops, candidates)):
         cands = [scalar(c) for c in cands]
         if len(set(cands)) != len(cands):
             raise LinAlgError("duplicate candidate eigenvalues")
@@ -381,8 +404,9 @@ def joint_eigenspaces(ops, candidates, ambient=None):
                 new_blocks.append((tag + (lam,), sub))
             if covered != len(vecs):
                 raise LinAlgError(
-                    "candidate eigenvalues cover %d of %d dimensions in a block"
-                    % (covered, len(vecs))
+                    "candidate eigenvalues of operator %d cover %d of %d dimensions"
+                    " in the block with eigenvalues (%s)"
+                    % (index, covered, len(vecs), ", ".join(map(str, tag)))
                 )
         blocks = new_blocks
     total = sum(len(v) for _, v in blocks)

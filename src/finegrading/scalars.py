@@ -15,6 +15,11 @@ field, represented exactly:
   coefficients.  The canonical form has monic denominator and coprime
   numerator/denominator, so again ``==`` on the stored data is field equality.
 
+Fast path: a canonical constant has a one-term ``num`` and ``den == (1,)``, and a
+``Cyc`` with ``d == 1`` is reduced.  So ``+ - *`` of two constants is one ``Cyc``
+operation (gcd only when ``d != 1``) giving the canonical result directly, a zero
+operand returns the other, and only functions of ``a`` take the polynomial path.
+
 The text grammar accepted by :func:`parse_scalar` and produced by
 ``str(Scalar)`` uses integers, ``/`` for rationals, ``z``, ``a``, the
 operators ``+ - * ^`` and parentheses, e.g. ``(3/4)*a + z^3``.  Parsing the
@@ -42,36 +47,25 @@ __all__ = [
 ]
 
 
-def _gcd_many(values):
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
 class Cyc:
     """An element of Q(zeta_12) with coordinates over the basis 1, z, z^2, z^3."""
 
     __slots__ = ("n", "d", "_hash")
 
-    def __init__(self, n, d=1, _reduced=False):
+    def __init__(self, n, d=1):
         n = tuple(int(v) for v in n)
         if len(n) != 4:
             raise ScalarError("Cyc needs exactly 4 coordinates, got %r" % (n,))
         d = int(d)
         if d == 0:
             raise ScalarError("zero denominator in Cyc")
-        if not _reduced:
-            if d < 0:
-                n = tuple(-v for v in n)
-                d = -d
-            g = _gcd_many((abs(v) for v in n))
-            g = gcd(g, d)
-            if g > 1:
-                n = tuple(v // g for v in n)
-                d //= g
+        if d < 0:
+            n = tuple(-v for v in n)
+            d = -d
+        g = gcd(d, *n)
+        if g > 1:
+            n = tuple(v // g for v in n)
+            d //= g
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_hash", None)
@@ -83,7 +77,7 @@ class Cyc:
     @classmethod
     def from_rational(cls, value):
         f = Fraction(value)
-        return cls((f.numerator, 0, 0, 0), f.denominator, _reduced=False)
+        return cls((f.numerator, 0, 0, 0), f.denominator)
 
     # -- predicates --------------------------------------------------------
     def is_zero(self):
@@ -101,13 +95,15 @@ class Cyc:
     def __add__(self, other):
         if not isinstance(other, Cyc):
             return NotImplemented
-        a, b = self, other
-        if a.d == b.d:
-            return Cyc(tuple(x + y for x, y in zip(a.n, b.n)), a.d)
-        return Cyc(tuple(x * b.d + y * a.d for x, y in zip(a.n, b.n)), a.d * b.d)
+        a, b = self.n, other.n
+        d, e = self.d, other.d
+        if d == e:
+            return _cyc((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]), d)
+        return _cyc(tuple(x * e + y * d for x, y in zip(a, b)), d * e)
 
     def __neg__(self):
-        return Cyc(tuple(-v for v in self.n), self.d, _reduced=True)
+        a = self.n
+        return _cyc((-a[0], -a[1], -a[2], -a[3]), self.d)
 
     def __sub__(self, other):
         if not isinstance(other, Cyc):
@@ -118,12 +114,12 @@ class Cyc:
         if not isinstance(other, Cyc):
             return NotImplemented
         a, b = self.n, other.n
-        if self.n[1] == self.n[2] == self.n[3] == 0:
+        if a[1] == a[2] == a[3] == 0:
             s = a[0]
-            return Cyc((s * b[0], s * b[1], s * b[2], s * b[3]), self.d * other.d)
+            return _cyc((s * b[0], s * b[1], s * b[2], s * b[3]), self.d * other.d)
         if b[1] == b[2] == b[3] == 0:
             s = b[0]
-            return Cyc((s * a[0], s * a[1], s * a[2], s * a[3]), self.d * other.d)
+            return _cyc((s * a[0], s * a[1], s * a[2], s * a[3]), self.d * other.d)
         t0 = a[0] * b[0]
         t1 = a[0] * b[1] + a[1] * b[0]
         t2 = a[0] * b[2] + a[1] * b[1] + a[2] * b[0]
@@ -132,20 +128,20 @@ class Cyc:
         t5 = a[2] * b[3] + a[3] * b[2]
         t6 = a[3] * b[3]
         # reduce with z^4 = z^2 - 1, z^5 = z^3 - z, z^6 = -1
-        return Cyc((t0 - t4 - t6, t1 - t5, t2 + t4, t3 + t5), self.d * other.d)
+        return _cyc((t0 - t4 - t6, t1 - t5, t2 + t4, t3 + t5), self.d * other.d)
 
     # Galois conjugates zeta -> zeta^k for k in {5, 7, 11}.
     def conj5(self):
         a0, a1, a2, a3 = self.n
-        return Cyc((a0 + a2, -a1, -a2, a1 + a3), self.d)
+        return _cyc((a0 + a2, -a1, -a2, a1 + a3), self.d)
 
     def conj7(self):
         a0, a1, a2, a3 = self.n
-        return Cyc((a0, -a1, a2, -a3), self.d, _reduced=True)
+        return _cyc((a0, -a1, a2, -a3), self.d)
 
     def conj11(self):
         a0, a1, a2, a3 = self.n
-        return Cyc((a0 + a2, a1, -a2, -a1 - a3), self.d)
+        return _cyc((a0 + a2, a1, -a2, -a1 - a3), self.d)
 
     def inverse(self):
         if self.is_zero():
@@ -158,17 +154,7 @@ class Cyc:
         return self * other.inverse()
 
     def __pow__(self, k):
-        k = int(k)
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CYC_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, int(k), CYC_ONE)
 
     # -- comparisons ---------------------------------------------------------
     def __eq__(self, other):
@@ -191,9 +177,43 @@ class Cyc:
         return "Cyc(%s)" % self
 
 
+def _power(x, k, one):
+    """x ** k by repeated squaring (Cyc and Scalar share it)."""
+    if k < 0:
+        return _power(x.inverse(), -k, one)
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
+
+
+_new = object.__new__
+_set_n = Cyc.n.__set__
+_set_d = Cyc.d.__set__
+_set_cyc_hash = Cyc._hash.__set__
+
+
+def _cyc(n, d):
+    """Cyc of a ring operation's int coordinates ``n`` over ``d > 0``, without
+    ``int()``; the gcd runs only when ``d != 1`` (``d == 1`` is already reduced)."""
+    if d != 1:
+        g = gcd(d, *n)
+        if g != 1:
+            n = (n[0] // g, n[1] // g, n[2] // g, n[3] // g)
+            d //= g
+    c = _new(Cyc)
+    _set_n(c, n)
+    _set_d(c, d)
+    _set_cyc_hash(c, None)
+    return c
+
+
 @lru_cache(maxsize=4096)
-def _cyc_inverse_cached(n, d):
-    a = Cyc(n, d, _reduced=True)
+def _cyc_inverse(n, d):
+    a = _cyc(n, d)
     c = a.conj5() * a.conj7() * a.conj11()
     norm = a * c
     if not norm.is_rational():
@@ -207,16 +227,12 @@ def _cyc_inverse_cached(n, d):
     )
 
 
-def _cyc_inverse(n, d):
-    return _cyc_inverse_cached(n, d)
-
-
-CYC_ZERO = Cyc((0, 0, 0, 0), 1, _reduced=True)
-CYC_ONE = Cyc((1, 0, 0, 0), 1, _reduced=True)
-CYC_ZETA = Cyc((0, 1, 0, 0), 1, _reduced=True)
-CYC_I = Cyc((0, 0, 0, 1), 1, _reduced=True)
-CYC_OMEGA = Cyc((-1, 0, 1, 0), 1, _reduced=True)  # z^2 - 1
-CYC_MINUS_ONE = Cyc((-1, 0, 0, 0), 1, _reduced=True)
+CYC_ZERO = Cyc((0, 0, 0, 0))
+CYC_ONE = Cyc((1, 0, 0, 0))
+CYC_ZETA = Cyc((0, 1, 0, 0))
+CYC_I = Cyc((0, 0, 0, 1))
+CYC_OMEGA = Cyc((-1, 0, 1, 0))  # z^2 - 1
+CYC_MINUS_ONE = Cyc((-1, 0, 0, 0))
 
 
 def _format_rational(f):
@@ -349,25 +365,24 @@ class Scalar:
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num, den=_P_ONE, _canonical=False):
-        if not _canonical:
-            num = _p_trim(num)
-            den = _p_trim(den)
-            if not den:
-                raise ScalarError("zero denominator in Scalar")
-            if not num:
-                den = _P_ONE
-            else:
-                if len(den) > 1 or len(num) > 1:
-                    g = _p_gcd(num, den)
-                    if len(g) > 1:
-                        num, _ = _p_divmod(num, g)
-                        den, _ = _p_divmod(den, g)
-                lc = den[-1]
-                if lc != CYC_ONE:
-                    inv = lc.inverse()
-                    num = _p_scale(num, inv)
-                    den = _p_scale(den, inv)
+    def __init__(self, num, den=_P_ONE):
+        num = _p_trim(num)
+        den = _p_trim(den)
+        if not den:
+            raise ScalarError("zero denominator in Scalar")
+        if not num:
+            den = _P_ONE
+        else:
+            if len(den) > 1 or len(num) > 1:
+                g = _p_gcd(num, den)
+                if len(g) > 1:
+                    num, _ = _p_divmod(num, g)
+                    den, _ = _p_divmod(den, g)
+            lc = den[-1]
+            if lc != CYC_ONE:
+                inv = lc.inverse()
+                num = _p_scale(num, inv)
+                den = _p_scale(den, inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
@@ -378,9 +393,7 @@ class Scalar:
     # -- constructors --------------------------------------------------------
     @classmethod
     def from_cyc(cls, c):
-        if c.is_zero():
-            return ZERO
-        return cls((c,), _P_ONE, _canonical=True)
+        return ZERO if c.is_zero() else _canonical((c,), _P_ONE)
 
     @classmethod
     def from_rational(cls, value):
@@ -400,9 +413,16 @@ class Scalar:
 
     # -- field operations ----------------------------------------------------
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
+        p, q = self.num, other.num
+        if not q:
+            return self
+        if not p:
+            return other
+        if len(p) == 1 and len(q) == 1 and len(self.den) == 1 and len(other.den) == 1:
+            c = p[0] + q[0]
+            return ZERO if c.n == _N_ZERO else _canonical((c,), _P_ONE)
         if self.den == _P_ONE and other.den == _P_ONE:
             return Scalar(_p_add(self.num, other.num), _P_ONE)
         return Scalar(
@@ -413,11 +433,14 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(_p_neg(self.num), self.den, _canonical=True)
+        p = self.num
+        if len(p) == 1 and len(self.den) == 1:
+            return _canonical((-p[0],), _P_ONE)
+        return _canonical(_p_neg(p), self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        # Through __add__, so that every addition or subtraction is one add.
+        if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return self + (-other)
 
@@ -428,11 +451,13 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        p, q = self.num, other.num
+        if not p or not q:
             return ZERO
+        if len(p) == 1 and len(q) == 1 and len(self.den) == 1 and len(other.den) == 1:
+            return _canonical((p[0] * q[0],), _P_ONE)
         return Scalar(_p_mul(self.num, other.num), _p_mul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -457,17 +482,7 @@ class Scalar:
         return other / self
 
     def __pow__(self, k):
-        k = int(k)
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, int(k), ONE)
 
     # -- specialization -----------------------------------------------------
     def specialize(self, value):
@@ -506,9 +521,24 @@ class Scalar:
         return "Scalar(%s)" % self
 
 
-ZERO = Scalar(_P_ZERO, _P_ONE, _canonical=True)
-ONE = Scalar((CYC_ONE,), _P_ONE, _canonical=True)
-ALPHA = Scalar((CYC_ZERO, CYC_ONE), _P_ONE, _canonical=True)
+_N_ZERO = CYC_ZERO.n
+_set_num = Scalar.num.__set__
+_set_den = Scalar.den.__set__
+_set_scalar_hash = Scalar._hash.__set__
+
+
+def _canonical(num, den):
+    """The Scalar of data already in canonical form, e.g. a constant ``(c,), (1,)``."""
+    s = _new(Scalar)
+    _set_num(s, num)
+    _set_den(s, den)
+    _set_scalar_hash(s, None)
+    return s
+
+
+ZERO = _canonical(_P_ZERO, _P_ONE)
+ONE = _canonical((CYC_ONE,), _P_ONE)
+ALPHA = _canonical((CYC_ZERO, CYC_ONE), _P_ONE)
 ZETA = Scalar.from_cyc(CYC_ZETA)
 IUNIT = Scalar.from_cyc(CYC_I)
 OMEGA = Scalar.from_cyc(CYC_OMEGA)
@@ -528,6 +558,8 @@ def _coerce(x):
 
 def scalar(x):
     """Coerce ints, Fractions, Cyc, Scalar, or grammar text to a Scalar."""
+    if x.__class__ is Scalar:
+        return x
     if isinstance(x, str):
         return parse_scalar(x)
     s = _coerce(x)
@@ -616,9 +648,16 @@ def format_scalar(s):
 # factor := '-' factor | primary ('^' int)? ; primary := int | z | a | (expr)
 # ---------------------------------------------------------------------------
 
+# Hostile text fails fast: exponent literals and the degree in a of every value
+# formed before its gcd reduction are at most MAX_PARSE_DEGREE (models print
+# degree 1; a gcd takes ms at degree 16, s at 32), a power's bits at most MAX_PARSE_BITS.
+MAX_PARSE_DEGREE = 16
+MAX_PARSE_BITS = 1 << 16
+
 
 class _Tokens:
     def __init__(self, text):
+        self.text = text
         self.toks = []
         i, n = 0, len(text)
         while i < n:
@@ -660,10 +699,22 @@ class _Tokens:
 def parse_scalar(text):
     """Parse the scalar grammar; see the module docstring."""
     toks = _Tokens(text)
-    value = _parse_expr(toks)
+    try:
+        value = _parse_expr(toks)
+    except ValueError as exc:  # an integer literal over the interpreter's digit limit
+        raise ScalarError("%s in scalar text %r" % (exc, text[:40])) from None
     if toks.peek() is not None:
         raise ScalarError("trailing input %r in scalar text %r" % (toks.take()[1], text))
     return value
+
+
+def _degree(s):
+    return max(len(s.num), len(s.den)) - 1
+
+
+def _limit(toks, what, size, bound):
+    if size > bound:
+        raise ScalarError("%s %d exceeds %d in scalar text %r" % (what, size, bound, toks.text))
 
 
 def _parse_expr(toks):
@@ -671,6 +722,9 @@ def _parse_expr(toks):
     while toks.peek() in ("+", "-"):
         op = toks.take()[0]
         rhs = _parse_term(toks)
+        dv, dr = _degree(value), _degree(rhs)
+        polys = len(value.den) == len(rhs.den) == 1
+        _limit(toks, "degree in a", max(dv, dr) if polys else dv + dr, MAX_PARSE_DEGREE)
         value = value + rhs if op == "+" else value - rhs
     return value
 
@@ -680,8 +734,15 @@ def _parse_term(toks):
     while toks.peek() in ("*", "/"):
         op = toks.take()[0]
         rhs = _parse_factor(toks)
+        _limit(toks, "degree in a", _degree(value) + _degree(rhs), MAX_PARSE_DEGREE)
         value = value * rhs if op == "*" else value / rhs
     return value
+
+
+def _bits(s):
+    return max(
+        max(c.d.bit_length(), *(abs(v).bit_length() for v in c.n)) for c in s.num + s.den
+    )
 
 
 def _parse_factor(toks):
@@ -696,6 +757,9 @@ def _parse_factor(toks):
             toks.take()
             neg = True
         k = int(toks.take("int")[1])
+        _limit(toks, "exponent", k, MAX_PARSE_DEGREE)
+        _limit(toks, "degree in a", _degree(value) * k, MAX_PARSE_DEGREE)
+        _limit(toks, "coordinate bit length", _bits(value) * k, MAX_PARSE_BITS)
         value = value ** (-k if neg else k)
     return value
 

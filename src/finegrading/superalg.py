@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import json
 
-from .errors import AlgebraError
-from .linalg import Mat, kernel, solve, sparse_kernel
+from .errors import AlgebraError, ScalarError
+from .linalg import Mat, flatten, kernel, solve, sparse_kernel
 from .scalars import ONE, ZERO, format_scalar, parse_scalar, scalar
 
 __all__ = [
@@ -281,14 +281,6 @@ class LinMap:
     def __call__(self, vec):
         return self.matrix.apply(vec)
 
-    def compose(self, other):
-        if other.target is not self.source:
-            raise AlgebraError("composition domain mismatch")
-        return LinMap(
-            other.source, self.target, self.matrix * other.matrix,
-            parity=self.parity + other.parity,
-        )
-
     def order(self, bound=24):
         """Multiplicative order of an endomorphism (source == target)."""
         if self.source is not self.target:
@@ -489,14 +481,10 @@ def derivation_superalgebra(A, names=None):
     parities = [0] * len(evens) + [1] * len(odds)
     n = A.dim
     # coordinates of a matrix over the derivation basis, via a dense solve
-    flat = Mat.from_cols(
-        [[m[r, c] for r in range(n) for c in range(n)] for m in mats],
-        nrows=n * n,
-    )
+    flat = Mat.from_cols([flatten(m) for m in mats], nrows=n * n)
 
     def coords(mat):
-        vec = [mat[r, c] for r in range(n) for c in range(n)]
-        sol = solve(flat, vec)
+        sol = solve(flat, flatten(mat))
         if sol is None:
             raise AlgebraError("supercommutator left the derivation space")
         return sol
@@ -855,11 +843,27 @@ def dumps_algebra(A, **extra):
 
 
 def loads_algebra(text):
-    payload = json.loads(text)
-    table = {}
+    """Inverse of :func:`dumps_algebra`; malformed text raises AlgebraError."""
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise AlgebraError("algebra text is not valid JSON: %s" % exc) from None
+    for key, kind in (("names", list), ("parity", list), ("table", dict)):
+        if not isinstance(payload, dict) or not isinstance(payload.get(key), kind):
+            raise AlgebraError("algebra JSON has no %s under key %r" % (kind.__name__, key))
+    if not all(p in (0, 1) for p in payload["parity"]):
+        raise AlgebraError("algebra JSON key 'parity' holds a value other than 0 and 1")
+    table, dim = {}, len(payload["names"])
     for key, terms in payload["table"].items():
-        i, j = (int(p) for p in key.split(","))
-        table[(i, j)] = [(int(k), parse_scalar(c)) for k, c in terms]
+        try:
+            i, j = (int(p) for p in key.split(","))
+            table[(i, j)] = entry = []
+            for k, c in terms:
+                if not (isinstance(k, int) and 0 <= k < dim and isinstance(c, str)):
+                    raise ValueError("term %r is not [basis index, scalar text]" % ([k, c],))
+                entry.append((k, parse_scalar(c)))
+        except (TypeError, ValueError, ScalarError) as exc:
+            raise AlgebraError("algebra JSON table key %r: %s" % (key, exc)) from None
     return SuperAlgebra(payload["names"], payload["parity"], table)
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -62,6 +63,15 @@ def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+def test_hostile_alpha_exits_2_fast(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main(["theorem-check", "d21a", "--alpha=(a+z)^100000"])
+    assert err.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exponent 100000 exceeds" in capsys.readouterr().err
 
 
 def test_build_k10_roundtrip(tmp_path):

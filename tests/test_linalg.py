@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from finegrading import linalg
 from finegrading.errors import LinAlgError
 from finegrading.linalg import (
     Mat,
+    diag,
+    flatten,
     inverse,
     is_zero_vec,
     joint_eigenspaces,
     kernel,
+    kron,
     rank,
     rref,
     solve,
@@ -60,6 +64,20 @@ class TestMat:
     def test_from_cols(self):
         a = Mat.from_cols([(1, 2), (3, 4)])
         assert a[0, 1] == scalar(3) and a[1, 0] == scalar(2)
+
+    def test_kron_diag_flatten(self):
+        a = Mat([[1, 2], [3, 4]])
+        b = Mat([[0, 5, 1], [6, 7, -1]])
+        k = kron(a, b)
+        assert k.shape == (4, 6)
+        for i in range(2):
+            for j in range(2):
+                for p in range(2):
+                    for q in range(3):
+                        assert k[2 * i + p, 3 * j + q] == a[i, j] * b[p, q]
+        assert diag([1, Fraction(1, 2)]) == Mat([[1, 0], [0, Fraction(1, 2)]])
+        assert diag([]).shape == (0, 0)
+        assert flatten(b) == tuple(scalar(v) for v in (0, 5, 1, 6, 7, -1))
 
     def test_ragged_rejected(self):
         with pytest.raises(LinAlgError):
@@ -182,6 +200,34 @@ class TestJointEigenspaces:
         op = Mat([[1, 0], [0, 3]])
         with pytest.raises(LinAlgError, match="annihilated"):
             joint_eigenspaces([op], [[1]])
+
+    def test_unannihilated_operator_is_named(self):
+        a = Mat([[1, 0], [0, 3]])
+        b = Mat([[2, 0], [0, 2]])
+        with pytest.raises(LinAlgError) as err:
+            joint_eigenspaces([a, b], [[1, 3], [5]])
+        assert str(err.value) == (
+            "operator 1 is not annihilated by its candidate eigenvalues (5)"
+        )
+
+    def test_uncovered_block_is_named(self, monkeypatch):
+        # Unreachable with commuting, annihilated operators: drop the third
+        # kernel (operator 1, eigenvalue 1, block of a-eigenvalue 1).
+        calls = []
+
+        def short_kernel(m):
+            calls.append(m)
+            return [] if len(calls) == 3 else kernel(m)
+
+        monkeypatch.setattr(linalg, "kernel", short_kernel)
+        a = Mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+        b = Mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+        with pytest.raises(LinAlgError) as err:
+            joint_eigenspaces([a, b], [[1, -1], [1, -1]])
+        assert str(err.value) == (
+            "candidate eigenvalues of operator 1 cover 1 of 2 dimensions"
+            " in the block with eigenvalues (1)"
+        )
 
     def test_non_semisimple_raises(self):
         op = Mat([[1, 1], [0, 1]])

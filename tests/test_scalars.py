@@ -5,11 +5,15 @@ every run exercises exactly the same elements.
 """
 
 import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from finegrading.errors import ScalarError
+from finegrading import scalars
+from finegrading.constructions import build_D21
 from finegrading.scalars import (
     ALPHA,
     Cyc,
@@ -21,6 +25,7 @@ from finegrading.scalars import (
     Scalar,
     ZERO,
     ZETA,
+    MAX_PARSE_DEGREE,
     parse_scalar,
     root_of_unity,
     scalar,
@@ -126,6 +131,88 @@ class TestScalar:
                 assert (x * y).specialize(p) == xs * ys
 
 
+def _coords(c):
+    return [Fraction(v, c.d) for v in c.n]
+
+
+def _ref_cyc(coords):
+    """The Cyc of four Fractions, through the public normalizing constructor."""
+    d = lcm(*(c.denominator for c in coords))
+    return Cyc([c.numerator * (d // c.denominator) for c in coords], d)
+
+
+def _ref_add(x, y):
+    return _ref_cyc([u + v for u, v in zip(_coords(x), _coords(y))])
+
+
+def _ref_mul(x, y):
+    a, b = _coords(x), _coords(y)
+    t = [Fraction(0)] * 7
+    for i in range(4):
+        for j in range(4):
+            t[i + j] += a[i] * b[j]
+    # z^4 = z^2 - 1, z^5 = z^3 - z, z^6 = -1
+    return _ref_cyc([t[0] - t[4] - t[6], t[1] - t[5], t[2] + t[4], t[3] + t[5]])
+
+
+def _ref_constant(c):
+    """The general canonicalizing constructor on the polynomials c / 1."""
+    return Scalar([c], [CYC_ONE])
+
+
+def _assert_same(got, want):
+    assert len(got.num) == len(want.num) and len(got.den) == len(want.den)
+    for c, r in zip(got.num + got.den, want.num + want.den):
+        assert c.n == r.n and c.d == r.d, (got, want)
+        assert all(type(v) is int for v in c.n) and type(c.d) is int
+    assert hash(got) == hash(want)
+
+
+class TestConstantFastPath:
+    """Every constant result equals, field by field, the general constructor's."""
+
+    def operands(self):
+        rng = random.Random(12)
+        fixed = [ZERO, scalar(1), scalar(-3), scalar(Fraction(1, 2)), scalar(Fraction(-1, 2)),
+                 scalar(Fraction(2, 3)), scalar(Fraction(3, 2)), ZETA, ZETA ** 4,
+                 Scalar.from_cyc(Cyc((3, -6, 9, 12), 4)), Scalar.from_cyc(Cyc((1, 1, 1, 1), 6))]
+        rand = [Scalar.from_cyc(rand_cyc(rng)) for _ in range(30)]
+        return fixed + rand + [-x for x in rand[:10]]
+
+    def test_add_sub_mul_neg(self):
+        ops = self.operands()
+        for x in ops:
+            cx = x.constant_value()
+            _assert_same(-x, _ref_constant(_ref_mul(cx, -CYC_ONE)))
+            for y in ops:
+                cy = y.constant_value()
+                _assert_same(x + y, _ref_constant(_ref_add(cx, cy)))
+                _assert_same(x - y, _ref_constant(_ref_add(cx, _ref_mul(cy, -CYC_ONE))))
+                _assert_same(x * y, _ref_constant(_ref_mul(cx, cy)))
+
+    def test_reducing_pairs(self):
+        half, x = scalar(Fraction(1, 2)), Scalar.from_cyc(Cyc((1, 2, 3, 4), 6))
+        _assert_same(half + half, ONE)
+        _assert_same(x + (-x), ZERO)
+        _assert_same(x - x, ZERO)
+        _assert_same(scalar(Fraction(2, 3)) * scalar(Fraction(3, 2)), ONE)
+        assert (half + half).num[0].d == 1 and (x + (-x)).num == ()
+        assert (x + ZERO) is x and (ZERO + x) is x and (x * ZERO) is ZERO
+
+    def test_rational_function_takes_general_path(self):
+        x = (ALPHA + scalar(Fraction(1, 2))) / (ALPHA - ZETA)
+        y = scalar(Fraction(2, 3))
+        P = scalars
+        _assert_same(x + y, Scalar(P._p_add(x.num, P._p_mul(y.num, x.den)), x.den))
+        _assert_same(x * y, Scalar(P._p_mul(x.num, y.num), x.den))
+        _assert_same(-x, Scalar(P._p_neg(x.num), x.den))
+        _assert_same(x - x, ZERO)
+        assert (x * y).specialize(3) == x.specialize(3) * y.constant_value()
+        w = ONE / (ALPHA - ZETA)  # one-term numerator, not a constant
+        _assert_same(w + y, Scalar(P._p_add(w.num, P._p_mul(y.num, w.den)), w.den))
+        _assert_same(w * w, Scalar(w.num, P._p_mul(w.den, w.den)))
+
+
 class TestRootOfUnity:
     def test_orders(self):
         for n in (1, 2, 3, 4, 6, 12):
@@ -160,3 +247,25 @@ class TestGrammar:
         for bad in ("1 +", "(a", "q", "3//4", "a^", ""):
             with pytest.raises(ScalarError):
                 parse_scalar(bad)
+
+    def test_hostile_text_fails_fast(self):
+        for bad, what in (
+            ("(a+z)^100000", "exponent 100000"),
+            ("(a+z)^17", "exponent 17"),
+            ("((a+z)^8)^3", "degree in a 24"),
+            ("(a^9 + 1)*(a^8 + 1)", "degree in a 17"),
+            ("1/(a^9 + 1) + 1/(a^8 + 1)", "degree in a 17"),
+            ("((((((2^16)^16)^16)^16)^16)^16)", "coordinate bit length"),
+            ("2^" + "9" * 5000, "scalar text"),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ScalarError, match=what):
+                parse_scalar(bad)
+            assert time.perf_counter() - start < 1.0, bad
+
+    def test_bounds_admit_what_models_print(self):
+        assert parse_scalar("(a+z)^16") == (ALPHA + ZETA) ** 16
+        assert parse_scalar("a^9 + a^8") == ALPHA ** 9 + ALPHA ** 8
+        table = build_D21(verify=False).algebra.table
+        printed = max(max(len(c.num), len(c.den)) - 1 for terms in table.values() for _, c in terms)
+        assert 1 <= printed and 8 * printed <= MAX_PARSE_DEGREE

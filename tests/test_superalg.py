@@ -359,6 +359,27 @@ class TestBasisAndSerialization:
         assert new.parity == (0, 0, 0, 1, 1)
         check_lie_super(new)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("{", "not valid JSON"),
+            ("[]", "key 'names'"),
+            ('{"names": ["h"], "parity": [0]}', "key 'table'"),
+            ('{"names": ["h"], "parity": ["x"], "table": {}}', "key 'parity'"),
+            ('{"names": ["h"], "parity": [0], "table": {"0;0": [[0, "1"]]}}', "key '0;0'"),
+            ('{"names": ["h"], "parity": [0], "table": {"0,0": 7}}', "key '0,0'"),
+            ('{"names": ["h"], "parity": [0], "table": {"0,0": [[0]]}}', "key '0,0'"),
+            ('{"names": ["h"], "parity": [0], "table": {"0,0": [[3, "1"]]}}', "key '0,0'"),
+            ('{"names": ["h"], "parity": [0], "table": {"0,0": [[0, 1]]}}', "key '0,0'"),
+            ('{"names": ["h"], "parity": [0], "table": {"0,0": [[0, "a^99"]]}}', "key '0,0'"),
+        ],
+        ids=["json", "not-object", "no-table", "parity", "key", "terms", "term",
+             "index", "scalar-type", "scalar-text"],
+    )
+    def test_malformed_text_raises_algebra_error(self, text, where):
+        with pytest.raises(AlgebraError, match=where):
+            loads_algebra(text)
+
     def test_serialization_round_trip(self):
         g = sl2()
         act = standard_rep(g)
