@@ -88,7 +88,8 @@ def _build_parser():
 def _parse_alpha(parser, args):
     if args.alpha is None:
         return None
-    if getattr(args, "target", None) != "d21a":
+    # the target "all" (grading-report) passes alpha on to d21a only
+    if getattr(args, "target", None) not in ("d21a", "all"):
         parser.error("--alpha only applies to the d21a target")
     try:
         value = parse_scalar(args.alpha)

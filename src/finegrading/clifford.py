@@ -26,9 +26,20 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .constructions import BuiltAlgebra, build_cayley, build_quaternions
-from .errors import CliffordError
-from .linalg import Mat, flatten, inverse, kron, rank, solve, sparse_row_reduce, vec_add, vec_scale
+from .constructions import BuiltAlgebra, _cube_phi, _W_TRIPLES, build_cayley, build_quaternions
+from .errors import CliffordError, LinAlgError
+from .linalg import (
+    Mat,
+    flatten,
+    inverse,
+    kron,
+    rank,
+    solve,
+    span_solver,
+    sparse_row_reduce,
+    vec_add,
+    vec_scale,
+)
 from .scalars import HALF, IUNIT, MINUS_ONE, ONE, ZERO, scalar
 from .superalg import LinMap, SuperAlgebra
 
@@ -568,32 +579,6 @@ def build_even_clifford(space, verify=True):
     return built
 
 
-def _span_solver(cols, dim):
-    """Exact solver onto the column span: returns solve(vec) -> coeffs|None."""
-    S = Mat.from_cols(cols, nrows=dim)
-    k = len(cols)
-    rows = []
-    for r in range(dim):
-        cand = rows + [r]
-        if rank(Mat(tuple(tuple(S[(i, c)] for c in range(k)) for i in cand))) == len(
-            cand
-        ):
-            rows.append(r)
-        if len(rows) == k:
-            break
-    if len(rows) != k:
-        raise CliffordError("span columns are linearly dependent")
-    Minv = inverse(Mat(tuple(tuple(S[(r, c)] for c in range(k)) for r in rows)))
-
-    def solve_in_span(vec):
-        coeffs = Minv.apply(tuple(vec[r] for r in rows))
-        if S.apply(coeffs) != tuple(vec):
-            return None
-        return coeffs
-
-    return solve_in_span
-
-
 def _verify_even_clifford(built):
     space = built.extras["space"]
     full = built.extras["full"]
@@ -662,9 +647,10 @@ def _verify_even_clifford(built):
     so_pairs = built.extras["so_pairs"]
     so_span = built.extras["so_span"]
     dim_even = built.algebra.dim
-    if rank(Mat.from_cols(list(so_span), nrows=dim_even)) != n * (n - 1) // 2:
-        raise CliffordError("bracket span has the wrong dimension")
-    proj = _span_solver(list(so_span), dim_even)
+    try:
+        proj = span_solver(so_span, dim_even)
+    except LinAlgError:
+        raise CliffordError("bracket span has the wrong dimension") from None
 
     def op_of(i, j):
         cols = []
@@ -846,7 +832,7 @@ def division_class(built, label=None):
                 continue
             sq = alg.multiply(x, x)
             # x^2 = a x + b e gives p = (2x - a e)/sqrt(a^2 + 4b), p^2 = e
-            coeffs = _span_solver([tuple(x), e], alg.dim)(sq)
+            coeffs = span_solver([x, e], alg.dim)(sq)
             if coeffs is None:
                 continue
             a, b = coeffs
@@ -1099,7 +1085,7 @@ def check_uuv_factorization(space, built=None):
     ]
     mat_ok = ok
     if ok:
-        proj = _span_solver(quad, alg.dim)
+        proj = span_solver(quad, alg.dim)
         for p in range(4):
             for q in range(4):
                 coeffs = proj(alg.multiply(quad[p], quad[q]))
@@ -1267,17 +1253,6 @@ def verify_octonion_clifford_model():
     return report
 
 
-_W_SLOTS = (
-    (1, 0, 0),
-    (3, 0, 0),
-    (2, 0, 1),
-    (2, 0, 3),
-    (2, 1, 2),
-    (2, 3, 2),
-    (2, 2, 2),
-)
-
-
 def verify_quaternion_clifford_model():
     """The quaternion cube acting on the rank-4 free module.
 
@@ -1296,9 +1271,6 @@ def verify_quaternion_clifford_model():
     ngram = Q.extras["norm_gram"]
     report = {}
 
-    def lmat(i):
-        return alg.ad_matrix(alg.basis_vec(i))
-
     def rmat(i):
         return Mat.from_cols(
             [alg.multiply(alg.basis_vec(j), alg.basis_vec(i)) for j in range(4)],
@@ -1309,13 +1281,6 @@ def verify_quaternion_clifford_model():
 
     def qbar(vec):
         return tuple(c * s for c, s in zip(vec, bar_sign))
-
-    def phi(a, b, c):
-        # R applied to bbar: bar flips the sign of the imaginary units
-        left = lmat(a) * rmat(b)
-        if b != 0:
-            left = left.scale(MINUS_ONE)
-        return kron(left, lmat(c))
 
     basisQ = [alg.basis_vec(i) for i in range(4)]
 
@@ -1335,7 +1300,7 @@ def verify_quaternion_clifford_model():
 
     triples = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
     tindex = {t: k for k, t in enumerate(triples)}
-    mats = {t: phi(*t) for t in triples}
+    mats = {t: _cube_phi(alg, *t) for t in triples}
 
     gens = [
         (1, 0, 0),
@@ -1362,7 +1327,7 @@ def verify_quaternion_clifford_model():
     )
     report["commutes_with_right_action"] = comm
 
-    ws = [mats[t] for t in _W_SLOTS]
+    ws = [mats[t] for t in _W_TRIPLES]
     sq_ok = True
     for k, w in enumerate(ws):
         want = Mat.identity(16)
@@ -1380,7 +1345,7 @@ def verify_quaternion_clifford_model():
 
     qdeg = {0: 0, 1: 0b01, 2: 0b10, 3: 0b11}
     wdeg = [
-        qdeg[a] | (qdeg[b] << 2) | (qdeg[c] << 4) for (a, b, c) in _W_SLOTS
+        qdeg[a] | (qdeg[b] << 2) | (qdeg[c] << 4) for (a, b, c) in _W_TRIPLES
     ]
     total = 0
     for d in wdeg:
@@ -1473,7 +1438,7 @@ def verify_quaternion_clifford_model():
         return [(k, c) for k, c in out.items() if not c.is_zero()]
 
     adj = True
-    for t in gens + list(_W_SLOTS):
+    for t in gens + list(_W_TRIPLES):
         ct, st = conj_triple(t)
         for p in pairsM:
             for q in pairsM:

@@ -36,6 +36,7 @@ from .linalg import (
     kron,
     rank,
     solve,
+    span_solver,
     vec_scale,
 )
 from .scalars import ALPHA, HALF, IUNIT, MINUS_ONE, ONE, ZERO, scalar
@@ -307,12 +308,12 @@ def _cayley_zero_part(C, wb):
     for w in vecs:
         if not w[0].is_zero():
             raise AlgebraError("trace-zero weight vector has a unit component")
-    M = Mat.from_cols(vecs, nrows=8)
+    coords = span_solver(vecs, 8)
 
     def restrict(D8):
         cols = []
         for w in vecs:
-            c = solve(M, D8.apply(w))
+            c = coords(D8.apply(w))
             if c is None:
                 raise AlgebraError("operator does not preserve the trace-zero part")
             cols.append(c)
@@ -322,7 +323,6 @@ def _cayley_zero_part(C, wb):
         "names": names,
         "vectors": vecs,
         "weights": weights,
-        "matrix": M,
         "restrict": restrict,
     }
 
@@ -521,10 +521,10 @@ def build_tkk(J, der_basis=None, verify=True):
             if not is_derivation(J, m, parity=p):
                 raise AlgebraError("supplied matrix is not a superderivation")
     nder = len(ders)
-    flat = Mat.from_cols([flatten(m) for (m, _) in ders], nrows=n * n)
+    der_coords = span_solver([flatten(m) for (m, _) in ders], n * n)
 
     def dcoords(mat):
-        sol = solve(flat, flatten(mat))
+        sol = der_coords(flatten(mat))
         if sol is None:
             raise AlgebraError(
                 "left multiplications do not close into the derivation algebra"
@@ -625,7 +625,7 @@ def build_tkk(J, der_basis=None, verify=True):
         "unit": unit,
         "der_mats": ders,
         "der_offset": off,
-        "der_flat": flat,
+        "der_coords": der_coords,
     }
     return BuiltAlgebra(alg, {}, extras)
 
@@ -754,11 +754,11 @@ def verify_tkk_iso_lemma(tkkb=None):
     for m in images:
         if (m.transpose() * G + G * m) != Mat.zeros(7, 7):
             raise AlgebraError("an image is not skew for the quadratic form")
-    domflat = Mat.from_cols(dom, nrows=A.dim)
+    domcoords = span_solver(dom, A.dim)
     for i in range(21):
         for j in range(21):
             br = A.multiply(dom[i], dom[j])
-            coords = solve(domflat, br)
+            coords = domcoords(br)
             if coords is None:
                 raise AlgebraError("the 21-dimensional space is not closed")
             lhs = images[i] * images[j] - images[j] * images[i]
@@ -937,10 +937,13 @@ def d21_triple_automorphism(built, f1, f2, f3):
 def d21_cycle_automorphism(built):
     """Order-3 automorphism cycling the three ideals, for the parameter a
     equal to a primitive cube root of unity: (x1,x2,x3) -> (x3,x1,x2) on the
-    even part and u1 (x) u2 (x) u3 -> omega . u3 (x) u1 (x) u2 on the odd part."""
+    even part and u1 (x) u2 (x) u3 -> a . u3 (x) u1 (x) u2 on the odd part."""
     A = built.algebra
-    from .scalars import OMEGA
-
+    alpha = built.extras["alpha"]
+    if not (alpha * alpha + alpha + ONE).is_zero():
+        raise AlgebraError(
+            "the ideal cycle needs a primitive cube root of unity, not a = %s" % alpha
+        )
     cols = []
     for l in range(3):
         dest = (l + 1) % 3
@@ -951,7 +954,7 @@ def d21_cycle_automorphism(built):
     for w in _WORDS:
         w2 = w[2] + w[0] + w[1]
         col = [ZERO] * 17
-        col[built.extras["word_at"][w2]] = OMEGA
+        col[built.extras["word_at"][w2]] = alpha
         cols.append(tuple(col))
     return LinMap(A, A, Mat.from_cols(cols, nrows=17))
 
@@ -1068,9 +1071,9 @@ def build_G3(verify=True):
         raise AlgebraError(
             "expected 14 Cayley derivations, found %d" % der_alg.dim
         )
-    flatD = Mat.from_cols([flatten(m) for m in der_mats], nrows=64)
-    t1c = solve(flatD, flatten(wb["t1"]))
-    t2c = solve(flatD, flatten(wb["t2"]))
+    der_coords = span_solver([flatten(m) for m in der_mats], 64)
+    t1c = der_coords(flatten(wb["t1"]))
+    t2c = der_coords(flatten(wb["t2"]))
     if t1c is None or t2c is None:
         raise AlgebraError("torus elements are not in the derivation span")
 
@@ -1216,14 +1219,13 @@ def _build_f4_cayley(verify=True):
         for (a, b), k in epair.items():
             col[k] = w[a] * wp[b] - w[b] * wp[a]
         Q21.append(col)
-    Q21 = Mat.from_cols(Q21, nrows=21)
-    Q21inv = inverse(Q21)
+    pair_coords = span_solver(Q21, 21)
 
     def so7_coords(X):
         raw = [ZERO] * 21
         for (a, b), k in epair.items():
             raw[k] = X[b, a] * HALF
-        return Q21inv.apply(raw)
+        return pair_coords(raw)
 
     # spin action: rho(M_{w,w'}) = (l_w l_w' - l_w' l_w)/2 on the Cayley algebra
     lmats = [A.ad_matrix(A.basis_vec(k)) for k in range(8)]
@@ -1384,10 +1386,10 @@ def _build_f4_tkk(verify=True):
     odds3 = derivations(K3, 1)
     if len(evens3) != 3 or len(odds3) != 2:
         raise AlgebraError("unexpected Kaplansky derivation dimensions")
-    flat3 = Mat.from_cols([flatten(m) for m in evens3 + odds3], nrows=9)
+    der3_coords = span_solver([flatten(m) for m in evens3 + odds3], 9)
 
     def coords3(m):
-        c = solve(flat3, flatten(m))
+        c = der3_coords(flatten(m))
         if c is None:
             raise AlgebraError("matrix is outside the derivation space")
         return c
@@ -1455,7 +1457,7 @@ def _build_f4_tkk(verify=True):
     tau = K10b.extras["tau"].matrix
     n = 10
     off = tkkb.extras["der_offset"]
-    flat10 = tkkb.extras["der_flat"]
+    der_coords = tkkb.extras["der_coords"]
     cols = []
     for a in range(3):
         for x in range(10):
@@ -1466,7 +1468,7 @@ def _build_f4_tkk(verify=True):
             cols.append(tuple(col))
     for (D, p) in der10:
         conj = tau * D * tau
-        c = solve(flat10, flatten(conj))
+        c = der_coords(flatten(conj))
         if c is None:
             raise AlgebraError("swap does not normalize the derivations")
         col = [ZERO] * 40
@@ -1550,24 +1552,25 @@ def _mono_mul(m1, m2, squares):
     return (sign, tuple(out))
 
 
+def _cube_phi(Qa, a, b, c):
+    """Phi(a (x) b (x) c) = kron(L_a R_bbar, L_c) on Q (x) Q, for indices into
+    the quaternion basis (1, q1, q2, q3); the bar negates q1, q2, q3."""
+    e = [Qa.basis_vec(k) for k in range(4)]
+    right = Mat.from_cols([Qa.multiply(x, e[b]) for x in e], nrows=4)
+    left = Qa.ad_matrix(e[a]) * (right if b == 0 else -right)
+    return kron(left, Qa.ad_matrix(e[c]))
+
+
 def _build_f4_quaternion(verify=True):
     QB = build_quaternions()
     Qa = QB.algebra
     qvecs = [Qa.basis_vec(k) for k in range(4)]
 
-    def lmult(k):
-        return Qa.ad_matrix(qvecs[k])
-
     def rmult(k):
         cols = [Qa.multiply(qvecs[j], qvecs[k]) for j in range(4)]
         return Mat.from_cols(cols, nrows=4)
 
-    bar_signs = (ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE)
-
-    Tw = []
-    for (a, b, c) in _W_TRIPLES:
-        first = lmult(a) * rmult(b).scale(bar_signs[b])
-        Tw.append(kron(first, lmult(c)))
+    Tw = [_cube_phi(Qa, *t) for t in _W_TRIPLES]
     ident16 = Mat.identity(16)
     for k in range(7):
         sq = Tw[k] * Tw[k]

@@ -15,12 +15,13 @@ from .constructions import (
     build_F4,
     build_G3,
     build_kac,
+    d21_cycle_automorphism,
     d21_swap_automorphism,
     d21_triple_automorphism,
     verify_tkk_iso_lemma,
 )
 from .errors import AlgebraError, GradingError
-from .linalg import Mat, diag, flatten, joint_eigenspaces, solve
+from .linalg import Mat, diag, flatten, joint_eigenspaces, span_solver
 from .scalars import IUNIT, MINUS_ONE, OMEGA, ONE, ZERO, root_of_unity, scalar
 from .superalg import LinMap, change_basis, check_homomorphism
 
@@ -319,7 +320,7 @@ def g3_character_autos(built):
     cz = built.extras["zero_part"]
     g2mats = built.extras["g2_matrices"]
     A = built.algebra
-    flat = Mat.from_cols([flatten(m) for m in g2mats], nrows=64)
+    g2_coords = span_solver([flatten(m) for m in g2mats], 64)
     autos = []
     for signs in cayley_sign_characters(C):
         chi = diag(signs)
@@ -329,7 +330,7 @@ def g3_character_autos(built):
             col[k] = ONE
             cols.append(tuple(col))
         for m in g2mats:
-            c14 = solve(flat, flatten(chi * m * chi))
+            c14 = g2_coords(flatten(chi * m * chi))
             if c14 is None:
                 raise GradingError(
                     "character does not normalize the derivation algebra"
@@ -414,28 +415,6 @@ def kac_fine_grading(K10b=None):
 
 _A_SL2 = ((IUNIT, ZERO), (ZERO, -IUNIT))
 _B_SL2 = ((ZERO, MINUS_ONE), (ONE, ZERO))
-
-
-def _d21_cycle_map(built, coeff):
-    """Ideal-cycling map with the given odd coefficient.
-
-    An automorphism exactly when the parameter is a primitive cube root of
-    unity and ``coeff`` equals that parameter.
-    """
-    A = built.algebra
-    cols = []
-    for l in range(3):
-        dest = (l + 1) % 3
-        for g in range(3):
-            col = [ZERO] * 17
-            col[3 * dest + g] = ONE
-            cols.append(tuple(col))
-    for w in built.extras["words"]:
-        w2 = w[2] + w[0] + w[1]
-        col = [ZERO] * 17
-        col[built.extras["word_at"][w2]] = coeff
-        cols.append(tuple(col))
-    return LinMap(A, A, Mat.from_cols(cols, nrows=17))
 
 
 def signature_literal(sig):
@@ -560,7 +539,7 @@ def _catalog_d21(alpha):
                 "d21a-z-z3",
                 grading_from_diag(
                     A,
-                    DiagGenerators([wdiag], [(_d21_cycle_map(built, av), 3)]),
+                    DiagGenerators([wdiag], [(d21_cycle_automorphism(built), 3)]),
                 ),
                 "Z x Z_3",
                 (17,),

@@ -1,9 +1,14 @@
-"""Exact dense linear algebra over the scalar field.
+"""Exact linear algebra over the scalar field.
 
 Everything runs over :class:`~finegrading.scalars.Scalar`, so ranks, kernels
-and eigenspace splittings are exact — no tolerances anywhere.  Pivoting is
-deterministic (first nonzero entry scanning top to bottom), which keeps
-reduced forms and kernel bases reproducible across runs.
+and eigenspace splittings are exact — no tolerances anywhere.  There is one
+Gaussian elimination, :func:`sparse_row_reduce`, on rows stored as
+``{column: entry}`` dicts; :func:`rref`, :func:`rank`, :func:`kernel`,
+:func:`solve`, :func:`inverse` and :func:`span_solver` all run on it.  Its
+result is the reduced row echelon form of the row space, which is unique, so
+reduced forms, kernel bases and solutions do not depend on row order or on
+how the elimination proceeds.  :func:`span_solver` reduces a fixed set of
+columns once and then answers many coordinate queries against it.
 
 :func:`joint_eigenspaces` refines the ambient space under a family of
 commuting operators whose candidate eigenvalues are supplied by the caller;
@@ -14,7 +19,7 @@ for the whole space.
 from __future__ import annotations
 
 from .errors import LinAlgError
-from .scalars import ONE, ZERO, Scalar, scalar
+from .scalars import ONE, ZERO, scalar
 
 __all__ = [
     "Mat",
@@ -23,6 +28,7 @@ __all__ = [
     "kernel",
     "solve",
     "inverse",
+    "span_solver",
     "joint_eigenspaces",
     "sparse_row_reduce",
     "sparse_kernel",
@@ -207,32 +213,27 @@ def flatten(m):
     return tuple(x for r in m.rows for x in r)
 
 
+def _rows(mat):
+    """The rows of ``mat`` as ``{column: entry}`` dicts."""
+    return (dict(enumerate(r)) for r in mat.rows)
+
+
 def rref(mat):
-    """Reduced row echelon form; returns (Mat, pivot column tuple)."""
-    rows = [list(r) for r in mat.rows]
-    nrows, ncols = len(rows), mat.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return Mat(rows, ncols=ncols), tuple(pivots)
+    """Reduced row echelon form; returns (Mat, pivot column tuple).
+
+    A dense view of :func:`sparse_row_reduce`: the pivot rows in pivot order,
+    then zero rows up to the row count of ``mat``.
+    """
+    ncols = mat.ncols
+    basis = sparse_row_reduce(_rows(mat), ncols)
+    pivots = tuple(sorted(basis))
+    rows = [[basis[p].get(c, ZERO) for c in range(ncols)] for p in pivots]
+    rows += [[ZERO] * ncols for _ in range(mat.nrows - len(pivots))]
+    return Mat(rows, ncols=ncols), pivots
 
 
 def rank(mat):
-    return len(rref(mat)[1])
+    return len(sparse_row_reduce(_rows(mat), mat.ncols))
 
 
 def kernel(mat):
@@ -241,18 +242,7 @@ def kernel(mat):
     Deterministic: one basis vector per free column, ascending, with a 1 in
     that free coordinate.
     """
-    red, pivots = rref(mat)
-    ncols = mat.ncols
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for prow, pc in enumerate(pivots):
-            v[pc] = -red[prow, fc]
-        basis.append(tuple(v))
-    return basis
+    return sparse_kernel(_rows(mat), mat.ncols)
 
 
 def solve(mat, rhs):
@@ -287,6 +277,54 @@ def inverse(mat):
     if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
         raise LinAlgError("matrix is singular")
     return Mat([r[n:] for r in red.rows], ncols=n)
+
+
+def span_solver(cols, dim):
+    """Coordinates over the span of fixed, independent columns.
+
+    Reduces the rows ``[col_j | e_j]`` once; each reduced row pairs a vector
+    of the unique echelon basis of the span with the combination of columns
+    that gives it.  Returns ``coords(vec)``: the tuple x with
+    ``sum_j x_j cols[j] == vec``, or None when ``vec`` lies outside the span
+    (checked exactly on every query).  Raises LinAlgError when the columns
+    are linearly dependent.
+    """
+    k = len(cols)
+    sparse_cols = []
+    rows = []
+    for j, col in enumerate(cols):
+        entries = [(i, scalar(x)) for i, x in enumerate(col)]
+        entries = [(i, x) for i, x in entries if not x.is_zero()]
+        sparse_cols.append(entries)
+        rows.append(dict(entries + [(dim + j, ONE)]))
+    basis = sparse_row_reduce(rows, dim + k)
+    if any(p >= dim for p in basis):
+        raise LinAlgError("span columns are linearly dependent")
+    combos = [
+        (p, [(c - dim, v) for c, v in row.items() if c >= dim])
+        for p, row in basis.items()
+    ]
+
+    def coords(vec):
+        vec = tuple(scalar(x) for x in vec)
+        if len(vec) != dim:
+            raise LinAlgError("vector length %d, expected %d" % (len(vec), dim))
+        x = [ZERO] * k
+        for p, combo in combos:
+            f = vec[p]
+            if not f.is_zero():
+                for j, v in combo:
+                    x[j] = x[j] + f * v
+        image = [ZERO] * dim
+        for xj, col in zip(x, sparse_cols):
+            if not xj.is_zero():
+                for i, v in col:
+                    image[i] = image[i] + xj * v
+        if tuple(image) != vec:
+            return None
+        return tuple(x)
+
+    return coords
 
 
 def sparse_row_reduce(rows, ncols):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 
 from .errors import AlgebraError, ScalarError
-from .linalg import Mat, flatten, kernel, solve, sparse_kernel
+from .linalg import Mat, flatten, span_solver, sparse_kernel, sparse_row_reduce
 from .scalars import ONE, ZERO, format_scalar, parse_scalar, scalar
 
 __all__ = [
@@ -480,11 +480,11 @@ def derivation_superalgebra(A, names=None):
     mats = list(evens) + list(odds)
     parities = [0] * len(evens) + [1] * len(odds)
     n = A.dim
-    # coordinates of a matrix over the derivation basis, via a dense solve
-    flat = Mat.from_cols([flatten(m) for m in mats], nrows=n * n)
+    # coordinates of a matrix over the derivation basis, reduced once
+    solver = span_solver([flatten(m) for m in mats], n * n)
 
     def coords(mat):
-        sol = solve(flat, flatten(mat))
+        sol = solver(flatten(mat))
         if sol is None:
             raise AlgebraError("supercommutator left the derivation space")
         return sol
@@ -732,27 +732,24 @@ def complete_superalgebra(
         raise AlgebraError("no Jacobi-compatible bracket in the pairing span")
 
     if pins:
-        # solve Jacobi + pin constraints as an affine system
-        dense_rows = []
-        rhs = []
-        for row in jac_rows:
-            dense_rows.append([row.get(t, ZERO) for t in range(npair)])
-            rhs.append(ZERO)
+        # Jacobi + pin constraints as one affine system: the right-hand
+        # side is column npair of the augmented rows
+        pin_rows = []
         for (i, j), expected in pins:
             expected = tuple(scalar(c) for c in expected)
+            values = [pairing_value(b, n0, i, j) for b in pairings]
             for l in range(n0):
-                dense_rows.append(
-                    [pairing_value(pairings[t], n0, i, j)[l] for t in range(npair)]
-                )
-                rhs.append(expected[l])
-        system = Mat(dense_rows, ncols=npair)
-        if kernel(system):
+                row = {t: v[l] for t, v in enumerate(values)}
+                row[npair] = expected[l]
+                pin_rows.append(row)
+        solved = sparse_row_reduce(jac_rows + pin_rows, npair + 1)
+        if any(t not in solved for t in range(npair)):
             raise AlgebraError(
                 "bracket is underdetermined; add pins to fix the scale"
             )
-        coeffs = solve(system, rhs)
-        if coeffs is None:
+        if npair in solved:
             raise AlgebraError("pins are inconsistent with the Jacobi identity")
+        coeffs = tuple(solved[t].get(npair, ZERO) for t in range(npair))
     else:
         if len(ker) > 1:
             raise AlgebraError(

@@ -147,3 +147,15 @@ def test_grading_report_d21a(capsys):
     out = capsys.readouterr().out
     assert "d21a-z-z2^2-ideal3" in out
     assert "5/5 checks passed" in out
+
+
+def test_grading_report_all_passes_alpha_to_d21a(tmp_path):
+    every, alone = tmp_path / "all.json", tmp_path / "d21a.json"
+    assert main(["grading-report", "--alpha", "1", "--format", "json",
+                 "--out", str(every)]) == 0
+    assert main(["grading-report", "d21a", "--alpha", "1", "--format", "json",
+                 "--out", str(alone)]) == 0
+    records = json.loads(every.read_text())["records"]
+    d21a = [r for r in records if r["name"].startswith("d21a")]
+    assert d21a and len(d21a) < len(records)
+    assert d21a == json.loads(alone.read_text())["records"]

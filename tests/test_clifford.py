@@ -564,12 +564,12 @@ def test_quaternion_model_realizes_triple_class():
     # the degree pattern of the seven anticommuting generators is exactly
     # the full-rank configuration whose even Clifford algebra is the
     # triple quaternion division algebra
-    from finegrading.clifford import _W_SLOTS
+    from finegrading.constructions import _W_TRIPLES
 
     qdeg = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
     G = z2n(6)
     degs = [
-        G.element((), qdeg[a] + qdeg[b] + qdeg[c]) for a, b, c in _W_SLOTS
+        G.element((), qdeg[a] + qdeg[b] + qdeg[c]) for a, b, c in _W_TRIPLES
     ]
     sp = normalize_quadratic_basis(G, degs)
     assert sp.m == 0

@@ -479,6 +479,21 @@ def test_d21_cycle_automorphism_needs_omega():
     assert pi.order(bound=6) == 3
 
 
+def test_d21_cycle_automorphism_at_omega_squared():
+    built = build_D21(OMEGA * OMEGA)
+    A = built.algebra
+    pi = d21_cycle_automorphism(built)
+    assert is_homomorphism(A, A, pi)
+    assert pi.order(bound=6) == 3
+
+
+@pytest.mark.parametrize("alpha", [None, 2, Fraction(-1, 2)], ids=["symbolic", "two", "minus-half"])
+def test_d21_cycle_automorphism_rejects_other_parameters(alpha):
+    built = build_D21(alpha, verify=False)
+    with pytest.raises(AlgebraError, match="primitive cube root of unity"):
+        d21_cycle_automorphism(built)
+
+
 def test_d21_swap_automorphism_at_minus_half(d21):
     built = build_D21(Fraction(-1, 2))
     A = built.algebra

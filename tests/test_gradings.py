@@ -12,7 +12,6 @@ from finegrading.constructions import (
     build_F4,
     build_G3,
     build_kac,
-    d21_cycle_automorphism,
     d21_triple_automorphism,
 )
 from finegrading.errors import GradingError
@@ -28,7 +27,6 @@ from finegrading.gradings import (
     signature_literal,
     trivial_grading,
     verify_grading,
-    _d21_cycle_map,
 )
 from finegrading.linalg import Mat
 from finegrading.scalars import ALPHA, IUNIT, MINUS_ONE, OMEGA, ONE, ZERO, scalar
@@ -376,11 +374,6 @@ def test_catalog_rejects_unknown_id():
 def test_catalog_rejects_alpha_for_f4():
     with pytest.raises(GradingError):
         catalog("f4", alpha=scalar(2))
-
-
-def test_cycle_map_matches_construction_at_omega():
-    built = build_D21(OMEGA, verify=False)
-    assert _d21_cycle_map(built, OMEGA).matrix == d21_cycle_automorphism(built).matrix
 
 
 def test_signature_literal():

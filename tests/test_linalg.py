@@ -17,17 +17,22 @@ from finegrading.linalg import (
     rank,
     rref,
     solve,
+    span_solver,
     sparse_kernel,
 )
-from finegrading.scalars import ALPHA, IUNIT, ONE, ZERO, Scalar, scalar
+from finegrading.scalars import ALPHA, IUNIT, OMEGA, ONE, ZETA, ZERO, Scalar, scalar
 
 
-def fraction_rank(entries):
-    """Independent rank oracle using Fraction arithmetic."""
-    rows = [list(map(Fraction, r)) for r in entries]
-    rk = 0
-    ncols = len(rows[0]) if rows else 0
+def gauss_jordan(entries, ncols):
+    """Textbook dense Gauss-Jordan oracle: (reduced rows, pivot columns).
+
+    Works on Fraction or Scalar entries (both have ``/``, ``-`` and a truth
+    value), pivoting on the first nonzero entry from the top.
+    """
+    rows = [list(r) for r in entries]
+    pivots = []
     for c in range(ncols):
+        rk = len(pivots)
         piv = next((i for i in range(rk, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
@@ -37,8 +42,14 @@ def fraction_rank(entries):
             if i != rk and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
-        rk += 1
-    return rk
+        pivots.append(c)
+    return rows, tuple(pivots)
+
+
+def fraction_rank(entries):
+    """Independent rank oracle using Fraction arithmetic."""
+    rows = [list(map(Fraction, r)) for r in entries]
+    return len(gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
 
 
 def random_int_matrix(rng, m, n, lo=-4, hi=4):
@@ -147,6 +158,136 @@ class TestRankKernelSolve:
         red, piv = rref(Mat([[0, 2, 1], [0, 4, 2]]))
         assert piv == (1,)
         assert red[0, 1] == ONE
+
+
+def oracle_check(entries, ncols, rhs_list):
+    """Compare rref, rank, kernel, solve and inverse of one matrix with the
+    Gauss-Jordan oracle, entry by entry."""
+    entries = [[scalar(x) for x in r] for r in entries]
+    mat = Mat(entries, ncols=ncols)
+    red, pivots = gauss_jordan(entries, ncols)
+    got_red, got_pivots = rref(mat)
+    assert got_pivots == pivots
+    assert got_red == Mat(red, ncols=ncols)
+    assert rank(mat) == len(pivots)
+    free = [c for c in range(ncols) if c not in pivots]
+    want_ker = []
+    for fc in free:
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for prow, pc in enumerate(pivots):
+            v[pc] = -red[prow][fc]
+        want_ker.append(tuple(v))
+    assert kernel(mat) == want_ker
+    for rhs in rhs_list:
+        rhs = [scalar(b) for b in rhs]
+        aug, apiv = gauss_jordan([r + [b] for r, b in zip(entries, rhs)], ncols + 1)
+        if apiv and apiv[-1] == ncols:
+            assert solve(mat, rhs) is None
+        else:
+            x = [ZERO] * ncols
+            for prow, pc in enumerate(apiv):
+                x[pc] = aug[prow][ncols]
+            assert solve(mat, rhs) == tuple(x)
+    if len(entries) == ncols:
+        n = ncols
+        ident = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        aug, apiv = gauss_jordan([r + e for r, e in zip(entries, ident)], 2 * n)
+        if apiv[:n] == tuple(range(n)):
+            assert inverse(mat) == Mat([r[n:] for r in aug], ncols=n)
+        else:
+            with pytest.raises(LinAlgError, match="singular"):
+                inverse(mat)
+
+
+class TestAgainstGaussJordanOracle:
+    def random_rhs(self, rng, mat_entries, m, n):
+        # one consistent right-hand side and one random (usually not)
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        image = [sum(a * b for a, b in zip(r, x)) for r in mat_entries]
+        return [image, [rng.randint(-3, 3) for _ in range(m)]]
+
+    def test_random_rank_deficient(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            r = rng.randint(0, min(m, n))
+            left = random_int_matrix(rng, m, r)
+            right = random_int_matrix(rng, r, n)
+            entries = [
+                [sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)]
+                for i in range(m)
+            ]
+            oracle_check(entries, n, self.random_rhs(rng, entries, m, n))
+
+    @pytest.mark.parametrize("m, n", [(2, 7), (7, 2), (5, 5), (1, 6), (6, 1)])
+    def test_random_wide_tall_square(self, m, n):
+        rng = random.Random(100 * m + n)
+        for _ in range(10):
+            entries = random_int_matrix(rng, m, n, -2, 2)
+            oracle_check(entries, n, self.random_rhs(rng, entries, m, n))
+
+    @pytest.mark.parametrize("m, n", [(3, 4), (4, 4), (1, 1)])
+    def test_all_zero(self, m, n):
+        oracle_check([[0] * n for _ in range(m)], n, [[0] * m, [1] + [0] * (m - 1)])
+
+    @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0)])
+    def test_empty(self, m, n):
+        oracle_check([[] for _ in range(m)], n, [[0] * m])
+
+    def test_cyclotomic_entries(self):
+        # the third row is omega times the first plus i times the second
+        r1 = [ONE, ZETA, OMEGA, ZERO]
+        r2 = [IUNIT, ZERO, ONE, ZETA * ZETA]
+        r3 = [a * OMEGA + b * IUNIT for a, b in zip(r1, r2)]
+        entries = [r1, r2, r3, [ZERO, ZETA, ZERO, -IUNIT]]
+        oracle_check(entries, 4, [[ONE, ZETA, OMEGA + ZETA, ZERO], [ZERO, ZERO, ONE, ZERO]])
+
+    def test_alpha_entries(self):
+        a = ALPHA
+        r1 = [a, ONE, a + ONE]
+        r2 = [ONE, a, ZERO]
+        r3 = [x + y for x, y in zip(r1, r2)]
+        oracle_check([r1, r2, r3], 3, [[ONE, a, a + ONE], [ONE, ZERO, ZERO]])
+        oracle_check([r1, r2, [ZERO, ONE, a]], 3, [[ONE, a, a * a]])
+
+
+class TestSpanSolver:
+    def test_coordinates_and_outside_vectors(self):
+        rng = random.Random(42)
+        for _ in range(20):
+            dim = rng.randint(2, 6)
+            k = rng.randint(1, dim - 1)
+            cols = random_int_matrix(rng, k, dim)
+            if fraction_rank(cols) < k:
+                continue
+            coords = span_solver(cols, dim)
+            x = tuple(scalar(rng.randint(-3, 3)) for _ in range(k))
+            vec = Mat.from_cols(cols, nrows=dim).apply(x)
+            assert coords(vec) == x
+            # a unit vector outside the span, added to a vector inside it
+            for i in range(dim):
+                if fraction_rank(cols + [[int(j == i) for j in range(dim)]]) > k:
+                    outside = tuple(v + (ONE if j == i else ZERO) for j, v in enumerate(vec))
+                    assert coords(outside) is None
+                    break
+
+    def test_cyclotomic_span(self):
+        cols = [(ONE, ZETA, ZERO), (OMEGA, ZERO, IUNIT)]
+        coords = span_solver(cols, 3)
+        vec = tuple(IUNIT * a + ZETA * b for a, b in zip(*cols))
+        assert coords(vec) == (IUNIT, ZETA)
+        assert coords((ONE, ZERO, ZERO)) is None
+
+    def test_dependent_columns_rejected(self):
+        with pytest.raises(LinAlgError, match="dependent"):
+            span_solver([(1, 2, 3), (0, 1, 0), (2, 5, 6)], 3)
+        with pytest.raises(LinAlgError, match="dependent"):
+            span_solver([(0, 0)], 2)
+
+    def test_vector_length_checked(self):
+        with pytest.raises(LinAlgError, match="length"):
+            span_solver([(1, 0)], 2)((1, 0, 0))
 
 
 class TestSparseKernel:

@@ -321,6 +321,28 @@ class TestPairingsAndCompletion:
         xx = osp.multiply(x, x)
         assert xx[osp.index("e")] == scalar(2) * pairings[0][(0, 0)][g.index("e")]
 
+    def test_pins_that_leave_a_free_direction_are_underdetermined(self):
+        # the same pairing twice: one pin fixes only the sum of the two
+        g = sl2()
+        act = standard_rep(g)
+        pairings = invariant_pairings(g, act) * 2
+        with pytest.raises(AlgebraError, match="underdetermined"):
+            complete_superalgebra(g, act, pairings, pins=[((0, 0), pairings[0][(0, 0)])])
+        # underdetermined is reported before inconsistent
+        h_only = (ONE, ZERO, ZERO)
+        with pytest.raises(AlgebraError, match="underdetermined"):
+            complete_superalgebra(g, act, pairings, pins=[((0, 0), h_only)])
+
+    def test_inconsistent_pins_rejected(self):
+        g = sl2()
+        act = standard_rep(g)
+        pairings = invariant_pairings(g, act)
+        xx = pairings[0][(0, 0)]
+        with pytest.raises(AlgebraError, match="pins are inconsistent"):
+            complete_superalgebra(
+                g, act, pairings, pins=[((0, 0), xx), ((0, 0), tuple(scalar(2) * c for c in xx))]
+            )
+
 
 class TestBasisAndSerialization:
     def test_change_basis_preserves_lie(self):
