@@ -26,7 +26,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .constructions import BuiltAlgebra, _cube_phi, _W_TRIPLES, build_cayley, build_quaternions
+from .constructions import (
+    BuiltAlgebra,
+    _cube_phi,
+    _right_mat,
+    _W_TRIPLES,
+    build_cayley,
+    build_quaternions,
+)
 from .errors import CliffordError, LinAlgError
 from .linalg import (
     Mat,
@@ -1071,7 +1078,12 @@ def check_uuv_factorization(space, built=None):
     ab = alg.multiply(a, b)
     ba = alg.multiply(b, a)
     quad = [a, b, ab, ba]
-    s_dim = rank(Mat.from_cols(quad, nrows=alg.dim))
+    try:
+        proj = span_solver(quad, alg.dim)
+        s_dim = 4
+    except LinAlgError:
+        proj = None
+        s_dim = rank(Mat.from_cols(quad, nrows=alg.dim))
 
     report = {"m": space.m, "zsquare": eps, "s_dim": s_dim}
     ok = s_dim == 4
@@ -1085,7 +1097,6 @@ def check_uuv_factorization(space, built=None):
     ]
     mat_ok = ok
     if ok:
-        proj = span_solver(quad, alg.dim)
         for p in range(4):
             for q in range(4):
                 coeffs = proj(alg.multiply(quad[p], quad[q]))
@@ -1271,12 +1282,6 @@ def verify_quaternion_clifford_model():
     ngram = Q.extras["norm_gram"]
     report = {}
 
-    def rmat(i):
-        return Mat.from_cols(
-            [alg.multiply(alg.basis_vec(j), alg.basis_vec(i)) for j in range(4)],
-            nrows=4,
-        )
-
     bar_sign = (ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE)
 
     def qbar(vec):
@@ -1321,7 +1326,7 @@ def verify_quaternion_clifford_model():
     flat = [flatten(mats[t]) for t in triples]
     report["independent"] = rank(Mat.from_cols(flat, nrows=256)) == 64
 
-    right = [kron(Mat.identity(4), rmat(i)) for i in (1, 2)]
+    right = [kron(Mat.identity(4), _right_mat(alg, i)) for i in (1, 2)]
     comm = all(
         mats[t] * R == R * mats[t] for t in gens for R in right
     )

@@ -16,7 +16,8 @@ The constructions, bottom to top:
 * a Tits-Kantor-Koecher style functor  J  ->  (sl2 (x) J) + der(J);
 * D(2,1;a) by explicit structure constants, symbolically in the parameter;
 * G(3) and F(4), each assembled as g0 + g1 by solving for the equivariant
-  pairing S^2 g1 -> g0 and the odd Jacobi constraint.  F(4) is built three
+  pairing S^2 g1 -> g0 of degree 0 in the model's own grading and the odd
+  Jacobi constraint, in the basis the model is built in.  F(4) is built three
   times — Cayley/spin model, TKK over the Kac superalgebra, quaternionic
   model — because each model makes different fine gradings visible.
 """
@@ -109,16 +110,6 @@ class BuiltAlgebra:
 # ---------------------------------------------------------------------------
 # small matrix helpers
 # ---------------------------------------------------------------------------
-
-
-def _block_diag(A, B):
-    n, m = A.nrows, B.nrows
-    rows = []
-    for i in range(n):
-        rows.append(list(A.row(i)) + [ZERO] * m)
-    for i in range(m):
-        rows.append([ZERO] * n + list(B.row(i)))
-    return Mat(rows, ncols=n + m)
 
 
 def _int_of(s):
@@ -531,16 +522,7 @@ def build_tkk(J, der_basis=None, verify=True):
             )
         return sol
 
-    # left multiplication matrices
-    L = []
-    for i in range(n):
-        cols = []
-        for j in range(n):
-            col = [ZERO] * n
-            for (k, c) in J.product_basis(i, j):
-                col[k] = c
-            cols.append(col)
-        L.append(Mat.from_cols(cols, nrows=n))
+    L = [J.ad_matrix(b) for b in basis]  # left multiplications
 
     lcomm = {}
     for i in range(n):
@@ -1085,7 +1067,6 @@ def build_G3(verify=True):
         base = "g(%d,%d)" % tag
         g2_names.append(base if seen[tag] == 1 else "%s#%d" % (base, seen[tag]))
     P2 = Mat.from_cols(g2_vecs, nrows=14)
-    P2inv = inverse(P2)
     g2w = change_basis(der_alg, P2, names=g2_names)
     g2w_mats = []
     for col in range(14):
@@ -1124,32 +1105,7 @@ def build_G3(verify=True):
                     mtab[(3 + r, slot * 7 + c)] = terms
     action = ModuleAction(g0, m_names, mtab)
 
-    t1g0 = (ZERO, ZERO, ZERO) + tuple(P2inv.apply(t1c))
-    t2g0 = (ZERO, ZERO, ZERO) + tuple(P2inv.apply(t2c))
     czw = cz["weights"]
-    hints = [
-        (
-            g0.basis_vec("H"),
-            [-1] * 7 + [1] * 7,
-            [-2, 0, 2] + [0] * 14,
-        ),
-        (
-            t1g0,
-            [czw[c][0] for c in range(7)] * 2,
-            [0, 0, 0] + [t[0] for t in g2_tags],
-        ),
-        (
-            t2g0,
-            [czw[c][1] for c in range(7)] * 2,
-            [0, 0, 0] + [t[1] for t in g2_tags],
-        ),
-    ]
-    gens = _small_generating_set(g0)
-    pairings = invariant_pairings(g0, action, hints=hints, generators=gens)
-    alg, coeffs = complete_superalgebra(
-        g0, action, pairings, odd_names=m_names, verify=verify
-    )
-
     group = GradingGroup(3)
     degrees = [group.element((-2, 0, 0), ()), group.zero(), group.element((2, 0, 0), ())]
     degrees += [group.element((0,) + t, ()) for t in g2_tags]
@@ -1158,13 +1114,18 @@ def build_G3(verify=True):
         for c in range(7):
             degrees.append(group.element((hw,) + czw[c], ()))
 
+    gens = _small_generating_set(g0)
+    pairings = invariant_pairings(g0, action, degrees=degrees, generators=gens)
+    alg, coeffs = complete_superalgebra(
+        g0, action, pairings, odd_names=m_names, verify=verify
+    )
+
     extras = {
         "cayley": C,
         "weight_basis": wb,
         "zero_part": cz,
         "g0": g0,
         "action": action,
-        "hints": hints,
         "pairing_count": len(pairings),
         "coefficients": coeffs,
         "g2_matrices": g2w_mats,
@@ -1228,19 +1189,10 @@ def _build_f4_cayley(verify=True):
         return pair_coords(raw)
 
     # spin action: rho(M_{w,w'}) = (l_w l_w' - l_w' l_w)/2 on the Cayley algebra
-    lmats = [A.ad_matrix(A.basis_vec(k)) for k in range(8)]
-
-    def lmat(vec8):
-        m = Mat.zeros(8, 8)
-        for k, c in enumerate(vec8):
-            if not c.is_zero():
-                m = m + lmats[k].scale(c)
-        return m
-
     P, Pinv = wb["P"], wb["Pinv"]
     rho_wb = []
     for (r, s) in pairs:
-        lw, lwp = lmat(cbv[r]), lmat(cbv[s])
+        lw, lwp = A.ad_matrix(cbv[r]), A.ad_matrix(cbv[s])
         rho = (lw * lwp - lwp * lw).scale(HALF)
         rho_wb.append(Pinv * rho * P)
 
@@ -1279,18 +1231,8 @@ def _build_f4_cayley(verify=True):
     # Cartan c_k = -1/4 M_{x_k, y_k}; spin weights read off the diagonal
     cartan_pairs = [pairs.index((0, 4)), pairs.index((1, 5)), pairs.index((2, 6))]
     quarter = scalar(Fraction(-1, 4))
-    hints = [
-        (
-            g0.basis_vec("H"),
-            [-1] * 8 + [1] * 8,
-            [-2, 0, 2] + [0] * 21,
-        )
-    ]
     spin_diag = []
     for k in range(3):
-        cvec = [ZERO] * 24
-        cvec[3 + cartan_pairs[k]] = quarter
-        ck = tuple(cvec)
         rho_c = rho_wb[cartan_pairs[k]].scale(quarter)
         diag = []
         for a in range(8):
@@ -1299,18 +1241,6 @@ def _build_f4_cayley(verify=True):
                     raise AlgebraError("Cartan spin action is not diagonal")
             diag.append(rho_c[a, a])
         spin_diag.append(diag)
-        hints.append(
-            (
-                ck,
-                diag + diag,
-                [scalar(0)] * 3 + [scalar(w[k]) for w in so7_wt],
-            )
-        )
-    gens = _small_generating_set(g0)
-    pairings = invariant_pairings(g0, action, hints=hints, generators=gens)
-    alg, coeffs = complete_superalgebra(
-        g0, action, pairings, odd_names=m_names, verify=verify
-    )
 
     group = GradingGroup(4)
     degrees = [
@@ -1326,13 +1256,18 @@ def _build_f4_cayley(verify=True):
             dd = tuple(_int_of(2 * spin_diag[k][c]) for k in range(3))
             degrees.append(group.element((hw,) + dd, ()))
 
+    gens = _small_generating_set(g0)
+    pairings = invariant_pairings(g0, action, degrees=degrees, generators=gens)
+    alg, coeffs = complete_superalgebra(
+        g0, action, pairings, odd_names=m_names, verify=verify
+    )
+
     extras = {
         "cayley": C,
         "weight_basis": wb,
         "zero_part": cz,
         "g0": g0,
         "action": action,
-        "hints": hints,
         "pairing_count": len(pairings),
         "coefficients": coeffs,
         "so7_pairs": pairs,
@@ -1552,24 +1487,25 @@ def _mono_mul(m1, m2, squares):
     return (sign, tuple(out))
 
 
+def _right_mat(A, b):
+    """Matrix of right multiplication x -> x e_b on the algebra A."""
+    e = A.basis_vec(b)
+    cols = [A.multiply(A.basis_vec(j), e) for j in range(A.dim)]
+    return Mat.from_cols(cols, nrows=A.dim)
+
+
 def _cube_phi(Qa, a, b, c):
     """Phi(a (x) b (x) c) = kron(L_a R_bbar, L_c) on Q (x) Q, for indices into
     the quaternion basis (1, q1, q2, q3); the bar negates q1, q2, q3."""
-    e = [Qa.basis_vec(k) for k in range(4)]
-    right = Mat.from_cols([Qa.multiply(x, e[b]) for x in e], nrows=4)
-    left = Qa.ad_matrix(e[a]) * (right if b == 0 else -right)
-    return kron(left, Qa.ad_matrix(e[c]))
+    right = _right_mat(Qa, b)
+    left = Qa.ad_matrix(Qa.basis_vec(a)) * (right if b == 0 else -right)
+    return kron(left, Qa.ad_matrix(Qa.basis_vec(c)))
 
 
 def _build_f4_quaternion(verify=True):
     QB = build_quaternions()
     Qa = QB.algebra
     qvecs = [Qa.basis_vec(k) for k in range(4)]
-
-    def rmult(k):
-        cols = [Qa.multiply(qvecs[j], qvecs[k]) for j in range(4)]
-        return Mat.from_cols(cols, nrows=4)
-
     Tw = [_cube_phi(Qa, *t) for t in _W_TRIPLES]
     ident16 = Mat.identity(16)
     for k in range(7):
@@ -1630,7 +1566,7 @@ def _build_f4_quaternion(verify=True):
     ]
     mtab = {}
     for a in range(3):
-        act = kron(Mat.identity(4), rmult(a + 1)).scale(MINUS_ONE)
+        act = kron(Mat.identity(4), _right_mat(Qa, a + 1)).scale(MINUS_ONE)
         for c in range(16):
             col = act.col(c)
             terms = [(k, v) for k, v in enumerate(col) if not v.is_zero()]
@@ -1643,61 +1579,6 @@ def _build_f4_quaternion(verify=True):
             if terms:
                 mtab[(3 + i, c)] = terms
     action = ModuleAction(g0, m_names, mtab)
-
-    # Cartan: q1 and the three disjoint pair products, doubled to squares 1
-    cartans = [g0.basis_vec(0)]
-    for p in ((1, 2), (3, 4), (5, 6)):
-        v = [ZERO] * 24
-        v[3 + s_at[p]] = scalar(2)
-        cartans.append(tuple(v))
-
-    g0_vecs, g0_tags = _weight_split(g0, cartans, range(-2, 3))
-    g0_names_w = ["gw%02d" % k for k in range(24)]
-    P24 = Mat.from_cols(g0_vecs, nrows=24)
-    g0w = change_basis(g0, P24, names=g0_names_w)
-    P24inv = inverse(P24)
-
-    mops = [action.matrix(c) for c in cartans]
-    mblocks = joint_eigenspaces(mops, [[-1, 1]] * 4, 16)
-    m_vecs = []
-    m_tags = []
-    for tag, vecs in mblocks:
-        itag = tuple(_int_of(t) for t in tag)
-        for v in vecs:
-            m_vecs.append(v)
-            m_tags.append(itag)
-    P16 = Mat.from_cols(m_vecs, nrows=16)
-    P16inv = inverse(P16)
-    m_names_w = ["mw%02d" % k for k in range(16)]
-
-    mtab_w = {}
-    for r in range(24):
-        mat = P16inv * action.matrix(P24.col(r)) * P16
-        for c in range(16):
-            col = mat.col(c)
-            terms = [(k, v) for k, v in enumerate(col) if not v.is_zero()]
-            if terms:
-                mtab_w[(r, c)] = terms
-    action_w = ModuleAction(g0w, m_names_w, mtab_w)
-
-    hints = []
-    for k in range(4):
-        helt = P24inv.apply(cartans[k])
-        hints.append(
-            (
-                tuple(helt),
-                [t[k] for t in m_tags],
-                [t[k] for t in g0_tags],
-            )
-        )
-    gens = _small_generating_set(g0w)
-    pairings = invariant_pairings(g0w, action_w, hints=hints, generators=gens)
-    algw, coeffs = complete_superalgebra(
-        g0w, action_w, pairings, odd_names=m_names_w, verify=verify
-    )
-
-    P40 = _block_diag(P24, P16)
-    alg = change_basis(algw, inverse(P40), names=names0 + m_names)
 
     group = GradingGroup(0, (4, 2, 2, 2))
     qdeg2 = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -1717,13 +1598,16 @@ def _build_f4_quaternion(verify=True):
                 group.element((), (dmap[y], qdeg2[x][0], qdeg2[x][1], y1map[y]))
             )
 
+    gens = _small_generating_set(g0)
+    pairings = invariant_pairings(g0, action, degrees=degs, generators=gens)
+    alg, coeffs = complete_superalgebra(
+        g0, action, pairings, odd_names=m_names, verify=verify
+    )
+
     extras = {
         "quaternions": QB,
         "g0": g0,
         "action": action,
-        "g0_weighted": g0w,
-        "action_weighted": action_w,
-        "hints": hints,
         "pairing_count": len(pairings),
         "coefficients": coeffs,
         "generators": Tw,
@@ -1745,7 +1629,11 @@ def build_F4(model="cayley", verify=True):
     Tits-Kantor-Koecher construction over the Kac superalgebra; carries a
     Z^2 x Z_2^2 grading.  ``quaternion``: sl2 + so7 realized inside three
     tensor copies of the split quaternions acting on Q (x) Q; carries the
-    Z_4 x Z_2^3 grading.
+    Z_4 x Z_2^3 grading.  The Cayley and quaternion models solve their odd
+    bracket in the basis they are built in, among the pairings of degree 0
+    for the grading they carry.  The quaternion model's grading is not given
+    by ad of g0 elements, yet its degree-0 pairings span the whole
+    2-dimensional space of equivariant pairings.
     """
     if model == "cayley":
         return _build_f4_cayley(verify=verify)

@@ -15,7 +15,7 @@ The heavy lifting lives in the verification and completion routines:
   identity, checked exactly on basis pairs/triples of the table.
 * :func:`derivations` — super-Leibniz kernel, per parity of the derivation.
 * :func:`invariant_pairings` — symmetric equivariant pairings S^2 m -> g0,
-  optionally cut down by supplied diagonal weight data before solving.
+  optionally restricted to degree 0 for a supplied grading of g0 + m.
 * :func:`complete_superalgebra` — assembles g0 + m into a Lie superalgebra
   from a candidate pairing space by solving the (linear) odd Jacobi
   constraints, then re-verifies all axioms on the result.
@@ -155,7 +155,12 @@ class SuperAlgebra:
                 return self._index[key]
             except KeyError:
                 raise AlgebraError("no basis element named %r" % key) from None
-        return int(key)
+        i = int(key)
+        if not 0 <= i < self.dim:
+            raise AlgebraError(
+                "basis index %d out of range for dimension %d" % (i, self.dim)
+            )
+        return i
 
     def element(self, items):
         """Element from {name_or_index: coeff} or [(name, coeff), ...]."""
@@ -555,14 +560,47 @@ def ideal_generated_by(A, vectors):
 # ---------------------------------------------------------------------------
 
 
-def invariant_pairings(g0, action, hints=(), generators=None, target=None):
-    """Basis of symmetric g0-equivariant pairings b : S^2 m -> g0.
+def _check_degrees(g0, action, degrees):
+    """Split ``degrees`` into the g0 and module parts after checking that
+    they are additive on both tables; AlgebraError names the first pair."""
+    n0, md = g0.dim, action.module_dim
+    degrees = tuple(degrees)
+    if len(degrees) != n0 + md:
+        raise AlgebraError(
+            "degrees has %d entries, expected %d for g0 and %d for the module"
+            % (len(degrees), n0, md)
+        )
+    d0, dm = degrees[:n0], degrees[n0:]
+    for (i, j), terms in g0.table.items():
+        for k, _ in terms:
+            if d0[i] + d0[j] != d0[k]:
+                raise AlgebraError(
+                    "degrees are not additive on g0 at (%s, %s): the product hits %s"
+                    % (g0.names[i], g0.names[j], g0.names[k])
+                )
+    mnames = action.module_names
+    for (i, j), terms in action.table.items():
+        for k, _ in terms:
+            if d0[i] + dm[j] != dm[k]:
+                raise AlgebraError(
+                    "degrees are not additive on the action at (%s, %s): it hits %s"
+                    % (g0.names[i], mnames[j], mnames[k])
+                )
+    return d0, dm
+
+
+def invariant_pairings(g0, action, degrees=None, generators=None, target=None):
+    """Basis of symmetric g0-equivariant pairings b : S^2 m -> g0 of degree 0.
 
     Equivariance: [x, b(u, v)] = b(x.u, v) + b(u, x.v) for all x in g0.
-    ``hints`` is a list of (h, module_weights, adjoint_weights) with h a g0
-    element whose action and adjoint matrices are *diagonal* in the given
-    bases with the stated weights (verified here); coefficients that violate
-    weight additivity are dropped before solving.  ``generators`` (default:
+    ``degrees`` grades g0 + m: one degree (int or group element) per g0 basis
+    vector, then one per module basis vector — the layout of the degree tuple
+    of the assembled superalgebra.  It is checked to be additive on the g0
+    bracket and on the action, and only coefficients b(u, v)_k with
+    deg u + deg v = deg k are solved for, so the result spans the degree-0
+    pairings.  Nothing is lost when the degrees are the eigenvalues of ad of
+    commuting semisimple g0 elements: equivariance under such an element
+    already forces every pairing to have degree 0.  ``generators`` (default:
     the whole basis) must generate g0 as a Lie algebra — then equivariance
     for the generators implies it for all of g0, since the annihilator of a
     pairing under the natural g0-action on Hom(S^2 m, g0) is a subalgebra.
@@ -580,33 +618,13 @@ def invariant_pairings(g0, action, hints=(), generators=None, target=None):
         tgt = set(range(n0))
     else:
         tgt = {g0.index(t) for t in target}
-    weight_data = []
-    for h, mw, aw in hints:
-        mw = [scalar(c) for c in mw]
-        aw = [scalar(c) for c in aw]
-        if len(mw) != md or len(aw) != n0:
-            raise AlgebraError("hint weight lists have wrong lengths")
-        H = action.matrix(h)
-        for i in range(md):
-            for j in range(md):
-                want = mw[i] if i == j else ZERO
-                if H[i, j] != want:
-                    raise AlgebraError("hint action matrix is not diagonal as stated")
-        adH = g0.ad_matrix(h)
-        for i in range(n0):
-            for j in range(n0):
-                want = aw[i] if i == j else ZERO
-                if adH[i, j] != want:
-                    raise AlgebraError("hint adjoint matrix is not diagonal as stated")
-        weight_data.append((mw, aw))
+    if degrees is not None:
+        d0, dm = _check_degrees(g0, action, degrees)
 
     def allowed(i, j, k):
         if k not in tgt:
             return False
-        for mw, aw in weight_data:
-            if mw[i] + mw[j] != aw[k]:
-                return False
-        return True
+        return degrees is None or dm[i] + dm[j] == d0[k]
 
     cols = {}
     for i in range(md):

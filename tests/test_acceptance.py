@@ -201,7 +201,7 @@ def test_criterion_9_property_suite():
         cay = build_F4("cayley", verify=False)
         pairings = invariant_pairings(
             cay.extras["g0"], cay.extras["action"],
-            hints=cay.extras["hints"], target=cay.extras["sl2_indices"])
+            degrees=cay.grading("Z^4")[1], target=cay.extras["sl2_indices"])
         assert len(pairings) == 1
 
         tkk = build_F4("tkk", verify=False)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from finegrading.constructions import (
+    _small_generating_set,
     build_An,
     build_cayley,
     build_D21,
@@ -27,13 +28,14 @@ from finegrading.constructions import (
     verify_tkk_iso_lemma,
 )
 from finegrading.errors import AlgebraError
-from finegrading.linalg import Mat
+from finegrading.linalg import Mat, rank
 from finegrading.scalars import HALF, IUNIT, OMEGA, ONE, ZERO, scalar
 from finegrading.superalg import (
     LinMap,
     check_homomorphism,
     derivations,
     ideal_generated_by,
+    invariant_pairings,
     is_homomorphism,
 )
 
@@ -612,6 +614,24 @@ def test_f4_quaternion_dimensions_and_grading(f4_quaternion):
     assert f4_quaternion.extras["pairing_count"] == 2
     assert_graded(f4_quaternion)
     assert grading_sizes(f4_quaternion, "Z_4 x Z_2 x Z_2 x Z_2") == TYPE_F4_QUAT
+
+
+def test_f4_quaternion_degree_zero_pairings_lose_nothing(f4_quaternion):
+    # the Z_4 x Z_2^3 grading is not given by ad of g0 elements, yet the
+    # degree-0 pairings span every equivariant pairing
+    g0, action = f4_quaternion.extras["g0"], f4_quaternion.extras["action"]
+    degrees = f4_quaternion.grading("Z_4 x Z_2 x Z_2 x Z_2")[1]
+    gens = _small_generating_set(g0)
+    graded = invariant_pairings(g0, action, degrees=degrees, generators=gens)
+    full = invariant_pairings(g0, action, generators=gens)
+    keys = sorted({(ij, k) for b in graded + full for ij in b for k in range(g0.dim)})
+
+    def flat(b):
+        return [b[ij][k] if ij in b else ZERO for ij, k in keys]
+
+    vecs = [flat(b) for b in graded + full]
+    assert len(graded) == len(full) == 2
+    assert rank(Mat.from_cols(vecs, nrows=len(keys))) == 2
 
 
 def test_built_algebra_grading_lookup(quats):

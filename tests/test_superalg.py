@@ -254,28 +254,51 @@ class TestClosure:
         assert len(full) == 6
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: g.basis_vec(3),
+        lambda g: g.basis_vec(-1),
+        lambda g: g.element({-1: 1}),
+        lambda g: g.element({3: 1}),
+        lambda g: g.index(17),
+    ],
+    ids=["basis_vec_dim", "basis_vec_negative", "element_negative", "element_dim",
+         "index_past_end"],
+)
+def test_out_of_range_index_rejected(call):
+    g = sl2()
+    with pytest.raises(AlgebraError, match="out of range for dimension 3"):
+        call(g)
+    assert g.basis_vec(2) == (ZERO, ZERO, ONE)
+
+
 class TestPairingsAndCompletion:
     def test_invariant_pairing_space_is_a_line(self):
         g = sl2()
         pairings = invariant_pairings(g, standard_rep(g))
         assert len(pairings) == 1
 
-    def test_hints_give_same_answer(self):
+    def test_degrees_give_same_answer(self):
         g = sl2()
         act = standard_rep(g)
-        hints = [(g.basis_vec("h"), [1, -1], [0, 2, -2])]
-        with_hints = invariant_pairings(g, act, hints=hints)
-        assert len(with_hints) == 1
+        # ad h weights of h, e, f, then the weights of x, y
+        graded = invariant_pairings(g, act, degrees=[0, 2, -2, 1, -1])
+        assert len(graded) == 1
         brute = invariant_pairings(g, act)
-        # same line: each basis pairing value proportional
-        b1, b2 = with_hints[0], brute[0]
-        assert set(b1) == set(b2)
+        # same line: the same basis pairs carry the same values
+        b1, b2 = graded[0], brute[0]
+        assert b1 == b2
 
-    def test_bad_hint_rejected(self):
+    def test_bad_degrees_rejected(self):
         g = sl2()
         act = standard_rep(g)
-        with pytest.raises(AlgebraError, match="diagonal"):
-            invariant_pairings(g, act, hints=[(g.basis_vec("e"), [1, -1], [0, 2, -2])])
+        with pytest.raises(AlgebraError, match=r"additive on g0 at \(e, f\)"):
+            invariant_pairings(g, act, degrees=[0, 2, 2, 1, -1])
+        with pytest.raises(AlgebraError, match=r"additive on the action at \(e, y\)"):
+            invariant_pairings(g, act, degrees=[0, 2, -2, 1, 1])
+        with pytest.raises(AlgebraError, match="4 entries, expected 3"):
+            invariant_pairings(g, act, degrees=[0, 2, -2, 1])
 
     def test_generators_must_generate(self):
         g = sl2()
