@@ -14,7 +14,8 @@ The constructions, bottom to top:
 * the three-dimensional Kaplansky superalgebra and the ten-dimensional Kac
   Jordan superalgebra built from two copies of it;
 * a Tits-Kantor-Koecher style functor  J  ->  (sl2 (x) J) + der(J);
-* D(2,1;a) by explicit structure constants, symbolically in the parameter;
+* D(2,1;a) by explicit structure constants, symbolically in the parameter,
+  with its automorphisms that permute the three sp(V) ideals;
 * G(3) and F(4), each assembled as g0 + g1 by solving for the equivariant
   pairing S^2 g1 -> g0 of degree 0 in the model's own grading and the odd
   Jacobi constraint, in the basis the model is built in.  F(4) is built three
@@ -68,9 +69,7 @@ __all__ = [
     "build_D21",
     "build_G3",
     "build_F4",
-    "d21_triple_automorphism",
-    "d21_cycle_automorphism",
-    "d21_swap_automorphism",
+    "d21_ideal_automorphism",
 ]
 
 
@@ -858,7 +857,7 @@ def build_D21(alpha=None, verify=True):
         degrees.append(
             group.element([(-1 if c == "u" else 1) for c in w], ())
         )
-    extras = {"alpha": avalue, "words": _WORDS, "word_at": word_at}
+    extras = {"alpha": avalue, "sigma": sigma, "words": _WORDS, "word_at": word_at}
     return BuiltAlgebra(alg, {group.literal(): (group, tuple(degrees))}, extras)
 
 
@@ -882,121 +881,54 @@ def _gamma_images(f):
     return colE, colH, colF
 
 
-def d21_triple_automorphism(built, f1, f2, f3):
-    """The automorphism conjugating each ideal by f_l and acting by
-    f1 (x) f2 (x) f3 on the odd part (each f_l in SL2 as a 2x2 matrix)."""
-    A = built.algebra
-    fs = (Mat(f1), Mat(f2), Mat(f3))
+def d21_ideal_automorphism(built, perm=(0, 1, 2), fs=None):
+    """The automorphism sending ideal l to ideal perm[l] through f_l in SL2.
+
+    Even part: x in sp(V_l) goes to f_l x f_l^-1 in sp(V_perm[l]).  Odd part:
+    the letter at word position l moves to position perm[l] through f_l, and
+    the whole odd part is scaled by c = sigma[perm[0]], where
+    sigma = (1, a, -1-a) weights the odd bracket.  A missing ``fs``, or an
+    entry None in it, stands for the identity.  The map respects the bracket
+    exactly when sigma[l] = c^2 sigma[perm[l]] for every l; otherwise
+    AlgebraError names the first ideal that fails.  Besides the identity this
+    admits the transposition of the two ideals with equal sigma (a = -1/2, 1
+    or -2) and both 3-cycles when a^2 + a + 1 = 0.
+    """
+    perm = tuple(perm)
+    if len(perm) != 3 or set(perm) != {0, 1, 2}:
+        raise AlgebraError("expected a permutation of (0, 1, 2), got %r" % (perm,))
+    fs = (None,) * 3 if fs is None else tuple(fs)
+    if len(fs) != 3:
+        raise AlgebraError("expected one SL2 matrix per ideal, got %d" % len(fs))
+    fs = tuple(Mat.identity(2) if f is None else Mat(f) for f in fs)
     for f in fs:
         _check_sl2(f)
+    sigma = built.extras["sigma"]
+    c = sigma[perm[0]]
+    for l in range(3):
+        image = c * c * sigma[perm[l]]
+        if sigma[l] != image:
+            raise AlgebraError(
+                "ideal %d cannot go to ideal %d at a = %s: sigma_%d = %s but "
+                "c^2 sigma_%d = %s with c = %s"
+                % (l + 1, perm[l] + 1, sigma[1], l + 1, sigma[l], perm[l] + 1, image, c)
+            )
     cols = []
     for l in range(3):
-        ims = _gamma_images(fs[l])
-        for g in range(3):
+        for im in _gamma_images(fs[l]):
             col = [ZERO] * 17
-            for t, c in enumerate(ims[g]):
-                col[3 * l + t] = c
+            col[3 * perm[l]:3 * perm[l] + 3] = im
             cols.append(tuple(col))
-    letters = ("u", "v")
+    word_at = built.extras["word_at"]
     for w in _WORDS:
         col = [ZERO] * 17
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    coeff = (
-                        fs[0][a, letters.index(w[0])]
-                        * fs[1][b, letters.index(w[1])]
-                        * fs[2][c, letters.index(w[2])]
-                    )
-                    if not coeff.is_zero():
-                        w2 = letters[a] + letters[b] + letters[c]
-                        k = built.extras["word_at"][w2]
-                        col[k] = col[k] + coeff
+        for w2 in _WORDS:
+            coeff = c
+            for l in range(3):
+                coeff = coeff * fs[l]["uv".index(w2[perm[l]]), "uv".index(w[l])]
+            col[word_at[w2]] = coeff
         cols.append(tuple(col))
-    return LinMap(A, A, Mat.from_cols(cols, nrows=17))
-
-
-def d21_cycle_automorphism(built):
-    """Order-3 automorphism cycling the three ideals, for the parameter a
-    equal to a primitive cube root of unity: (x1,x2,x3) -> (x3,x1,x2) on the
-    even part and u1 (x) u2 (x) u3 -> a . u3 (x) u1 (x) u2 on the odd part."""
-    A = built.algebra
-    alpha = built.extras["alpha"]
-    if not (alpha * alpha + alpha + ONE).is_zero():
-        raise AlgebraError(
-            "the ideal cycle needs a primitive cube root of unity, not a = %s" % alpha
-        )
-    cols = []
-    for l in range(3):
-        dest = (l + 1) % 3
-        for g in range(3):
-            col = [ZERO] * 17
-            col[3 * dest + g] = ONE
-            cols.append(tuple(col))
-    for w in _WORDS:
-        w2 = w[2] + w[0] + w[1]
-        col = [ZERO] * 17
-        col[built.extras["word_at"][w2]] = alpha
-        cols.append(tuple(col))
-    return LinMap(A, A, Mat.from_cols(cols, nrows=17))
-
-
-def d21_swap_automorphism(built, f=None, g=None, h=None):
-    """The automorphism exchanging the last two ideals:
-
-        (x1, x2, x3) -> (f x1 f^-1, h x3 h^-1, g x2 g^-1),
-        u1 (x) u2 (x) u3 -> f(u1) (x) h(u3) (x) g(u2),
-
-    with f, g, h in SL2 (identity by default).  An automorphism exactly when
-    the parameter is -1/2."""
-    A = built.algebra
-    ident = Mat.identity(2)
-    fs = (
-        Mat(f) if f is not None else ident,
-        Mat(g) if g is not None else ident,
-        Mat(h) if h is not None else ident,
-    )
-    for m in fs:
-        _check_sl2(m)
-    cols = []
-    ims_f = _gamma_images(fs[0])
-    ims_g = _gamma_images(fs[1])
-    ims_h = _gamma_images(fs[2])
-    # ideal 1 -> ideal 1 via f
-    for gsym in range(3):
-        col = [ZERO] * 17
-        for t, c in enumerate(ims_f[gsym]):
-            col[t] = c
-        cols.append(tuple(col))
-    # ideal 2 -> ideal 3 via g (the image sits in the third block)
-    for gsym in range(3):
-        col = [ZERO] * 17
-        for t, c in enumerate(ims_g[gsym]):
-            col[6 + t] = c
-        cols.append(tuple(col))
-    # ideal 3 -> ideal 2 via h
-    for gsym in range(3):
-        col = [ZERO] * 17
-        for t, c in enumerate(ims_h[gsym]):
-            col[3 + t] = c
-        cols.append(tuple(col))
-    letters = ("u", "v")
-    for w in _WORDS:
-        col = [ZERO] * 17
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    coeff = (
-                        fs[0][a, letters.index(w[0])]
-                        * fs[2][b, letters.index(w[2])]
-                        * fs[1][c, letters.index(w[1])]
-                    )
-                    if not coeff.is_zero():
-                        w2 = letters[a] + letters[b] + letters[c]
-                        k = built.extras["word_at"][w2]
-                        col[k] = col[k] + coeff
-        cols.append(tuple(col))
-    return LinMap(A, A, Mat.from_cols(cols, nrows=17))
+    return LinMap(built.algebra, built.algebra, Mat.from_cols(cols, nrows=17))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ automorphisms) by simultaneous diagonalization, in which case a new
 homogeneous basis is part of the result.
 """
 
-from fractions import Fraction
+from itertools import permutations
 
 from .abgroup import GradingGroup, group_signature, subgroup_invariants
 from .constructions import (
@@ -15,14 +15,12 @@ from .constructions import (
     build_F4,
     build_G3,
     build_kac,
-    d21_cycle_automorphism,
-    d21_swap_automorphism,
-    d21_triple_automorphism,
+    d21_ideal_automorphism,
     verify_tkk_iso_lemma,
 )
 from .errors import AlgebraError, GradingError
 from .linalg import Mat, diag, flatten, joint_eigenspaces, span_solver
-from .scalars import IUNIT, MINUS_ONE, OMEGA, ONE, ZERO, root_of_unity, scalar
+from .scalars import IUNIT, MINUS_ONE, ONE, ZERO, root_of_unity, scalar
 from .superalg import LinMap, change_basis, check_homomorphism
 
 __all__ = [
@@ -309,6 +307,40 @@ def cayley_sign_characters(C):
     return out
 
 
+def _lift_characters(built, der_images, odd_block):
+    """Each Cayley sign character as the block matrix diag(I3, M, B, B).
+
+    The identity on sl2; on the derivation part M has the columns
+    ``der_images(signs)``, the coordinates of each basis derivation
+    conjugated by the character (None when it leaves the derivation
+    algebra); ``odd_block(signs)`` is the square block B on each of the two
+    odd slots, which fill the end of the basis.
+    """
+    A = built.algebra
+    n = A.dim
+    autos = []
+    for signs in cayley_sign_characters(built.extras["cayley"]):
+        cols = [tuple(ONE if t == k else ZERO for t in range(n)) for k in range(3)]
+        for coords in der_images(signs):
+            if coords is None:
+                raise GradingError(
+                    "character does not normalize the derivation algebra"
+                )
+            col = [ZERO] * n
+            col[3:3 + len(coords)] = coords
+            cols.append(tuple(col))
+        B = odd_block(signs)
+        m = B.shape[0]
+        for start in (n - 2 * m, n - m):
+            for j in range(m):
+                col = [ZERO] * n
+                for t in range(m):
+                    col[start + t] = B[t, j]
+                cols.append(tuple(col))
+        autos.append(LinMap(A, A, Mat.from_cols(cols, nrows=n)))
+    return autos
+
+
 def g3_character_autos(built):
     """The Cayley sign characters lifted to automorphisms of the G(3) model.
 
@@ -316,38 +348,15 @@ def g3_character_autos(built):
     derivation part (re-expressed in the weight basis) and diagonally on the
     two odd copies of the trace-zero part.
     """
-    C = built.extras["cayley"]
-    cz = built.extras["zero_part"]
     g2mats = built.extras["g2_matrices"]
-    A = built.algebra
     g2_coords = span_solver([flatten(m) for m in g2mats], 64)
-    autos = []
-    for signs in cayley_sign_characters(C):
+    restrict = built.extras["zero_part"]["restrict"]
+
+    def der_images(signs):
         chi = diag(signs)
-        cols = []
-        for k in range(3):
-            col = [ZERO] * 31
-            col[k] = ONE
-            cols.append(tuple(col))
-        for m in g2mats:
-            c14 = g2_coords(flatten(chi * m * chi))
-            if c14 is None:
-                raise GradingError(
-                    "character does not normalize the derivation algebra"
-                )
-            col = [ZERO] * 31
-            for t, v in enumerate(c14):
-                col[3 + t] = v
-            cols.append(tuple(col))
-        B = cz["restrict"](chi)
-        for slot in range(2):
-            for c in range(7):
-                col = [ZERO] * 31
-                for t in range(7):
-                    col[17 + slot * 7 + t] = B[t, c]
-                cols.append(tuple(col))
-        autos.append(LinMap(A, A, Mat.from_cols(cols, nrows=31)))
-    return autos
+        return [g2_coords(flatten(chi * m * chi)) for m in g2mats]
+
+    return _lift_characters(built, der_images, lambda signs: restrict(diag(signs)))
 
 
 def f4_character_autos(built):
@@ -358,35 +367,16 @@ def f4_character_autos(built):
     basis on both odd slots.
     """
     wb = built.extras["weight_basis"]
-    C = built.extras["cayley"]
     so7_mats = built.extras["so7_mats"]
     so7_coords = built.extras["so7_coords"]
-    P, Pinv = wb["P"], wb["Pinv"]
-    A = built.algebra
-    autos = []
-    for signs in cayley_sign_characters(C):
-        chi8 = diag(signs)
+
+    def der_images(signs):
         chi7 = diag(signs[1:])
-        cols = []
-        for k in range(3):
-            col = [ZERO] * 40
-            col[k] = ONE
-            cols.append(tuple(col))
-        for m in so7_mats:
-            c21 = so7_coords(chi7 * m * chi7)
-            col = [ZERO] * 40
-            for t, v in enumerate(c21):
-                col[3 + t] = v
-            cols.append(tuple(col))
-        B = Pinv * chi8 * P
-        for slot in range(2):
-            for c in range(8):
-                col = [ZERO] * 40
-                for t in range(8):
-                    col[24 + slot * 8 + t] = B[t, c]
-                cols.append(tuple(col))
-        autos.append(LinMap(A, A, Mat.from_cols(cols, nrows=40)))
-    return autos
+        return [so7_coords(chi7 * m * chi7) for m in so7_mats]
+
+    return _lift_characters(
+        built, der_images, lambda signs: wb["Pinv"] * diag(signs) * wb["P"]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +473,20 @@ def _catalog_g3():
 
 def _catalog_d21(alpha):
     built = build_D21(alpha, verify=False)
-    av = built.extras["alpha"]
     A = built.algebra
     cartan = attached_grading(built, "Z^3")
     w = [[d.free[l] for d in cartan.degrees] for l in range(3)]
-
-    def triple(f1, f2, f3):
-        return d21_triple_automorphism(built, f1, f2, f3)
-
-    ident = ((ONE, ZERO), (ZERO, ONE))
     a, b = _A_SL2, _B_SL2
+
+    def auto(fs, perm=(0, 1, 2)):
+        return d21_ideal_automorphism(built, perm, fs)
+
+    def fixing(l, f):
+        # f on the two ideals other than l, the identity on ideal l
+        fs = [f] * 3
+        fs[l] = None
+        return auto(fs)
+
     entries = [
         ("d21a-cartan-z3", cartan, "Z^3", (14, 0, 1)),
         (
@@ -501,65 +495,61 @@ def _catalog_d21(alpha):
                 A,
                 DiagGenerators(
                     (),
-                    [
-                        (triple(a, a, a), 4),
-                        (triple(b, b, a), 4),
-                        (triple(a, b, b), 4),
-                    ],
+                    [(auto((a, a, a)), 4), (auto((b, b, a)), 4), (auto((a, b, b)), 4)],
                 ),
             ),
             "Z_4 x Z_2 x Z_2",
             (14, 0, 1),
         ),
     ]
-    variant_autos = (
-        ((ident, a, a), (ident, b, b)),
-        ((a, ident, a), (b, ident, b)),
-        ((a, a, ident), (b, b, ident)),
-    )
     for l in range(3):
-        fs1, fs2 = variant_autos[l]
         entries.append(
             (
                 "d21a-z-z2^2-ideal%d" % (l + 1),
                 grading_from_diag(
                     A,
-                    DiagGenerators(
-                        [w[l]], [(triple(*fs1), 2), (triple(*fs2), 2)]
-                    ),
+                    DiagGenerators([w[l]], [(fixing(l, a), 2), (fixing(l, b), 2)]),
                 ),
                 "Z x Z_2 x Z_2",
                 (11, 3),
             )
         )
-    if av == OMEGA or av == OMEGA * OMEGA:
+
+    # The parameter admits a transposition of the two ideals with equal sigma,
+    # or both 3-cycles of the ideals, or neither.
+    swaps, cycles = [], []
+    for perm in permutations(range(3)):
+        fixed = [l for l in range(3) if perm[l] == l]
+        if len(fixed) == 3:
+            continue
+        try:
+            phi = d21_ideal_automorphism(built, perm)
+        except AlgebraError:
+            continue
+        if fixed:
+            swaps.append((fixed[0], perm, phi))
+        else:
+            cycles.append(phi)
+    if cycles:
         wdiag = [w[0][k] + w[1][k] + w[2][k] for k in range(17)]
         entries.append(
             (
                 "d21a-z-z3",
-                grading_from_diag(
-                    A,
-                    DiagGenerators([wdiag], [(d21_cycle_automorphism(built), 3)]),
-                ),
+                grading_from_diag(A, DiagGenerators([wdiag], [(cycles[0], 3)])),
                 "Z x Z_3",
                 (17,),
             )
         )
-    if av == scalar(Fraction(-1, 2)):
-        swap = d21_swap_automorphism(built)
-        w23 = [w[1][k] + w[2][k] for k in range(17)]
+    for k, perm, swap in swaps:
+        i, j = (l for l in range(3) if l != k)
+        wij = [w[i][t] + w[j][t] for t in range(17)]
         entries.append(
             (
                 "d21a-z-z2^3",
                 grading_from_diag(
                     A,
                     DiagGenerators(
-                        [w[0]],
-                        [
-                            (triple(ident, a, a), 2),
-                            (triple(ident, b, b), 2),
-                            (swap, 2),
-                        ],
+                        [w[k]], [(fixing(k, a), 2), (fixing(k, b), 2), (swap, 2)]
                     ),
                 ),
                 "Z x Z_2 x Z_2 x Z_2",
@@ -569,20 +559,19 @@ def _catalog_d21(alpha):
         entries.append(
             (
                 "d21a-z2-z2",
-                grading_from_diag(
-                    A, DiagGenerators([w[0], w23], [(swap, 2)])
-                ),
+                grading_from_diag(A, DiagGenerators([w[k], wij], [(swap, 2)])),
                 "Z^2 x Z_2",
                 (15, 1),
             )
         )
-        phi = d21_swap_automorphism(built, f=b, g=b)
-        psi = triple(a, a, a)
+        # b on the fixed ideal and on ideal i on its way to j: order 4
+        fs = [None] * 3
+        fs[k] = fs[i] = b
         entries.append(
             (
                 "d21a-z4-z4",
                 grading_from_diag(
-                    A, DiagGenerators((), [(phi, 4), (psi, 4)])
+                    A, DiagGenerators((), [(auto(fs, perm), 4), (auto((a, a, a)), 4)])
                 ),
                 "Z_4 x Z_4",
                 (13, 2),

@@ -22,9 +22,7 @@ from finegrading.constructions import (
     build_quaternions,
     build_tkk,
     cayley_weight_basis,
-    d21_cycle_automorphism,
-    d21_swap_automorphism,
-    d21_triple_automorphism,
+    d21_ideal_automorphism,
     verify_tkk_iso_lemma,
 )
 from finegrading.errors import AlgebraError
@@ -458,57 +456,122 @@ _A_MAT = ((IUNIT, 0), (0, -IUNIT))
 _B_MAT = ((0, -1), (1, 0))
 
 
+# every (parameter, non-identity ideal permutation) that gives an automorphism
+D21_ADMISSIBLE = [
+    (Fraction(-1, 2), (0, 2, 1)),
+    (1, (1, 0, 2)),
+    (-2, (2, 1, 0)),
+    (OMEGA, (1, 2, 0)),
+    (OMEGA, (2, 0, 1)),
+    (OMEGA * OMEGA, (1, 2, 0)),
+    (OMEGA * OMEGA, (2, 0, 1)),
+]
+D21_ADMISSIBLE_IDS = ["minus-half", "one", "minus-two", "w-cycle", "w-cycle2",
+                      "w2-cycle", "w2-cycle2"]
+
+
 def test_d21_triple_automorphism(d21):
     A = d21.algebra
-    phi = d21_triple_automorphism(d21, _A_MAT, _A_MAT, _A_MAT)
+    phi = d21_ideal_automorphism(d21, fs=(_A_MAT, _A_MAT, _A_MAT))
     assert is_homomorphism(A, A, phi)
     assert phi.order(bound=8) == 4
     # conjugation by diag(i, -i) fixes H and negates E, F
     assert phi(A.basis_vec("E1")) == A.element({"E1": -1})
     assert phi(A.basis_vec("H1")) == A.basis_vec("H1")
     # conjugation by the symplectic rotation swaps E and F, negates H
-    psi = d21_triple_automorphism(d21, _B_MAT, _B_MAT, _B_MAT)
+    psi = d21_ideal_automorphism(d21, fs=(_B_MAT, _B_MAT, _B_MAT))
     assert is_homomorphism(A, A, psi)
     assert psi(A.basis_vec("E2")) == A.basis_vec("F2")
     assert psi(A.basis_vec("H2")) == A.element({"H2": -1})
+    # the default is the identity
+    assert d21_ideal_automorphism(d21).matrix == Mat.identity(17)
+
+
+@pytest.mark.parametrize("alpha,perm", D21_ADMISSIBLE, ids=D21_ADMISSIBLE_IDS)
+def test_d21_ideal_automorphism_is_bijective_homomorphism(alpha, perm):
+    built = build_D21(alpha, verify=False)
+    A = built.algebra
+    phi = d21_ideal_automorphism(built, perm, fs=(_B_MAT, _A_MAT, None))
+    check_homomorphism(A, A, phi, bijective=True)
 
 
 def test_d21_cycle_automorphism_needs_omega():
     built = build_D21(OMEGA)
     A = built.algebra
-    pi = d21_cycle_automorphism(built)
+    pi = d21_ideal_automorphism(built, (1, 2, 0))
     assert is_homomorphism(A, A, pi)
     assert pi.order(bound=6) == 3
+    # ideal 1 -> 2 -> 3 -> 1; each word is cycled and scaled by a
+    assert pi(A.basis_vec("E1")) == A.basis_vec("E2")
+    assert pi(A.basis_vec("H3")) == A.basis_vec("H1")
+    assert pi(A.basis_vec("uuv")) == A.element({"vuu": OMEGA})
 
 
 def test_d21_cycle_automorphism_at_omega_squared():
     built = build_D21(OMEGA * OMEGA)
     A = built.algebra
-    pi = d21_cycle_automorphism(built)
+    pi = d21_ideal_automorphism(built, (1, 2, 0))
     assert is_homomorphism(A, A, pi)
     assert pi.order(bound=6) == 3
+    assert pi(A.basis_vec("uuv")) == A.element({"vuu": OMEGA * OMEGA})
+    # the other 3-cycle scales by the third entry of sigma, -1 - a = w
+    rho = d21_ideal_automorphism(built, (2, 0, 1))
+    assert rho(A.basis_vec("F1")) == A.basis_vec("F3")
+    assert rho(A.basis_vec("uuv")) == A.element({"uvu": OMEGA})
 
 
 @pytest.mark.parametrize("alpha", [None, 2, Fraction(-1, 2)], ids=["symbolic", "two", "minus-half"])
 def test_d21_cycle_automorphism_rejects_other_parameters(alpha):
     built = build_D21(alpha, verify=False)
-    with pytest.raises(AlgebraError, match="primitive cube root of unity"):
-        d21_cycle_automorphism(built)
+    with pytest.raises(AlgebraError, match="ideal 1 cannot go to ideal 2"):
+        d21_ideal_automorphism(built, (1, 2, 0))
 
 
 def test_d21_swap_automorphism_at_minus_half(d21):
     built = build_D21(Fraction(-1, 2))
     A = built.algebra
-    phi = d21_swap_automorphism(built)
+    phi = d21_ideal_automorphism(built, (0, 2, 1))
     assert is_homomorphism(A, A, phi)
     assert phi.order(bound=4) == 2
-    # the plain swap is NOT an automorphism at a generic parameter
-    bad = d21_swap_automorphism(d21)
-    assert not is_homomorphism(d21.algebra, d21.algebra, bad)
-    # the decorated swap of order 4
-    phi4 = d21_swap_automorphism(built, f=_B_MAT, g=_B_MAT, h=None)
+    assert phi(A.basis_vec("E2")) == A.basis_vec("E3")
+    assert phi(A.basis_vec("E3")) == A.basis_vec("E2")
+    assert phi(A.basis_vec("uuv")) == A.basis_vec("uvu")
+    # the plain swap is not an automorphism at a generic parameter
+    with pytest.raises(AlgebraError, match="ideal 2 cannot go to ideal 3"):
+        d21_ideal_automorphism(d21, (0, 2, 1))
+    # the decorated swap of order 4: B on ideal 1 and on ideal 2 on its way to 3
+    phi4 = d21_ideal_automorphism(built, (0, 2, 1), fs=(_B_MAT, _B_MAT, None))
     assert is_homomorphism(A, A, phi4)
     assert phi4.order(bound=8) == 4
+    assert phi4(A.basis_vec("E2")) == A.basis_vec("F3")
+    assert phi4(A.basis_vec("E3")) == A.basis_vec("E2")
+
+
+@pytest.mark.parametrize(
+    "alpha,perm",
+    [(None, (1, 0, 2)), (2, (1, 0, 2)), (2, (2, 1, 0)), (Fraction(-1, 2), (2, 0, 1))],
+    ids=["symbolic-12", "two-12", "two-13", "minus-half-cycle"],
+)
+def test_d21_ideal_automorphism_rejects_inadmissible_permutation(alpha, perm):
+    built = build_D21(alpha, verify=False)
+    with pytest.raises(AlgebraError, match=r"ideal \d cannot go to ideal \d at a = "):
+        d21_ideal_automorphism(built, perm)
+
+
+@pytest.mark.parametrize(
+    "perm,fs,message",
+    [
+        ((0, 1, 1), None, "permutation"),
+        ((0, 1), None, "permutation"),
+        ((0, 1, 3), None, "permutation"),
+        ((0, 1, 2), (_A_MAT, ((2, 0), (0, 1)), None), "determinant 1"),
+        ((0, 1, 2), (_A_MAT, None), "one SL2 matrix per ideal"),
+    ],
+    ids=["repeated", "short", "out-of-range", "not-sl2", "two-matrices"],
+)
+def test_d21_ideal_automorphism_rejects_bad_arguments(d21, perm, fs, message):
+    with pytest.raises(AlgebraError, match=message):
+        d21_ideal_automorphism(d21, perm, fs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ import pytest
 from finegrading.abgroup import GradingGroup, group_signature, subgroup_invariants
 from finegrading.clifford import build_even_clifford, normalize_quadratic_basis
 from finegrading.constructions import (
+    BuiltAlgebra,
     build_D21,
     build_F4,
     build_G3,
     build_kac,
-    d21_triple_automorphism,
+    d21_ideal_automorphism,
 )
 from finegrading.errors import GradingError
 from finegrading.gradings import (
@@ -20,6 +21,8 @@ from finegrading.gradings import (
     Grading,
     attached_grading,
     catalog,
+    f4_character_autos,
+    g3_character_autos,
     grading_from_diag,
     grading_type,
     is_refinement,
@@ -219,9 +222,9 @@ def test_from_diag_torus_only(d21):
 
 def test_from_diag_triple_characters(d21):
     autos = [
-        (d21_triple_automorphism(d21, A2, A2, A2), 4),
-        (d21_triple_automorphism(d21, B2, B2, A2), 4),
-        (d21_triple_automorphism(d21, A2, B2, B2), 4),
+        (d21_ideal_automorphism(d21, fs=(A2, A2, A2)), 4),
+        (d21_ideal_automorphism(d21, fs=(B2, B2, A2)), 4),
+        (d21_ideal_automorphism(d21, fs=(A2, B2, B2)), 4),
     ]
     gr = grading_from_diag(d21.algebra, DiagGenerators((), autos))
     assert verify_grading(gr)["ok"]
@@ -238,9 +241,9 @@ def test_from_diag_identity_auto_gives_trivial(d21):
 
 def test_from_diag_generator_order_independent(d21):
     autos = [
-        (d21_triple_automorphism(d21, A2, A2, A2), 4),
-        (d21_triple_automorphism(d21, B2, B2, A2), 4),
-        (d21_triple_automorphism(d21, A2, B2, B2), 4),
+        (d21_ideal_automorphism(d21, fs=(A2, A2, A2)), 4),
+        (d21_ideal_automorphism(d21, fs=(B2, B2, A2)), 4),
+        (d21_ideal_automorphism(d21, fs=(A2, B2, B2)), 4),
     ]
 
     def partition(gr):
@@ -272,9 +275,34 @@ def test_from_diag_rejects_non_automorphism(d21):
 
 
 def test_from_diag_rejects_wrong_declared_order(d21):
-    f = d21_triple_automorphism(d21, A2, A2, IDENT2)  # true order 2
+    f = d21_ideal_automorphism(d21, fs=(A2, A2, IDENT2))  # true order 2
     with pytest.raises(GradingError):
         grading_from_diag(d21.algebra, DiagGenerators((), [(f, 3)]))
+
+
+# ---------------------------------------------------------------------------
+# Cayley sign characters lifted to G(3) and F(4)
+# ---------------------------------------------------------------------------
+
+
+def test_g3_character_not_normalizing_rejected():
+    built = build_G3(verify=False)
+    # one derivation E_01 + ... + E_07 whose conjugates leave its span
+    m = Mat([[ONE if (i == 0 and j > 0) else ZERO for j in range(8)] for i in range(8)])
+    bad = BuiltAlgebra(
+        built.algebra, built.gradings, dict(built.extras, g2_matrices=[m])
+    )
+    with pytest.raises(GradingError, match="does not normalize the derivation algebra"):
+        g3_character_autos(bad)
+
+
+def test_f4_character_not_normalizing_rejected():
+    built = build_F4("cayley", verify=False)
+    bad = BuiltAlgebra(
+        built.algebra, built.gradings, dict(built.extras, so7_coords=lambda X: None)
+    )
+    with pytest.raises(GradingError, match="does not normalize the derivation algebra"):
+        f4_character_autos(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +382,13 @@ def test_catalog_d21_cube_root(alpha):
     )
 
 
-def test_catalog_d21_minus_half():
+@pytest.mark.parametrize(
+    "alpha", [Fraction(-1, 2), 1, -2], ids=["minus-half", "one", "minus-two"]
+)
+def test_catalog_d21_osp42(alpha):
+    # the three parameters of osp(4|2): two entries of sigma coincide
     _check_records(
-        catalog("d21a", alpha=scalar(Fraction(-1, 2))),
+        catalog("d21a", alpha=scalar(alpha)),
         D21_BASE
         + [
             ("d21a-z-z2^3", "Z x Z_2 x Z_2 x Z_2", (17,)),
@@ -364,6 +396,22 @@ def test_catalog_d21_minus_half():
             ("d21a-z4-z4", "Z_4 x Z_4", (13, 2)),
         ],
     )
+
+
+@pytest.mark.parametrize(
+    "orbit",
+    [(2, Fraction(1, 2), -3), (OMEGA, OMEGA * OMEGA), (Fraction(-1, 2), 1, -2)],
+    ids=["generic", "cube-roots", "osp42"],
+)
+def test_catalog_d21_constant_on_alpha_orbit(orbit):
+    # a -> 1/a and a -> -1-a give isomorphic algebras, so the same gradings
+    def signature(alpha):
+        records = catalog("d21a", alpha=scalar(alpha))
+        return sorted((r["realized_group"], r["realized_type"]) for r in records)
+
+    first = signature(orbit[0])
+    for alpha in orbit[1:]:
+        assert signature(alpha) == first
 
 
 def test_catalog_rejects_unknown_id():
