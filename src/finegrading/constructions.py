@@ -861,11 +861,12 @@ def build_D21(alpha=None, verify=True):
     return BuiltAlgebra(alg, {group.literal(): (group, tuple(degrees))}, extras)
 
 
-def _check_sl2(f):
+def _check_sl2(f, name):
     if f.shape != (2, 2):
-        raise AlgebraError("expected a 2x2 matrix")
-    if _det2(f) != ONE:
-        raise AlgebraError("matrix must have determinant 1")
+        raise AlgebraError("%s must be a 2x2 matrix, got %dx%d" % ((name,) + f.shape))
+    det = _det2(f)
+    if det != ONE:
+        raise AlgebraError("%s must have determinant 1, got %s" % (name, det))
 
 
 def _gamma_images(f):
@@ -901,8 +902,8 @@ def d21_ideal_automorphism(built, perm=(0, 1, 2), fs=None):
     if len(fs) != 3:
         raise AlgebraError("expected one SL2 matrix per ideal, got %d" % len(fs))
     fs = tuple(Mat.identity(2) if f is None else Mat(f) for f in fs)
-    for f in fs:
-        _check_sl2(f)
+    for l, f in enumerate(fs):
+        _check_sl2(f, "f_%d" % (l + 1))
     sigma = built.extras["sigma"]
     c = sigma[perm[0]]
     for l in range(3):

@@ -1,14 +1,21 @@
-"""Brute-force verification of the finite-group facts used by the grading
-classification: maximal abelian subgroups of (Q_8)^3/K and of
-(F^x times Q_8^2)/K, and the two F_2-subspace lemmas behind them.
+"""The finite-group facts used by the grading classification: maximal
+abelian subgroups of (Q_8)^3/K and of (F^x times Q_8^2)/K, and the two
+F_2-subspace lemmas behind them.
 
 Quaternion-group elements are pairs (axis, sign) with axis in {1, i, j, k};
 an element of (Q_8)^3/K, with K the triples of signs with product one, is
 stored canonically as (axis1, axis2, axis3, s) where s folds the product of
 the three signs.
+
+Modulo their centres the groups are F_2^6 and F_2^4, one F_2^2 block per
+Q_8, and two elements commute iff the symplectic form sum_i det(x_i, y_i)
+vanishes.  The subspace lemmas read the form, certified first against the
+pair test on every pair, so that isotropy is tested on a basis.  The group
+route reads the multiplication table: an abelian subgroup A is a bitmask over
+the elements, and <A, x> for x centralizing A is the union of the x^k A.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import GroupError
 
@@ -65,17 +72,39 @@ def q8_automorphisms():
     return autos
 
 
+def _orbits(subsets, maps):
+    """Orbits of a set of frozensets under the group generated by index maps."""
+    remaining = set(subsets)
+    orbits = []
+    while remaining:
+        orbit = {remaining.pop()}
+        frontier = list(orbit)
+        while frontier:
+            A = frontier.pop()
+            for table in maps:
+                B = frozenset(table[a] for a in A)
+                if B not in orbit:
+                    orbit.add(B)
+                    frontier.append(B)
+        remaining -= orbit
+        orbits.append(orbit)
+    return orbits
+
+
+def _bits(mask):
+    """Indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Q83K:
     """The order-128 group (Q_8)^3/K on canonical coset representatives."""
 
     def __init__(self):
-        elems = []
-        for a1 in range(4):
-            for a2 in range(4):
-                for a3 in range(4):
-                    for s in range(2):
-                        elems.append((a1, a2, a3, s))
-        self.elements = tuple(elems)
+        elems = tuple(product(range(4), range(4), range(4), range(2)))
+        self.elements = elems
         self.index = {g: k for k, g in enumerate(elems)}
         self.identity = self.index[(0, 0, 0, 0)]
         n = len(elems)
@@ -103,24 +132,6 @@ class Q83K:
             g for g in range(n) if self.comm[g] == (1 << n) - 1
         )
 
-    def closure(self, gens):
-        out = {self.identity}
-        frontier = list(out)
-        for g in gens:
-            if g not in out:
-                out.add(g)
-                frontier.append(g)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in list(out):
-                    for p in (self.mul[g][h], self.mul[h][g]):
-                        if p not in out:
-                            out.add(p)
-                            nxt.append(p)
-            frontier = nxt
-        return frozenset(out)
-
     def order_of(self, g):
         k, x = 1, g
         while x != self.identity:
@@ -141,26 +152,40 @@ class Q83K:
         return self.index[(a1, a2, a3, s1 ^ s2 ^ s3)]
 
     def maximal_abelian_subgroups(self):
-        full = (1 << len(self.elements)) - 1
+        """The maximal abelian subgroups, as frozensets of element indices.
+
+        Abelian subgroups are bitmasks, extended by one element x of the
+        centralizer per coset xA; A is maximal when it is its centralizer."""
         seen = set()
         maximal = set()
-        stack = [frozenset([self.identity])]
+        stack = [(1 << self.identity, self.comm[self.identity])]
         while stack:
-            A = stack.pop()
+            A, cent = stack.pop()
             if A in seen:
                 continue
             seen.add(A)
-            cent = full
-            for a in A:
-                cent &= self.comm[a]
-            ext = [x for x in range(len(self.elements))
-                   if (cent >> x) & 1 and x not in A]
+            ext = cent & ~A
             if not ext:
-                maximal.add(A)
-                continue
-            for x in ext:
-                stack.append(self.closure(A | {x}))
+                maximal.add(frozenset(_bits(A)))
+            while ext:
+                x = next(_bits(ext))
+                ext &= ~self.coset_mask(x, A)
+                stack.append((self.abelian_extension(A, x), cent & self.comm[x]))
         return maximal
+
+    def coset_mask(self, x, A):
+        """Bitmask of the coset xA of a bitmask A."""
+        return sum(1 << self.mul[x][a] for a in _bits(A))
+
+    def abelian_extension(self, A, x):
+        """Bitmask of <A, x> for an abelian subgroup A (a bitmask) and an
+        element x centralizing it: the union of the cosets x^k A, up to the
+        first power of x that is already inside."""
+        out, y = A, x
+        while not (out >> y) & 1:
+            out |= self.coset_mask(y, A)
+            y = self.mul[y][x]
+        return out
 
     def action_maps(self):
         """Index maps for the triples of Q_8-automorphisms and coordinate
@@ -187,25 +212,7 @@ class Q83K:
         return maps
 
     def orbits(self, subgroups):
-        maps = self.action_maps()
-        remaining = set(subgroups)
-        orbits = []
-        while remaining:
-            seed = remaining.pop()
-            orbit = {seed}
-            frontier = [seed]
-            while frontier:
-                nxt = []
-                for A in frontier:
-                    for table in maps:
-                        B = frozenset(table[a] for a in A)
-                        if B not in orbit:
-                            orbit.add(B)
-                            nxt.append(B)
-                frontier = nxt
-            remaining -= orbit
-            orbits.append(orbit)
-        return orbits
+        return _orbits(subgroups, self.action_maps())
 
 
 _Z22xZ4 = ((1, 1), (2, 7), (4, 8))
@@ -235,7 +242,6 @@ def maximal_abelian_Q83K():
     orbits = G.orbits(maximal)
 
     I, J = (1, 0), (2, 0)
-    one = (0, 0)
     powers_i = [(0, 0), (1, 0), (0, 1), (1, 1)]
     rep1 = frozenset(
         G.coset((x, y, z))
@@ -243,10 +249,10 @@ def maximal_abelian_Q83K():
     )
     q8 = [(a, s) for a in range(4) for s in range(2)]
     rep2 = frozenset(G.coset((x, x, y)) for x in q8 for y in powers_i)
-    rep3 = G.closure(
-        [G.coset((I, I, I)), G.coset((J, J, I)), G.coset((I, J, J))]
-    )
-    reps = (rep1, rep2, rep3)
+    rep3 = 1 << G.identity
+    for gen in ((I, I, I), (J, J, I), (I, J, J)):
+        rep3 = G.abelian_extension(rep3, G.coset(gen))
+    reps = (rep1, rep2, frozenset(_bits(rep3)))
     for rep in reps:
         if rep not in maximal:
             raise GroupError("a reference subgroup is not maximal abelian")
@@ -300,22 +306,51 @@ def _dim(vs):
     return len(vs).bit_length() - 1
 
 
+def _orthogonality(blocks):
+    """One bitmask per vector x: the vectors y with sum_i det(x_i, y_i) = 0.
+
+    Certifies on every pair that this symplectic form is the pair test
+    ``_is_conditioned``; by bilinearity a subspace is then conditioned iff
+    its basis is pairwise orthogonal."""
+    low = int("01" * blocks, 2)
+    orth = []
+    for x in range(1 << (2 * blocks)):
+        # det(x_i, y_i) is a common bit of y and x_i with its two bits swapped
+        swapped = ((x & low) << 1) | ((x >> 1) & low)
+        orth.append(0)
+        for y in range(1 << (2 * blocks)):
+            isotropic = not bin(swapped & y).count("1") & 1
+            if _is_conditioned((x, y), blocks) != isotropic:
+                raise GroupError(
+                    "the pair test and the symplectic form disagree on (%d, %d)" % (x, y)
+                )
+            orth[x] |= isotropic << y
+    return orth
+
+
 def _conditioned_subspaces(blocks):
-    total = 1 << (2 * blocks)
-    zero = frozenset([0])
-    seen = {zero}
-    stack = [zero]
+    """All conditioned subspaces and the maximal ones among them.
+
+    A subspace B is a bitmask over the vectors, grown together with its
+    orthogonal mask by one vector v of that mask per coset v + B outside B.
+    B is maximal exactly when every vector orthogonal to B lies in B."""
+    orth = _orthogonality(blocks)
+    seen = {1}
+    maximal = set()
+    stack = [(1, orth[0])]
     while stack:
-        B = stack.pop()
-        for v in range(1, total):
-            if v in B:
-                continue
-            C = _span(B, v)
-            if C in seen or not _is_conditioned(C, blocks):
-                continue
-            seen.add(C)
-            stack.append(C)
-    return seen
+        B, perp = stack.pop()
+        ext = perp & ~B
+        if not ext:
+            maximal.add(frozenset(_bits(B)))
+        while ext:
+            v = next(_bits(ext))
+            C = B | sum(1 << (x ^ v) for x in _bits(B))
+            ext &= ~C
+            if C not in seen:
+                seen.add(C)
+                stack.append((C, perp & orth[v]))
+    return {frozenset(_bits(B)) for B in seen}, maximal
 
 
 def _block_intersection_dim(B, keep, blocks):
@@ -416,15 +451,7 @@ def f2_subspace_cases(blocks):
     """
     if blocks not in (2, 3):
         raise GroupError("blocks must be 2 or 3")
-    cond = _conditioned_subspaces(blocks)
-    total = 1 << (2 * blocks)
-    maximal = set()
-    for B in cond:
-        if all(
-            v in B or not _is_conditioned(_span(B, v), blocks)
-            for v in range(1, total)
-        ):
-            maximal.add(B)
+    cond, maximal = _conditioned_subspaces(blocks)
 
     if blocks == 3:
         families = {1: set(), 2: set(), 3: set()}
@@ -541,40 +568,10 @@ def maximal_abelian_FxQ82K():
 
     # orbits under couples of Q_8-automorphisms (acting through GL_2(F_2)
     # on each block)
-    induced = set()
-    for phi in q8_automorphisms():
-        induced.add(tuple(phi[(a, 0)][0] for a in range(4)))
-    gens = [(f, None) for f in induced] + [(None, f) for f in induced]
-
-    def act(B, gen):
-        f, g = gen
-        out = set()
-        for v in B:
-            x, y = v & 3, v >> 2
-            if f is not None:
-                x = f[x]
-            if g is not None:
-                y = g[y]
-            out.add(x | (y << 2))
-        return frozenset(out)
-
-    remaining = set(maximal)
-    orbits = []
-    while remaining:
-        seed = remaining.pop()
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for B in frontier:
-                for gen in gens:
-                    C = act(B, gen)
-                    if C not in orbit:
-                        orbit.add(C)
-                        nxt.append(C)
-            frontier = nxt
-        remaining -= orbit
-        orbits.append(orbit)
+    induced = {tuple(phi[(a, 0)][0] for a in range(4)) for phi in q8_automorphisms()}
+    maps = [tuple(f[v & 3] | (v & 12) for v in range(16)) for f in induced]
+    maps += [tuple((v & 3) | (f[v >> 2] << 2) for v in range(16)) for f in induced]
+    orbits = _orbits(maximal, maps)
     if len(orbits) != 2:
         raise GroupError("expected exactly two orbits, found %d" % len(orbits))
 

@@ -344,13 +344,12 @@ def _p_divmod(p, q):
 
 
 def _p_gcd(p, q):
-    """Monic gcd via the Euclidean algorithm."""
+    """Monic gcd via the Euclidean algorithm.  Each remainder is made monic
+    before it divides, which keeps the coefficients from swelling."""
     while q:
-        _, r = _p_divmod(p, q)
-        p, q = q, r
-    if not p:
-        return _P_ZERO
-    return _p_scale(p, p[-1].inverse())
+        q = _p_scale(q, q[-1].inverse())
+        p, q = q, _p_divmod(p, q)[1]
+    return _p_scale(p, p[-1].inverse()) if p else _P_ZERO
 
 
 def _p_eval(p, value):

@@ -564,10 +564,15 @@ def test_d21_ideal_automorphism_rejects_inadmissible_permutation(alpha, perm):
         ((0, 1, 1), None, "permutation"),
         ((0, 1), None, "permutation"),
         ((0, 1, 3), None, "permutation"),
-        ((0, 1, 2), (_A_MAT, ((2, 0), (0, 1)), None), "determinant 1"),
+        ((0, 1, 2), (_A_MAT, ((2, 0), (0, 1)), None), "f_2 must have determinant 1, got 2"),
+        ((0, 1, 2), (None, ((2, 0), (0, 1)), None), "f_2 must have determinant 1, got 2"),
+        ((0, 1, 2), (None, ((1, 1), (1, 1)), None), "f_2 must have determinant 1, got 0"),
+        ((0, 1, 2), (None, None, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+         "f_3 must be a 2x2 matrix, got 3x3"),
         ((0, 1, 2), (_A_MAT, None), "one SL2 matrix per ideal"),
     ],
-    ids=["repeated", "short", "out-of-range", "not-sl2", "two-matrices"],
+    ids=["repeated", "short", "out-of-range", "not-sl2", "not-sl2-alone", "singular",
+         "not-2x2", "two-matrices"],
 )
 def test_d21_ideal_automorphism_rejects_bad_arguments(d21, perm, fs, message):
     with pytest.raises(AlgebraError, match=message):

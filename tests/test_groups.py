@@ -2,9 +2,12 @@
 
 import pytest
 
+from finegrading import groups
 from finegrading.errors import GroupError
 from finegrading.groups import (
     Q83K,
+    _is_conditioned,
+    _span,
     f2_subspace_cases,
     maximal_abelian_FxQ82K,
     maximal_abelian_Q83K,
@@ -105,3 +108,134 @@ def test_maximal_abelian_fxq82k_report():
     assert report["graph_count"] == 6
     assert report["orbit_count"] == 2
     assert report["orbit_sizes"] == (6, 9)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles: every pair of every subspace, and closure by products
+# ---------------------------------------------------------------------------
+
+
+def oracle_subspaces(blocks):
+    """Conditioned subspaces and the maximal ones, testing all pairs."""
+    total = 1 << (2 * blocks)
+    zero = frozenset([0])
+    seen = {zero}
+    stack = [zero]
+    while stack:
+        B = stack.pop()
+        for v in range(1, total):
+            if v in B:
+                continue
+            C = _span(B, v)
+            if C in seen or not _is_conditioned(C, blocks):
+                continue
+            seen.add(C)
+            stack.append(C)
+    maximal = {
+        B for B in seen
+        if all(v in B or not _is_conditioned(_span(B, v), blocks)
+               for v in range(1, total))
+    }
+    return seen, maximal
+
+
+def closure(G, gens):
+    """The subgroup generated by ``gens``, closing under products."""
+    out = {G.identity} | set(gens)
+    frontier = list(out)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in list(out):
+                for p in (G.mul[g][h], G.mul[h][g]):
+                    if p not in out:
+                        out.add(p)
+                        nxt.append(p)
+        frontier = nxt
+    return frozenset(out)
+
+
+def oracle_maximal_abelian(G):
+    """Maximal abelian subgroups by a DFS over ``closure``, with every
+    extension {(A, x): closure(A + {x})} it computed."""
+    full = (1 << len(G.elements)) - 1
+    seen = set()
+    maximal = set()
+    extensions = {}
+    stack = [frozenset([G.identity])]
+    while stack:
+        A = stack.pop()
+        if A in seen:
+            continue
+        seen.add(A)
+        cent = full
+        for a in A:
+            cent &= G.comm[a]
+        ext = [x for x in range(len(G.elements)) if (cent >> x) & 1 and x not in A]
+        if not ext:
+            maximal.add(A)
+        for x in ext:
+            extensions[A, x] = closure(G, A | {x})
+            stack.append(extensions[A, x])
+    return maximal, extensions
+
+
+def as_mask(subset):
+    return sum(1 << g for g in subset)
+
+
+@pytest.fixture(scope="module")
+def q83k_oracle():
+    G = Q83K()
+    return G, oracle_maximal_abelian(G)
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_subspace_enumeration_matches_pairwise_oracle(blocks):
+    cond, maximal = oracle_subspaces(blocks)
+    report = f2_subspace_cases(blocks)
+    assert report["conditioned_count"] == len(cond)
+    assert report["maximal_count"] == len(maximal)
+    assert groups._conditioned_subspaces(blocks) == (cond, maximal)
+    fams = report["families"]
+    assert set().union(*fams.values()) == (cond if blocks == 2 else maximal)
+
+
+def test_maximal_abelian_subgroups_match_closure_oracle(q83k_oracle):
+    G, (maximal, _) = q83k_oracle
+    assert len(maximal) == 135
+    assert G.maximal_abelian_subgroups() == maximal
+
+
+def test_abelian_extension_equals_closure(q83k_oracle):
+    G, (_, extensions) = q83k_oracle
+    assert len(extensions) > 1000
+    for (A, x), closure in extensions.items():
+        assert G.abelian_extension(as_mask(A), x) == as_mask(closure), (sorted(A), x)
+
+
+def test_abelian_extension_of_an_order_four_element():
+    # <(i, 1, 1)K> has order 4: the power loop must add x^2 A and x^3 A
+    G = Q83K()
+    x = G.coset(((1, 0), (0, 0), (0, 0)))
+    one = 1 << G.identity
+    assert G.abelian_extension(one, x) == as_mask(closure(G, [x]))
+    assert bin(G.abelian_extension(one, x)).count("1") == 4
+
+
+@pytest.mark.parametrize("blocks,pair", [(2, (5, 9)), (3, (37, 18)), (3, (63, 63))])
+def test_form_certificate_names_the_disagreeing_pair(monkeypatch, blocks, pair):
+    def patched(vs, blocks):
+        agree = _is_conditioned(vs, blocks)
+        return not agree if tuple(vs) == pair else agree
+
+    monkeypatch.setattr(groups, "_is_conditioned", patched)
+    with pytest.raises(GroupError, match=r"disagree on \(%d, %d\)" % pair):
+        f2_subspace_cases(blocks)
+
+
+def test_reference_subgroup_matches_closure():
+    G = Q83K()
+    I, J = (1, 0), (2, 0)
+    gens = [G.coset(t) for t in ((I, I, I), (J, J, I), (I, J, J))]
+    assert maximal_abelian_Q83K()["orbit_representatives"][2] == closure(G, gens)

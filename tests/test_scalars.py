@@ -104,6 +104,16 @@ class TestScalar:
             if not x.is_zero():
                 assert (y / x) * x == y
 
+    def test_high_degree_common_factor_cancels(self):
+        # the gcd of two degree-27 polynomials with a common cubic factor
+        a = ALPHA
+        p = (a + ZETA) ** 24 + ONE
+        q = (a + scalar(2)) ** 24 + scalar(3)
+        g = (a - ZETA * ZETA) ** 3 + scalar(5)
+        got = (p * g) / (q * g)
+        assert len(got.num) == len(got.den) == 25
+        _assert_same(got, p / q)
+
     def test_division_by_zero(self):
         with pytest.raises(ScalarError):
             ONE / ZERO
