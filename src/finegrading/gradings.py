@@ -11,6 +11,7 @@ from itertools import permutations
 
 from .abgroup import GradingGroup, group_signature, subgroup_invariants
 from .constructions import (
+    _int_of,
     build_D21,
     build_F4,
     build_G3,
@@ -196,13 +197,6 @@ class DiagGenerators:
             tuple(int(w) for w in ws) for ws in torus_weights
         )
         self.finite_autos = tuple((f, int(n)) for (f, n) in finite_autos)
-
-
-def _int_of(s):
-    f = scalar(s).constant_value().to_fraction()
-    if f.denominator != 1:
-        raise GradingError("expected an integer eigenvalue, got %s" % f)
-    return int(f)
 
 
 def grading_from_diag(A, gens):

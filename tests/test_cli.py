@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from finegrading import clifford
 from finegrading.cli import main
 from finegrading.superalg import load_algebra
 
@@ -25,6 +26,19 @@ def test_theorem_check_g3(capsys):
     out = capsys.readouterr().out
     assert "axioms-g3" in out
     assert "3/3 checks passed" in out
+
+
+def test_theorem_check_f4_builds_no_clifford_table(monkeypatch, capsys):
+    # the octonion model's homomorphism follows from l_squares by the
+    # universal property, so no full Clifford algebra table is needed
+    def refuse(names, gram):
+        raise AssertionError("clifford_algebra called for %d generators" % len(names))
+
+    monkeypatch.setattr(clifford, "clifford_algebra", refuse)
+    assert main(["theorem-check", "f4"]) == 0
+    out = capsys.readouterr().out
+    assert "octonion-clifford-model" in out
+    assert "FAIL" not in out
 
 
 def test_theorem_check_d21a_omega_json(tmp_path):

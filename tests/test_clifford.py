@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from finegrading import clifford
 from finegrading.abgroup import GradingGroup
 from finegrading.clifford import (
     GradedQuadraticSpace,
@@ -25,8 +26,15 @@ from finegrading.clifford import (
     verify_octonion_clifford_model,
     verify_quaternion_clifford_model,
 )
+from finegrading.constructions import (
+    _W_TRIPLES,
+    BuiltAlgebra,
+    _cube_phi,
+    build_cayley,
+    build_quaternions,
+)
 from finegrading.errors import CliffordError
-from finegrading.linalg import Mat
+from finegrading.linalg import Mat, vec_scale
 from finegrading.scalars import ALPHA, IUNIT, OMEGA, ONE, ZERO, scalar
 
 # ---------------------------------------------------------------------------
@@ -550,6 +558,48 @@ def test_octonion_clifford_model():
     assert rep["l_squares"] and rep["homomorphism"] and rep["norm_adjoint"]
 
 
+def test_octonion_homomorphism_on_full_clifford_table():
+    # oracle for the universal-property step: build Cl(V, -N|V) in full and
+    # check l_i img(w) = img(x_i w) on all 7 x 128 generator-monomial products
+    C = build_cayley()
+    alg = C.algebra
+    gram = C.extras["norm_gram"]
+    lmats = [alg.ad_matrix(alg.basis_vec(1 + t)) for t in range(7)]
+    polar = [[-gram[(1 + i, 1 + j)] for j in range(7)] for i in range(7)]
+    cl, words = clifford_algebra(tuple("x%d" % (t + 1) for t in range(7)), polar)
+    imgs = []
+    for w in words:
+        m = Mat.identity(8)
+        for t in w:
+            m = m * lmats[t]
+        imgs.append(m)
+    hom = True
+    for i in range(7):
+        xi = cl.basis_vec(1 + i)
+        for k in range(cl.dim):
+            want = Mat.zeros(8, 8)
+            for t, c in enumerate(cl.multiply(xi, cl.basis_vec(k))):
+                if not c.is_zero():
+                    want = want + imgs[t].scale(c)
+            hom = hom and lmats[i] * imgs[k] == want
+    assert cl.dim == 128
+    assert hom
+    assert verify_octonion_clifford_model()["homomorphism"] == hom
+
+
+def test_octonion_model_rejects_scaled_norm(monkeypatch):
+    def scaled_cayley():
+        C = build_cayley()
+        extras = dict(C.extras, norm_gram=C.extras["norm_gram"].scale(2))
+        return BuiltAlgebra(C.algebra, C.gradings, extras)
+
+    monkeypatch.setattr(clifford, "build_cayley", scaled_cayley)
+    rep = verify_octonion_clifford_model()
+    assert not rep["l_squares"]
+    assert not rep["homomorphism"]
+    assert not rep["ok"]
+
+
 def test_quaternion_clifford_model():
     rep = verify_quaternion_clifford_model()
     assert rep["ok"]
@@ -560,12 +610,60 @@ def test_quaternion_clifford_model():
     assert rep["h_skew_hermitian"] and rep["h_phi_adjoint"]
 
 
+def phi_adjoint_oracle(triples):
+    """h(Phi_t m, m') = h(m, Phi_tbar m') for each triple t, checked as the
+    matrix identity Phi_t^T H_c = H_c Phi_tbar on every quaternion
+    component H_c of the form h(x (x) y, u (x) v) = N(x, u) ybar q2 v."""
+    Q = build_quaternions()
+    alg = Q.algebra
+    ngram = Q.extras["norm_gram"]
+    e = [alg.basis_vec(k) for k in range(4)]
+
+    def bar(v):
+        return (v[0],) + tuple(-x for x in v[1:])
+
+    def phi_of_conjugate(t):
+        a, b, c = t
+        q2cq2 = alg.multiply(e[2], alg.multiply(bar(e[c]), e[2]))
+        sign, idx = ONE, []
+        for v in (bar(e[a]), bar(e[b]), q2cq2):
+            k = next(k for k, x in enumerate(v) if not x.is_zero())
+            sign = sign * v[k]
+            idx.append(k)
+        return _cube_phi(alg, *idx).scale(sign)
+
+    pairs = [(x, y) for x in range(4) for y in range(4)]
+    ybar_q2_v = {
+        (y, v): alg.multiply(bar(e[y]), alg.multiply(e[2], e[v]))
+        for y in range(4)
+        for v in range(4)
+    }
+    hval = {
+        (p, q): vec_scale(ngram[(p[0], q[0])], ybar_q2_v[(p[1], q[1])])
+        for p in pairs
+        for q in pairs
+    }
+    forms = [Mat([[hval[(p, q)][c] for q in pairs] for p in pairs]) for c in range(4)]
+    assert any(not H.is_zero() for H in forms)
+    return all(
+        _cube_phi(alg, *t).transpose() * H == H * phi_of_conjugate(t)
+        for t in triples
+        for H in forms
+    )
+
+
+def test_phi_adjoint_oracle_on_w_triples():
+    # the verifier checks adjointness on the six generators only; the seven
+    # anticommuting w_k inherit it through the homomorphism and conjugation
+    gens = [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0), (0, 0, 1), (0, 0, 2)]
+    assert phi_adjoint_oracle(gens)
+    assert phi_adjoint_oracle(_W_TRIPLES)
+
+
 def test_quaternion_model_realizes_triple_class():
     # the degree pattern of the seven anticommuting generators is exactly
     # the full-rank configuration whose even Clifford algebra is the
     # triple quaternion division algebra
-    from finegrading.constructions import _W_TRIPLES
-
     qdeg = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
     G = z2n(6)
     degs = [

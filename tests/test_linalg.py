@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from finegrading import linalg
 from finegrading.errors import LinAlgError
 from finegrading.linalg import (
     Mat,
@@ -349,25 +348,6 @@ class TestJointEigenspaces:
             joint_eigenspaces([a, b], [[1, 3], [5]])
         assert str(err.value) == (
             "operator 1 is not annihilated by its candidate eigenvalues (5)"
-        )
-
-    def test_uncovered_block_is_named(self, monkeypatch):
-        # Unreachable with commuting, annihilated operators: drop the third
-        # kernel (operator 1, eigenvalue 1, block of a-eigenvalue 1).
-        calls = []
-
-        def short_kernel(m):
-            calls.append(m)
-            return [] if len(calls) == 3 else kernel(m)
-
-        monkeypatch.setattr(linalg, "kernel", short_kernel)
-        a = Mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
-        b = Mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
-        with pytest.raises(LinAlgError) as err:
-            joint_eigenspaces([a, b], [[1, -1], [1, -1]])
-        assert str(err.value) == (
-            "candidate eigenvalues of operator 1 cover 1 of 2 dimensions"
-            " in the block with eigenvalues (1)"
         )
 
     def test_non_semisimple_raises(self):
