@@ -146,7 +146,7 @@ def _dict_record(name, expected, result):
 def _theorem_records(target, alpha):
     recs = _catalog_records(target, alpha)
     if target == "d21a":
-        built = build_D21(ALPHA if alpha is None else alpha, verify=False)
+        built = build_D21(ALPHA if alpha is None else alpha)
         recs.append(_axiom_record("axioms-d21a", built, 17, 9, 8))
         recs.append(_dict_record(
             "groups-q8cubed-mod-k", "135 maximal abelian subgroups, all "
@@ -161,12 +161,10 @@ def _theorem_records(target, alpha):
             "groups-torus-q8sq-mod-k", "two families of maximal abelian "
             "subgroups", maximal_abelian_FxQ82K()))
     elif target == "g3":
-        recs.append(_axiom_record("axioms-g3", build_G3(verify=False),
-                                  31, 17, 14))
+        recs.append(_axiom_record("axioms-g3", build_G3(), 31, 17, 14))
     else:
         for model in _MODELS:
-            recs.append(_axiom_record("axioms-f4-%s" % model,
-                                      build_F4(model, verify=False),
+            recs.append(_axiom_record("axioms-f4-%s" % model, build_F4(model),
                                       40, 24, 16))
         recs.append(_dict_record(
             "octonion-clifford-model",
@@ -194,11 +192,11 @@ def _cmd_build(args, parser):
     elif target == "k10":
         built = build_kac()[1]
     elif target == "d21a":
-        built = build_D21(ALPHA if alpha is None else alpha, verify=False)
+        built = build_D21(ALPHA if alpha is None else alpha)
     elif target == "g3":
-        built = build_G3(verify=False)
+        built = build_G3()
     else:
-        built = build_F4(args.model or "cayley", verify=False)
+        built = build_F4(args.model or "cayley")
     alg = built.algebra
     save_algebra(alg, args.out)
     reloaded = load_algebra(args.out)
@@ -243,7 +241,7 @@ def _cmd_clifford_class(args, parser):
             _config_error(args.config, lineno, str(exc))
     try:
         space = normalize_quadratic_basis(group, degrees)
-        built = build_even_clifford(space, verify=False)
+        built = build_even_clifford(space)
         table_answer = dim7_case_classify(space)
         algebra_answer = division_class(built)
     except CliffordError as exc:

@@ -57,6 +57,7 @@ __all__ = [
     "clifford_algebra",
     "normalize_quadratic_basis",
     "build_even_clifford",
+    "verify_even_clifford",
     "division_class",
     "dim7_case_classify",
     "check_uuv_factorization",
@@ -485,7 +486,7 @@ def normalize_quadratic_basis(group, degrees, gram=None):
 # ---------------------------------------------------------------------------
 
 
-def build_even_clifford(space, verify=True):
+def build_even_clifford(space):
     """Even Clifford algebra of a normalized graded quadratic space.
 
     Returns a :class:`BuiltAlgebra` of dimension 2^(dim-1) with the induced
@@ -493,7 +494,8 @@ def build_even_clifford(space, verify=True):
     central element z = [u_1,v_1]...[u_m,v_m] w_1...w_{2l+1} with its square
     (-1)^l, the bar anti-involution (identity on the space, reversal on
     monomials) on both the full and even algebras, and the bracket span
-    realizing so(U, q) inside the even part.
+    realizing so(U, q) inside the even part.  :func:`verify_even_clifford`
+    checks these extras.
     """
     n = space.dim
     full, words = clifford_algebra(space.names, space.gram())
@@ -581,12 +583,15 @@ def build_even_clifford(space, verify=True):
             "so_span": tuple(so_span),
         },
     )
-    if verify:
-        _verify_even_clifford(built)
     return built
 
 
-def _verify_even_clifford(built):
+def verify_even_clifford(built):
+    """Check the extras of :func:`build_even_clifford`: z is central, bar is
+    a degree-preserving anti-involution, [[u, v], w] acts on the space as in
+    so(U, q), and the bracket span is closed and matches those operators.
+    Returns None; raises CliffordError naming the first failure.
+    """
     space = built.extras["space"]
     full = built.extras["full"]
     n = space.dim
@@ -1055,7 +1060,7 @@ def check_uuv_factorization(space, built=None):
     if space.m < 1:
         raise CliffordError("no hyperbolic pair to factor off")
     if built is None:
-        built = build_even_clifford(space, verify=False)
+        built = build_even_clifford(space)
     alg = built.algebra
     full = built.extras["full"]
     even = built.extras["even_indices"]

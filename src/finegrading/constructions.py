@@ -21,6 +21,10 @@ The constructions, bottom to top:
   Jacobi constraint, in the basis the model is built in.  F(4) is built three
   times — Cayley/spin model, TKK over the Kac superalgebra, quaternionic
   model — because each model makes different fine gradings visible.
+
+The builders check the data they are given (Leibniz rules, closure, unique
+odd bracket) but not the Lie superalgebra axioms of what they return; run
+:func:`~finegrading.superalg.check_lie_super` on ``built.algebra`` for that.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .superalg import (
     LinMap,
     ModuleAction,
     SuperAlgebra,
+    _dense,
     change_basis,
     check_lie_super,
     complete_superalgebra,
@@ -53,7 +58,6 @@ from .superalg import (
     derivations,
     invariant_pairings,
     is_derivation,
-    lie_closure,
 )
 
 __all__ = [
@@ -117,20 +121,6 @@ def _int_of(s):
     if f.denominator != 1:
         raise AlgebraError("expected an integer, got %s" % f)
     return int(f)
-
-
-def _small_generating_set(g0):
-    """A short list of basis vectors generating g0, or None to use them all."""
-    chosen = []
-    dim = 0
-    for idx in range(g0.dim):
-        trial = chosen + [g0.basis_vec(idx)]
-        d = len(lie_closure(g0, trial))
-        if d > dim:
-            chosen, dim = trial, d
-            if dim == g0.dim:
-                return chosen
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +442,7 @@ def build_kac():
 # ---------------------------------------------------------------------------
 
 
-def build_tkk(J, der_basis=None, verify=True):
+def build_tkk(J, der_basis=None):
     """Lie superalgebra  (sl2 (x) J) + der(J)  for a unital Jordan superalgebra.
 
     sl2 is realized as the trace-zero split quaternions q1, q2, q3 under the
@@ -465,8 +455,8 @@ def build_tkk(J, der_basis=None, verify=True):
     supply the derivation basis as (matrix, parity) pairs (checked); by
     default the super-Leibniz kernel is used.  J must be supercommutative and
     unital, and the left multiplications must close into derivations — all of
-    which is verified, as is the final Lie superalgebra axiom set when
-    ``verify`` is set.
+    which is verified.  The Lie superalgebra axioms of the result are not:
+    :func:`~finegrading.superalg.check_lie_super` checks them.
     """
     n = J.dim
     basis = [J.basis_vec(i) for i in range(n)]
@@ -598,8 +588,6 @@ def build_tkk(J, der_basis=None, verify=True):
                 table[(off + r, off + s)] = terms
 
     alg = SuperAlgebra(names, parity, table)
-    if verify:
-        check_lie_super(alg)
     extras = {
         "jordan": J,
         "quaternions": QB,
@@ -629,6 +617,7 @@ def verify_tkk_iso_lemma(tkkb=None):
     if tkkb is None:
         _, K10b = build_kac()
         tkkb = build_tkk(K10b.algebra)
+        check_lie_super(tkkb.algebra)
     else:
         K10b = tkkb.extras.get("kac")
         if K10b is None:
@@ -776,7 +765,7 @@ def _gamma_offset(x, y):
     return 1
 
 
-def build_D21(alpha=None, verify=True):
+def build_D21(alpha=None):
     """The family D(2,1;a) on sp(V1) + sp(V2) + sp(V3) acting on V1icV2icV3.
 
     Even part: three sp(V) copies with basis E_l = gamma_uu, H_l = gamma_uv,
@@ -842,8 +831,6 @@ def build_D21(alpha=None, verify=True):
                 table[(word_at[w], word_at[w2])] = terms
 
     alg = SuperAlgebra(names, parity, table)
-    if verify:
-        check_lie_super(alg)
 
     group = GradingGroup(3)
     degrees = []
@@ -968,15 +955,14 @@ def _weight_split(alg, cartans, candidates):
     return vectors, tags
 
 
-def build_G3(verify=True):
+def build_G3():
     """G(3) = (sl2 + der(C)) + V (x) C0 over the split Cayley algebra C.
 
     The even part pairs sl2 with the 14-dimensional derivation algebra of C;
     the odd part is the tensor of the natural 2-dimensional sl2 module with
     the trace-zero part of C.  The odd bracket is found as the unique (up to
-    scale) equivariant symmetric pairing satisfying the odd Jacobi identity;
-    all axioms are re-verified exactly.  The designated grading is by the
-    Cartan weights (a Z^3 grading).
+    scale) equivariant symmetric pairing satisfying the odd Jacobi identity.
+    The designated grading is by the Cartan weights (a Z^3 grading).
     """
     C = build_cayley()
     wb = cayley_weight_basis(C)
@@ -1047,11 +1033,8 @@ def build_G3(verify=True):
         for c in range(7):
             degrees.append(group.element((hw,) + czw[c], ()))
 
-    gens = _small_generating_set(g0)
-    pairings = invariant_pairings(g0, action, degrees=degrees, generators=gens)
-    alg, coeffs = complete_superalgebra(
-        g0, action, pairings, odd_names=m_names, verify=verify
-    )
+    pairings = invariant_pairings(g0, action, degrees=degrees)
+    alg, coeffs = complete_superalgebra(g0, action, pairings)
 
     extras = {
         "cayley": C,
@@ -1074,7 +1057,7 @@ def build_G3(verify=True):
 # ---------------------------------------------------------------------------
 
 
-def _build_f4_cayley(verify=True):
+def _build_f4_cayley():
     C = build_cayley()
     wb = cayley_weight_basis(C)
     cz = _cayley_zero_part(C, wb)
@@ -1189,11 +1172,8 @@ def _build_f4_cayley(verify=True):
             dd = tuple(_int_of(2 * spin_diag[k][c]) for k in range(3))
             degrees.append(group.element((hw,) + dd, ()))
 
-    gens = _small_generating_set(g0)
-    pairings = invariant_pairings(g0, action, degrees=degrees, generators=gens)
-    alg, coeffs = complete_superalgebra(
-        g0, action, pairings, odd_names=m_names, verify=verify
-    )
+    pairings = invariant_pairings(g0, action, degrees=degrees)
+    alg, coeffs = complete_superalgebra(g0, action, pairings)
 
     extras = {
         "cayley": C,
@@ -1243,7 +1223,7 @@ def _lift_right(D, parity, k3_parity):
     return Mat.from_cols(cols, nrows=10)
 
 
-def _build_f4_tkk(verify=True):
+def _build_f4_tkk():
     K3b, K10b = build_kac()
     K3 = K3b.algebra
     K10 = K10b.algebra
@@ -1307,7 +1287,7 @@ def _build_f4_tkk(verify=True):
         der10.append((_lift_right(m, 1, k3p), 1))
         der_z.append((0, wt))
 
-    tkkb = build_tkk(K10, der_basis=der10, verify=verify)
+    tkkb = build_tkk(K10, der_basis=der10)
     alg = tkkb.algebra
 
     group = GradingGroup(2, (2, 2))
@@ -1421,9 +1401,9 @@ def _mono_mul(m1, m2, squares):
 
 
 def _right_mat(A, b):
-    """Matrix of right multiplication x -> x e_b on the algebra A."""
-    e = A.basis_vec(b)
-    cols = [A.multiply(A.basis_vec(j), e) for j in range(A.dim)]
+    """Matrix of right multiplication x -> x e_b on the algebra A; column j
+    is the table entry of e_j e_b."""
+    cols = [_dense(dict(A.product_basis(j, b)), A.dim) for j in range(A.dim)]
     return Mat.from_cols(cols, nrows=A.dim)
 
 
@@ -1435,7 +1415,7 @@ def _cube_phi(Qa, a, b, c):
     return kron(left, Qa.ad_matrix(Qa.basis_vec(c)))
 
 
-def _build_f4_quaternion(verify=True):
+def _build_f4_quaternion():
     QB = build_quaternions()
     Qa = QB.algebra
     qvecs = [Qa.basis_vec(k) for k in range(4)]
@@ -1531,11 +1511,8 @@ def _build_f4_quaternion(verify=True):
                 group.element((), (dmap[y], qdeg2[x][0], qdeg2[x][1], y1map[y]))
             )
 
-    gens = _small_generating_set(g0)
-    pairings = invariant_pairings(g0, action, degrees=degs, generators=gens)
-    alg, coeffs = complete_superalgebra(
-        g0, action, pairings, odd_names=m_names, verify=verify
-    )
+    pairings = invariant_pairings(g0, action, degrees=degs)
+    alg, coeffs = complete_superalgebra(g0, action, pairings)
 
     extras = {
         "quaternions": QB,
@@ -1554,7 +1531,7 @@ def _build_f4_quaternion(verify=True):
     return BuiltAlgebra(alg, {group.literal(): (group, tuple(degs))}, extras)
 
 
-def build_F4(model="cayley", verify=True):
+def build_F4(model="cayley"):
     """F(4), dimension 40 = 24 + 16, in one of three models.
 
     ``cayley``: sl2 + so7 acting on V (x) C via the spin action of the split
@@ -1569,11 +1546,11 @@ def build_F4(model="cayley", verify=True):
     2-dimensional space of equivariant pairings.
     """
     if model == "cayley":
-        return _build_f4_cayley(verify=verify)
+        return _build_f4_cayley()
     if model == "tkk":
-        return _build_f4_tkk(verify=verify)
+        return _build_f4_tkk()
     if model == "quaternion":
-        return _build_f4_quaternion(verify=verify)
+        return _build_f4_quaternion()
     raise AlgebraError(
         "unknown model %r; choose cayley, tkk or quaternion" % (model,)
     )

@@ -204,7 +204,8 @@ def grading_from_diag(A, gens):
 
     The group is Z^(#weights) x prod Z_order; free coordinates are the torus
     weights and torsion coordinates the eigenvalue exponents.  Returns a
-    Grading on the new joint eigenbasis (recorded in ``basis``).
+    Grading on the new joint eigenbasis (recorded in ``basis``).  Errors name
+    an automorphism by its index in ``finite_autos``, counted from 0.
     """
     if not isinstance(gens, DiagGenerators):
         gens = DiagGenerators(*gens)
@@ -222,7 +223,7 @@ def grading_from_diag(A, gens):
                         % (A.names[i], A.names[j], A.names[k])
                     )
     kept = []
-    for (f, order) in gens.finite_autos:
+    for idx, (f, order) in enumerate(gens.finite_autos):
         if order < 1:
             raise GradingError("automorphism orders must be positive")
         if f.source is not A or f.target is not A:
@@ -231,11 +232,17 @@ def grading_from_diag(A, gens):
             check_homomorphism(A, A, f, bijective=True)
         except AlgebraError as exc:
             raise GradingError("generator is not an automorphism: %s" % exc) from None
-        true_order = f.order(bound=order)
+        try:
+            true_order = f.order(bound=order)
+        except AlgebraError:
+            raise GradingError(
+                "automorphism %d has order greater than its declared order %d"
+                % (idx, order)
+            ) from None
         if order % true_order:
             raise GradingError(
-                "declared order %d is not a multiple of the true order %d"
-                % (order, true_order)
+                "automorphism %d: declared order %d is not a multiple of the "
+                "true order %d" % (idx, order, true_order)
             )
         if order > 1:
             kept.append((f, order))
@@ -414,9 +421,9 @@ def signature_literal(sig):
 
 
 def _catalog_f4():
-    cay = build_F4("cayley", verify=False)
-    tkk = build_F4("tkk", verify=False)
-    quat = build_F4("quaternion", verify=False)
+    cay = build_F4("cayley")
+    tkk = build_F4("tkk")
+    quat = build_F4("quaternion")
 
     cartan = attached_grading(cay, "Z^4")
     w_h = [d.free[0] for d in cartan.degrees]
@@ -452,7 +459,7 @@ def _catalog_f4():
 
 
 def _catalog_g3():
-    g3 = build_G3(verify=False)
+    g3 = build_G3()
     cartan = attached_grading(g3, "Z^3")
     w_h = [d.free[0] for d in cartan.degrees]
     chars = g3_character_autos(g3)
@@ -466,7 +473,7 @@ def _catalog_g3():
 
 
 def _catalog_d21(alpha):
-    built = build_D21(alpha, verify=False)
+    built = build_D21(alpha)
     A = built.algebra
     cartan = attached_grading(built, "Z^3")
     w = [[d.free[l] for d in cartan.degrees] for l in range(3)]

@@ -12,8 +12,9 @@ columns once and then answers many coordinate queries against it.
 
 :func:`joint_eigenspaces` refines the ambient space under a family of
 commuting operators whose candidate eigenvalues are supplied by the caller;
-it never searches for eigenvalues, and it checks that the candidates account
-for the whole space.
+it never searches for eigenvalues.  The annihilator is its certificate: the
+operators must commute and each must be killed by the product of
+(op - lambda) over its candidates, which makes the blocks exhaust the space.
 """
 
 from __future__ import annotations

@@ -15,10 +15,12 @@ The heavy lifting lives in the verification and completion routines:
   identity, checked exactly on basis pairs/triples of the table.
 * :func:`derivations` — super-Leibniz kernel, per parity of the derivation.
 * :func:`invariant_pairings` — symmetric equivariant pairings S^2 m -> g0,
-  optionally restricted to degree 0 for a supplied grading of g0 + m.
-* :func:`complete_superalgebra` — assembles g0 + m into a Lie superalgebra
-  from a candidate pairing space by solving the (linear) odd Jacobi
-  constraints, then re-verifies all axioms on the result.
+  optionally restricted to degree 0 for a supplied grading of g0 + m; the
+  equivariance rows are read off the g0 and action tables.
+* :func:`complete_superalgebra` — assembles g0 + m from a candidate pairing
+  space by solving the (linear) odd Jacobi constraints, whose solution must
+  be a line.  It does not re-check the axioms: callers that need them run
+  :func:`check_lie_super` on the result.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 
 from .errors import AlgebraError, ScalarError
-from .linalg import Mat, flatten, span_solver, sparse_kernel, sparse_row_reduce
+from .linalg import Mat, flatten, span_solver, sparse_kernel
 from .scalars import ONE, ZERO, format_scalar, parse_scalar, scalar
 
 __all__ = [
@@ -110,7 +112,7 @@ def _dense(acc, dim):
 class SuperAlgebra:
     """Bilinear product on a based super vector space, as a sparse tensor."""
 
-    def __init__(self, names, parity, table, check_parity=True):
+    def __init__(self, names, parity, table):
         names = tuple(str(n) for n in names)
         parity = tuple(int(p) % 2 for p in parity)
         if len(names) != len(parity):
@@ -125,14 +127,13 @@ class SuperAlgebra:
             entry = _entry(terms)
             if not entry:
                 continue
-            if check_parity:
-                want = (parity[i] + parity[j]) % 2
-                for k, _ in entry:
-                    if parity[k] != want:
-                        raise AlgebraError(
-                            "product %s * %s hits %s: parity %d, expected %d"
-                            % (names[i], names[j], names[k], parity[k], want)
-                        )
+            want = (parity[i] + parity[j]) % 2
+            for k, _ in entry:
+                if parity[k] != want:
+                    raise AlgebraError(
+                        "product %s * %s hits %s: parity %d, expected %d"
+                        % (names[i], names[j], names[k], parity[k], want)
+                    )
             tab[(i, j)] = entry
         self.names = names
         self.parity = parity
@@ -181,7 +182,10 @@ class SuperAlgebra:
 
     def ad_matrix(self, x):
         """Matrix of left multiplication (adjoint action for Lie brackets)."""
-        cols = [self.multiply(x, self.basis_vec(i)) for i in range(self.dim)]
+        xs = _sparse(x)
+        cols = [
+            _dense(_product(self.table, xs, {i: ONE}), self.dim) for i in range(self.dim)
+        ]
         return Mat.from_cols(cols, nrows=self.dim)
 
     def parity_of(self, x):
@@ -348,7 +352,7 @@ def check_lie_super(A):
                     )
 
 
-def check_homomorphism(A, B, F, bijective=False, check_parity=True):
+def check_homomorphism(A, B, F, bijective=False):
     """Verify that the linear map F (dim B x dim A) satisfies F(xy)=F(x)F(y).
 
     Returns True on success; raises AlgebraError naming the first violation.
@@ -361,13 +365,10 @@ def check_homomorphism(A, B, F, bijective=False, check_parity=True):
     if F.shape != (B.dim, A.dim):
         raise AlgebraError("map shape %s, expected (%d, %d)" % (F.shape, B.dim, A.dim))
     cols = [_sparse(F.col(j)) for j in range(A.dim)]
-    if check_parity:
-        for j, col in enumerate(cols):
-            for k in col:
-                if B.parity[k] != A.parity[j]:
-                    raise AlgebraError(
-                        "map does not preserve parity at %s" % A.names[j]
-                    )
+    for j, col in enumerate(cols):
+        for k in col:
+            if B.parity[k] != A.parity[j]:
+                raise AlgebraError("map does not preserve parity at %s" % A.names[j])
     neg_cols = [{k: -c for k, c in col.items()} for col in cols]
     for i in range(A.dim):
         for j in range(A.dim):
@@ -388,10 +389,10 @@ def check_homomorphism(A, B, F, bijective=False, check_parity=True):
     return True
 
 
-def is_homomorphism(A, B, F, bijective=False, check_parity=True):
+def is_homomorphism(A, B, F, bijective=False):
     """Boolean form of check_homomorphism."""
     try:
-        return check_homomorphism(A, B, F, bijective=bijective, check_parity=check_parity)
+        return check_homomorphism(A, B, F, bijective=bijective)
     except AlgebraError:
         return False
 
@@ -589,7 +590,20 @@ def _check_degrees(g0, action, degrees):
     return d0, dm
 
 
-def invariant_pairings(g0, action, degrees=None, generators=None, target=None):
+def _generating_indices(g0):
+    """Basis indices whose Lie closure is g0, chosen greedily: an index is
+    kept when it enlarges the closure of the indices kept before it."""
+    chosen, dim = [], 0
+    for idx in range(g0.dim):
+        if dim == g0.dim:
+            break
+        d = len(lie_closure(g0, [g0.basis_vec(i) for i in chosen + [idx]]))
+        if d > dim:
+            chosen, dim = chosen + [idx], d
+    return chosen
+
+
+def invariant_pairings(g0, action, degrees=None, target=None):
     """Basis of symmetric g0-equivariant pairings b : S^2 m -> g0 of degree 0.
 
     Equivariance: [x, b(u, v)] = b(x.u, v) + b(u, x.v) for all x in g0.
@@ -600,10 +614,13 @@ def invariant_pairings(g0, action, degrees=None, generators=None, target=None):
     deg u + deg v = deg k are solved for, so the result spans the degree-0
     pairings.  Nothing is lost when the degrees are the eigenvalues of ad of
     commuting semisimple g0 elements: equivariance under such an element
-    already forces every pairing to have degree 0.  ``generators`` (default:
-    the whole basis) must generate g0 as a Lie algebra — then equivariance
-    for the generators implies it for all of g0, since the annihilator of a
-    pairing under the natural g0-action on Hom(S^2 m, g0) is a subalgebra.
+    already forces every pairing to have degree 0.
+
+    Equivariance is imposed for basis vectors e_g whose Lie closure is g0
+    (chosen greedily); that implies it for all of g0, since the annihilator
+    of a pairing under the natural g0-action on Hom(S^2 m, g0) is a
+    subalgebra.  For u_i, u_j its rows read [e_g, e_k] off ``g0.table`` and
+    e_g.u_i, e_g.u_j off ``action.table``.
 
     ``target`` restricts the values: only pairings landing in the span of the
     listed g0 basis vectors (names or indices) are returned.  The restricted
@@ -614,67 +631,40 @@ def invariant_pairings(g0, action, degrees=None, generators=None, target=None):
     """
     md = action.module_dim
     n0 = g0.dim
-    if target is None:
-        tgt = set(range(n0))
-    else:
-        tgt = {g0.index(t) for t in target}
+    tgt = range(n0) if target is None else sorted({g0.index(t) for t in target})
     if degrees is not None:
         d0, dm = _check_degrees(g0, action, degrees)
 
-    def allowed(i, j, k):
-        if k not in tgt:
-            return False
-        return degrees is None or dm[i] + dm[j] == d0[k]
-
+    # the unknowns b(u_i, u_j)_k, i <= j, with k allowed for the pair
+    allowed = {}
     cols = {}
     for i in range(md):
         for j in range(i, md):
-            for k in range(n0):
-                if allowed(i, j, k):
-                    cols[(i, j, k)] = len(cols)
-    if generators is None:
-        generators = [g0.basis_vec(i) for i in range(n0)]
-    else:
-        if not lie_generates(g0, generators):
-            raise AlgebraError("supplied generators do not generate g0")
+            ks = [k for k in tgt if degrees is None or dm[i] + dm[j] == d0[k]]
+            allowed[(i, j)] = ks
+            for k in ks:
+                cols[(i, j, k)] = len(cols)
 
-    def key(i, j):
-        return (i, j) if i <= j else (j, i)
+    def add(eq, l, cidx, v):
+        d = eq.setdefault(l, {})
+        d[cidx] = d[cidx] + v if cidx in d else v
 
     def rows():
-        for x in generators:
-            X = action.matrix(x)
-            adX = g0.ad_matrix(x)
-            xcols = [X.col(t) for t in range(md)]
+        for g in _generating_indices(g0):
             for i in range(md):
                 for j in range(i, md):
                     eq = {}  # l -> {col: coeff}
-                    for k in range(n0):
-                        cidx = cols.get((i, j, k))
-                        if cidx is None:
-                            continue
-                        for l in range(n0):
-                            v = adX[l, k]
-                            if not v.is_zero():
-                                d = eq.setdefault(l, {})
-                                d[cidx] = d.get(cidx, ZERO) + v
-                    for a in range(md):
-                        f = xcols[i][a]
-                        if not f.is_zero():
-                            for k in range(n0):
-                                cidx = cols.get(key(a, j) + (k,))
-                                if cidx is not None:
-                                    d = eq.setdefault(k, {})
-                                    d[cidx] = d.get(cidx, ZERO) - f
-                        f = xcols[j][a]
-                        if not f.is_zero():
-                            for k in range(n0):
-                                cidx = cols.get(key(i, a) + (k,))
-                                if cidx is not None:
-                                    d = eq.setdefault(k, {})
-                                    d[cidx] = d.get(cidx, ZERO) - f
-                    for l, row in eq.items():
-                        yield row
+                    # [e_g, b(u_i, u_j)]
+                    for k in allowed[(i, j)]:
+                        for l, c in g0.table.get((g, k), ()):
+                            add(eq, l, cols[(i, j, k)], c)
+                    # - b(e_g.u_i, u_j) - b(u_i, e_g.u_j)
+                    for p, q in ((i, j), (j, i)):
+                        for a, f in action.table.get((g, p), ()):
+                            pair = (a, q) if a <= q else (q, a)
+                            for k in allowed[pair]:
+                                add(eq, k, cols[pair + (k,)], -f)
+                    yield from eq.values()
 
     ker = sparse_kernel(rows(), len(cols))
     out = []
@@ -690,36 +680,23 @@ def invariant_pairings(g0, action, degrees=None, generators=None, target=None):
     return out
 
 
-def pairing_value(pairing, n0, i, j):
-    if i > j:
-        i, j = j, i
-    return pairing.get((i, j), (ZERO,) * n0)
-
-
-def complete_superalgebra(
-    g0,
-    action,
-    pairings,
-    odd_names=None,
-    pins=None,
-    verify=True,
-):
+def complete_superalgebra(g0, action, pairings):
     """Assemble g = g0 + m with odd bracket from span(pairings).
 
     The odd-odd-odd super Jacobi identity is linear in the pairing
-    coefficients; its solution space is computed exactly.  When it is a line,
-    the bracket is normalized so the first nonzero coefficient is 1.  When it
-    is higher-dimensional the caller must pin specific bracket values via
-    ``pins = [((i, j), expected_g0_vector), ...]`` until the solution is
-    unique.  Returns (algebra, coefficient tuple).
+    coefficients; its solution space is computed exactly and must be a line.
+    The bracket is normalized so the first nonzero coefficient is 1, and the
+    odd basis is named by ``action.module_names``.  The axioms of the result
+    are not re-checked here; :func:`check_lie_super` does that.  Returns
+    (algebra, coefficient tuple).
     """
     md = action.module_dim
     n0 = g0.dim
     npair = len(pairings)
-    if odd_names is None:
-        odd_names = action.module_names
     if npair == 0:
         raise AlgebraError("no candidate pairings supplied")
+    if any(g0.parity):
+        raise AlgebraError("g0 must be purely even")
 
     sparse_pairings = [
         {ij: tuple(_sparse(vec).items()) for ij, vec in b.items()} for b in pairings
@@ -744,45 +721,20 @@ def complete_superalgebra(
                         if row:
                             yield row
 
-    jac_rows = list(rows())
-    ker = sparse_kernel(jac_rows, npair)
+    ker = sparse_kernel(rows(), npair)
     if not ker:
         raise AlgebraError("no Jacobi-compatible bracket in the pairing span")
-
-    if pins:
-        # Jacobi + pin constraints as one affine system: the right-hand
-        # side is column npair of the augmented rows
-        pin_rows = []
-        for (i, j), expected in pins:
-            expected = tuple(scalar(c) for c in expected)
-            values = [pairing_value(b, n0, i, j) for b in pairings]
-            for l in range(n0):
-                row = {t: v[l] for t, v in enumerate(values)}
-                row[npair] = expected[l]
-                pin_rows.append(row)
-        solved = sparse_row_reduce(jac_rows + pin_rows, npair + 1)
-        if any(t not in solved for t in range(npair)):
-            raise AlgebraError(
-                "bracket is underdetermined; add pins to fix the scale"
-            )
-        if npair in solved:
-            raise AlgebraError("pins are inconsistent with the Jacobi identity")
-        coeffs = tuple(solved[t].get(npair, ZERO) for t in range(npair))
-    else:
-        if len(ker) > 1:
-            raise AlgebraError(
-                "Jacobi solution space has dimension %d; pins required" % len(ker)
-            )
-        coeffs = ker[0]
-        lead = next(c for c in coeffs if not c.is_zero())
-        inv = lead.inverse()
-        coeffs = tuple(inv * c for c in coeffs)
+    if len(ker) > 1:
+        raise AlgebraError(
+            "Jacobi solution space has dimension %d; the bracket is not unique "
+            "up to scale" % len(ker)
+        )
+    inv = next(c for c in ker[0] if not c.is_zero()).inverse()
+    coeffs = tuple(inv * c for c in ker[0])
 
     # assemble the full table
-    names = list(g0.names) + list(odd_names)
+    names = list(g0.names) + list(action.module_names)
     parity = list(g0.parity) + [1] * md
-    if any(p for p in g0.parity):
-        raise AlgebraError("g0 must be purely even")
     table = {}
     for (i, j), terms in g0.table.items():
         table[(i, j)] = list(terms)
@@ -791,21 +743,16 @@ def complete_superalgebra(
         table[(n0 + j, i)] = [(n0 + k, -c) for k, c in terms]
     for i in range(md):
         for j in range(i, md):
-            vec = [ZERO] * n0
-            for t, ct in enumerate(coeffs):
-                if ct.is_zero():
-                    continue
-                pv = pairing_value(pairings[t], n0, i, j)
-                vec = [x + ct * y for x, y in zip(vec, pv)]
-            entry = [(k, c) for k, c in enumerate(vec) if not c.is_zero()]
-            if entry:
+            acc = {}
+            for ct, b in zip(coeffs, sparse_pairings):
+                if not ct.is_zero():
+                    _accumulate(acc, ct, b.get((i, j), ()))
+            if acc:
+                entry = list(acc.items())
                 table[(n0 + i, n0 + j)] = entry
                 if i != j:
                     table[(n0 + j, n0 + i)] = entry
-    out = SuperAlgebra(names, parity, table)
-    if verify:
-        check_lie_super(out)
-    return out, coeffs
+    return SuperAlgebra(names, parity, table), coeffs
 
 
 def change_basis(A, P, names=None):

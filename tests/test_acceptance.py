@@ -122,11 +122,11 @@ def test_criterion_4_axiom_suite():
     with _verdict(4, "super axioms exact; dims 17/31/40, splits 9+8, "
                      "17+14, 24+16"):
         cases = [
-            (build_D21(ALPHA, verify=False), 17, 9, 8),
-            (build_G3(verify=False), 31, 17, 14),
-            (build_F4("cayley", verify=False), 40, 24, 16),
-            (build_F4("tkk", verify=False), 40, 24, 16),
-            (build_F4("quaternion", verify=False), 40, 24, 16),
+            (build_D21(ALPHA), 17, 9, 8),
+            (build_G3(), 31, 17, 14),
+            (build_F4("cayley"), 40, 24, 16),
+            (build_F4("tkk"), 40, 24, 16),
+            (build_F4("quaternion"), 40, 24, 16),
         ]
         for built, dim, even, odd in cases:
             A = built.algebra
@@ -143,7 +143,7 @@ def test_criterion_5_clifford_dual_route():
         for cfg in CONFIGS:
             label, _, _, _, expected, case = cfg
             space = space_of(cfg)
-            built = build_even_clifford(space, verify=False)
+            built = build_even_clifford(space)
             by_algebra = division_class(built)
             by_table = dim7_case_classify(space)
             assert by_algebra.tag == expected, label
@@ -198,13 +198,13 @@ def test_criterion_8_kac_gradings_and_idempotents():
 def test_criterion_9_property_suite():
     with _verdict(9, "pairing dimension, refinement partial order, "
                      "negative controls"):
-        cay = build_F4("cayley", verify=False)
+        cay = build_F4("cayley")
         pairings = invariant_pairings(
             cay.extras["g0"], cay.extras["action"],
             degrees=cay.grading("Z^4")[1], target=cay.extras["sl2_indices"])
         assert len(pairings) == 1
 
-        tkk = build_F4("tkk", verify=False)
+        tkk = build_F4("tkk")
         fine = grading_from_diag(
             tkk.algebra,
             DiagGenerators([tkk.extras["zweight_total"]],
@@ -226,7 +226,7 @@ def test_criterion_9_property_suite():
         assert parts(coarse) == parts(doubled)
         assert is_refinement(fine, coarse) and not is_refinement(coarse, fine)
 
-        d21 = build_D21(ALPHA, verify=False)
+        d21 = build_D21(ALPHA)
         gr = attached_grading(d21, "Z^3")
         degs = list(gr.degrees)
         degs[5] = degs[5] + gr.group.element((1, 1, 0), ())

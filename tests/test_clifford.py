@@ -23,6 +23,7 @@ from finegrading.clifford import (
     division_class,
     normalize_quadratic_basis,
     scalar_sqrt,
+    verify_even_clifford,
     verify_octonion_clifford_model,
     verify_quaternion_clifford_model,
 )
@@ -363,7 +364,7 @@ def test_normalize_merge_and_shift():
     assert sp.shift == e(1, 0)
     assert sp.pair_degrees == (e(0, 0),)
     assert sp.unit_degrees == (e(1, 1), e(0, 1), e(1, 0))
-    built = build_even_clifford(sp, verify=False)
+    built = build_even_clifford(sp)
     assert built.dim == 16
     assert division_class(built) == "Q"
 
@@ -376,6 +377,7 @@ def test_normalize_rescales_lengths():
     assert sp.m == 1 and sp.l == 0
     assert any("rescaled" in line for line in sp.trace)
     built = build_even_clifford(sp)
+    verify_even_clifford(built)
     assert division_class(built) == "F"
 
 
@@ -423,6 +425,7 @@ def test_even_clifford_quaternion_pattern():
     e = lambda *t: G.element((), t)
     sp = normalize_quadratic_basis(G, [e(1, 0), e(0, 1), e(1, 1)])
     built = build_even_clifford(sp)
+    verify_even_clifford(built)
     alg = built.algebra
     assert alg.dim == 4
     assert built.extras["zsquare"] == -ONE  # l = 1
@@ -438,7 +441,7 @@ def test_even_clifford_z_square_signs():
     # z^2 = (-1)^l, independently of the number of hyperbolic pairs
     for cfg, want in ((CONFIGS[0], ONE), (CONFIGS[4], -ONE), (CONFIGS[9], -ONE)):
         sp = space_of(cfg)
-        built = build_even_clifford(sp, verify=False)
+        built = build_even_clifford(sp)
         assert built.extras["zsquare"] == want
 
 
@@ -447,11 +450,12 @@ def test_even_clifford_verified_builds():
     # anisotropic configuration (bar involution, central z, so(U,q) span)
     for cfg in (CONFIGS[2], CONFIGS[9]):
         built = build_even_clifford(space_of(cfg))
+        verify_even_clifford(built)
         assert built.dim == 64
 
 
 def test_even_clifford_grading_degrees():
-    built = build_even_clifford(space_of(CONFIGS[9]), verify=False)
+    built = build_even_clifford(space_of(CONFIGS[9]))
     group, degs = built.grading(built.extras["space"].group.literal())
     words = built.extras["words"]
     even = built.extras["even_indices"]
@@ -475,7 +479,7 @@ def test_division_class_both_routes(cfg):
     by_table = dim7_case_classify(sp)
     assert by_table == expected
     assert by_table.info["case"] == case
-    built = build_even_clifford(sp, verify=False)
+    built = build_even_clifford(sp)
     by_algebra = division_class(built)
     assert by_algebra == expected
     assert by_algebra == by_table
@@ -483,19 +487,19 @@ def test_division_class_both_routes(cfg):
 
 
 def test_division_class_details():
-    built = build_even_clifford(space_of(CONFIGS[0]), verify=False)
+    built = build_even_clifford(space_of(CONFIGS[0]))
     dc = division_class(built)
     assert dc == "F" and dc.info["support_size"] == 1
     e = dc.info["idempotent"]
     assert built.algebra.multiply(e, e) == e
     # the star configuration needs genuine refinement cuts
-    built9 = build_even_clifford(space_of(CONFIGS[8]), verify=False)
+    built9 = build_even_clifford(space_of(CONFIGS[8]))
     dc9 = division_class(built9)
     assert dc9 == "Q" and dc9.info["cuts"] >= 2
 
 
 def test_division_class_label_handling():
-    built = build_even_clifford(space_of(CONFIGS[9]), verify=False)
+    built = build_even_clifford(space_of(CONFIGS[9]))
     label = next(iter(built.gradings))
     built.gradings["other"] = built.gradings[label]
     with pytest.raises(CliffordError):
@@ -533,7 +537,9 @@ def test_uuv_factorization_chain():
         assert rep["centralizer_dim"] == expected_cent[3 - sp.m]
         assert rep["dims_multiply"]
         sp = GradedQuadraticSpace(sp.group, sp.pair_degrees[1:], sp.unit_degrees)
-    assert build_even_clifford(sp).dim == 1
+    built = build_even_clifford(sp)
+    verify_even_clifford(built)
+    assert built.dim == 1
 
 
 def test_uuv_factorization_with_units():

@@ -6,12 +6,12 @@ defining formulas, or from standard structure theory) before the builders
 were run, and are asserted as frozen oracles.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from finegrading.constructions import (
-    _small_generating_set,
     build_An,
     build_cayley,
     build_D21,
@@ -31,7 +31,9 @@ from finegrading.scalars import HALF, IUNIT, OMEGA, ONE, ZERO, scalar
 from finegrading.superalg import (
     LinMap,
     check_homomorphism,
+    check_lie_super,
     derivations,
+    dumps_algebra,
     ideal_generated_by,
     invariant_pairings,
     is_homomorphism,
@@ -53,10 +55,26 @@ TYPE_F4_CARTAN = (36, 0, 0, 1)
 TYPE_F4_TKK = (32, 4)
 TYPE_F4_QUAT = (24, 6, 0, 1)
 
+# SHA-256 of dumps_algebra(built.algebra) for each model, keyed by fixture:
+# every structure constant, sign and scale of the odd bracket is frozen
+STRUCTURE_DIGESTS = {
+    "g3": "cec04a32cf48d6a10cc6679b5123114f2f80305a9c3d6a794bc0871dce0770bd",
+    "f4_cayley": "52fb53d8e526d82b5bbbcc9b13fc491967aa94237ad5982536c9ee3230396e6f",
+    "f4_tkk": "0b56416edfd5130cc69b95ab40217b342cf47ce4ba7177adc641ece0c712fadf",
+    "f4_quaternion": "0002bd6f81d9ceba73cbf504a69d5d887a7d073bcb235b678d0c9b858a8fe812",
+    "d21": "40e82bdf16942923b12bc9483ba4e6ad5aba0320f21f24f3188ac758523bf7cb",
+}
+
 
 # ---------------------------------------------------------------------------
-# shared fixtures (built once per module)
+# shared fixtures (built once per module); the builders do not check the
+# axioms, so each fixture does
 # ---------------------------------------------------------------------------
+
+
+def checked(built):
+    check_lie_super(built.algebra)
+    return built
 
 
 @pytest.fixture(scope="module")
@@ -77,32 +95,32 @@ def kac():
 @pytest.fixture(scope="module")
 def tkk10(kac):
     _, K10b = kac
-    return build_tkk(K10b.algebra)
+    return checked(build_tkk(K10b.algebra))
 
 
 @pytest.fixture(scope="module")
 def d21():
-    return build_D21()
+    return checked(build_D21())
 
 
 @pytest.fixture(scope="module")
 def g3():
-    return build_G3()
+    return checked(build_G3())
 
 
 @pytest.fixture(scope="module")
 def f4_cayley():
-    return build_F4("cayley")
+    return checked(build_F4("cayley"))
 
 
 @pytest.fixture(scope="module")
 def f4_tkk():
-    return build_F4("tkk")
+    return checked(build_F4("tkk"))
 
 
 @pytest.fixture(scope="module")
 def f4_quaternion():
-    return build_F4("quaternion")
+    return checked(build_F4("quaternion"))
 
 
 def assert_graded(built):
@@ -489,14 +507,14 @@ def test_d21_triple_automorphism(d21):
 
 @pytest.mark.parametrize("alpha,perm", D21_ADMISSIBLE, ids=D21_ADMISSIBLE_IDS)
 def test_d21_ideal_automorphism_is_bijective_homomorphism(alpha, perm):
-    built = build_D21(alpha, verify=False)
+    built = build_D21(alpha)
     A = built.algebra
     phi = d21_ideal_automorphism(built, perm, fs=(_B_MAT, _A_MAT, None))
     check_homomorphism(A, A, phi, bijective=True)
 
 
 def test_d21_cycle_automorphism_needs_omega():
-    built = build_D21(OMEGA)
+    built = checked(build_D21(OMEGA))
     A = built.algebra
     pi = d21_ideal_automorphism(built, (1, 2, 0))
     assert is_homomorphism(A, A, pi)
@@ -508,7 +526,7 @@ def test_d21_cycle_automorphism_needs_omega():
 
 
 def test_d21_cycle_automorphism_at_omega_squared():
-    built = build_D21(OMEGA * OMEGA)
+    built = checked(build_D21(OMEGA * OMEGA))
     A = built.algebra
     pi = d21_ideal_automorphism(built, (1, 2, 0))
     assert is_homomorphism(A, A, pi)
@@ -522,13 +540,13 @@ def test_d21_cycle_automorphism_at_omega_squared():
 
 @pytest.mark.parametrize("alpha", [None, 2, Fraction(-1, 2)], ids=["symbolic", "two", "minus-half"])
 def test_d21_cycle_automorphism_rejects_other_parameters(alpha):
-    built = build_D21(alpha, verify=False)
+    built = build_D21(alpha)
     with pytest.raises(AlgebraError, match="ideal 1 cannot go to ideal 2"):
         d21_ideal_automorphism(built, (1, 2, 0))
 
 
 def test_d21_swap_automorphism_at_minus_half(d21):
-    built = build_D21(Fraction(-1, 2))
+    built = checked(build_D21(Fraction(-1, 2)))
     A = built.algebra
     phi = d21_ideal_automorphism(built, (0, 2, 1))
     assert is_homomorphism(A, A, phi)
@@ -553,7 +571,7 @@ def test_d21_swap_automorphism_at_minus_half(d21):
     ids=["symbolic-12", "two-12", "two-13", "minus-half-cycle"],
 )
 def test_d21_ideal_automorphism_rejects_inadmissible_permutation(alpha, perm):
-    built = build_D21(alpha, verify=False)
+    built = build_D21(alpha)
     with pytest.raises(AlgebraError, match=r"ideal \d cannot go to ideal \d at a = "):
         d21_ideal_automorphism(built, perm)
 
@@ -689,9 +707,8 @@ def test_f4_quaternion_degree_zero_pairings_lose_nothing(f4_quaternion):
     # degree-0 pairings span every equivariant pairing
     g0, action = f4_quaternion.extras["g0"], f4_quaternion.extras["action"]
     degrees = f4_quaternion.grading("Z_4 x Z_2 x Z_2 x Z_2")[1]
-    gens = _small_generating_set(g0)
-    graded = invariant_pairings(g0, action, degrees=degrees, generators=gens)
-    full = invariant_pairings(g0, action, generators=gens)
+    graded = invariant_pairings(g0, action, degrees=degrees)
+    full = invariant_pairings(g0, action)
     keys = sorted({(ij, k) for b in graded + full for ij in b for k in range(g0.dim)})
 
     def flat(b):
@@ -705,3 +722,10 @@ def test_f4_quaternion_degree_zero_pairings_lose_nothing(f4_quaternion):
 def test_built_algebra_grading_lookup(quats):
     with pytest.raises(AlgebraError):
         quats.grading("Z^9")
+
+
+@pytest.mark.parametrize("fixture", sorted(STRUCTURE_DIGESTS))
+def test_structure_constants_are_pinned(fixture, request):
+    built = request.getfixturevalue(fixture)
+    digest = hashlib.sha256(dumps_algebra(built.algebra).encode()).hexdigest()
+    assert digest == STRUCTURE_DIGESTS[fixture]

@@ -42,12 +42,12 @@ B2 = ((ZERO, MINUS_ONE), (ONE, ZERO))
 
 @pytest.fixture(scope="module")
 def d21():
-    return build_D21(ALPHA, verify=False)
+    return build_D21(ALPHA)
 
 
 @pytest.fixture(scope="module")
 def f4_tkk():
-    return build_F4("tkk", verify=False)
+    return build_F4("tkk")
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def test_trivial_grading_passes(d21):
 
 def test_grading_type_examples(d21):
     assert grading_type(attached_grading(d21, "Z^3")) == (14, 0, 1)
-    cay = build_F4("cayley", verify=False)
+    cay = build_F4("cayley")
     assert grading_type(attached_grading(cay, "Z^4")) == (36, 0, 0, 1)
     _, K10b = build_kac()
     assert grading_type(attached_grading(K10b, "Z^2")) == (8, 1)
@@ -153,7 +153,7 @@ def test_incomparable_clifford_gradings():
         (0, 0, 0, 0, 0),
     ]
     sp = normalize_quadratic_basis(G5, [G5.element((), t) for t in coords])
-    built = build_even_clifford(sp, verify=False)
+    built = build_even_clifford(sp)
     grA = attached_grading(built, G5.literal())
 
     G3 = GradingGroup(0, (2, 2, 2))
@@ -197,7 +197,7 @@ def test_refinement_requires_common_basis(f4_tkk):
 
 
 def test_refinement_requires_same_algebra(d21):
-    g3 = build_G3(verify=False)
+    g3 = build_G3()
     with pytest.raises(GradingError):
         is_refinement(attached_grading(d21, "Z^3"), attached_grading(g3, "Z^3"))
 
@@ -275,9 +275,21 @@ def test_from_diag_rejects_non_automorphism(d21):
 
 
 def test_from_diag_rejects_wrong_declared_order(d21):
+    ident = LinMap(d21.algebra, d21.algebra, Mat.identity(17))
     f = d21_ideal_automorphism(d21, fs=(A2, A2, IDENT2))  # true order 2
-    with pytest.raises(GradingError):
-        grading_from_diag(d21.algebra, DiagGenerators((), [(f, 3)]))
+    with pytest.raises(
+        GradingError,
+        match="automorphism 1: declared order 3 is not a multiple of the true order 2",
+    ):
+        grading_from_diag(d21.algebra, DiagGenerators((), [(ident, 1), (f, 3)]))
+
+
+def test_from_diag_rejects_order_above_the_declared_one(d21):
+    f = d21_ideal_automorphism(d21, fs=(A2, A2, A2))  # true order 4
+    with pytest.raises(
+        GradingError, match="automorphism 0 has order greater than its declared order 2"
+    ):
+        grading_from_diag(d21.algebra, DiagGenerators((), [(f, 2)]))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +298,7 @@ def test_from_diag_rejects_wrong_declared_order(d21):
 
 
 def test_g3_character_not_normalizing_rejected():
-    built = build_G3(verify=False)
+    built = build_G3()
     # one derivation E_01 + ... + E_07 whose conjugates leave its span
     m = Mat([[ONE if (i == 0 and j > 0) else ZERO for j in range(8)] for i in range(8)])
     bad = BuiltAlgebra(
@@ -297,7 +309,7 @@ def test_g3_character_not_normalizing_rejected():
 
 
 def test_f4_character_not_normalizing_rejected():
-    built = build_F4("cayley", verify=False)
+    built = build_F4("cayley")
     bad = BuiltAlgebra(
         built.algebra, built.gradings, dict(built.extras, so7_coords=lambda X: None)
     )

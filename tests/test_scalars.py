@@ -276,6 +276,6 @@ class TestGrammar:
     def test_bounds_admit_what_models_print(self):
         assert parse_scalar("(a+z)^16") == (ALPHA + ZETA) ** 16
         assert parse_scalar("a^9 + a^8") == ALPHA ** 9 + ALPHA ** 8
-        table = build_D21(verify=False).algebra.table
+        table = build_D21().algebra.table
         printed = max(max(len(c.num), len(c.den)) - 1 for terms in table.values() for _, c in terms)
         assert 1 <= printed and 8 * printed <= MAX_PARSE_DEGREE

@@ -65,7 +65,9 @@ def gl2():
 def osp12():
     g = sl2()
     act = standard_rep(g)
-    return complete_superalgebra(g, act, invariant_pairings(g, act))[0]
+    osp = complete_superalgebra(g, act, invariant_pairings(g, act))[0]
+    check_lie_super(osp)
+    return osp
 
 
 def reordered(A, order):
@@ -300,17 +302,12 @@ class TestPairingsAndCompletion:
         with pytest.raises(AlgebraError, match="4 entries, expected 3"):
             invariant_pairings(g, act, degrees=[0, 2, -2, 1])
 
-    def test_generators_must_generate(self):
-        g = sl2()
-        act = standard_rep(g)
-        with pytest.raises(AlgebraError, match="generate"):
-            invariant_pairings(g, act, generators=[g.basis_vec("e")])
-
     def test_complete_to_osp12(self):
         g = sl2()
         act = standard_rep(g)
         pairings = invariant_pairings(g, act)
         osp, coeffs = complete_superalgebra(g, act, pairings)
+        check_lie_super(osp)
         assert osp.dim == 5
         assert coeffs == (ONE,)
         assert osp.parity == (0, 0, 0, 1, 1)
@@ -328,43 +325,32 @@ class TestPairingsAndCompletion:
         g = sl2()
         act = standard_rep(g)
         osp, _ = complete_superalgebra(g, act, invariant_pairings(g, act))
+        check_lie_super(osp)
         assert len(derivations(osp, parity=0)) == 3
         assert len(derivations(osp, parity=1)) == 2
 
-    def test_pins_fix_the_scale(self):
-        g = sl2()
-        act = standard_rep(g)
-        pairings = invariant_pairings(g, act)
-        target = tuple(scalar(2) * c for c in pairings[0][(0, 0)])
-        osp, coeffs = complete_superalgebra(
-            g, act, pairings, pins=[((0, 0), target)]
-        )
-        assert coeffs == (scalar(2),)
-        x = osp.basis_vec("x")
-        xx = osp.multiply(x, x)
-        assert xx[osp.index("e")] == scalar(2) * pairings[0][(0, 0)][g.index("e")]
-
-    def test_pins_that_leave_a_free_direction_are_underdetermined(self):
-        # the same pairing twice: one pin fixes only the sum of the two
+    def test_two_dimensional_jacobi_solution_space_rejected(self):
+        # the same pairing twice: every combination solves the Jacobi
+        # identity, so the bracket is not unique up to scale
         g = sl2()
         act = standard_rep(g)
         pairings = invariant_pairings(g, act) * 2
-        with pytest.raises(AlgebraError, match="underdetermined"):
-            complete_superalgebra(g, act, pairings, pins=[((0, 0), pairings[0][(0, 0)])])
-        # underdetermined is reported before inconsistent
-        h_only = (ONE, ZERO, ZERO)
-        with pytest.raises(AlgebraError, match="underdetermined"):
-            complete_superalgebra(g, act, pairings, pins=[((0, 0), h_only)])
+        with pytest.raises(AlgebraError, match="Jacobi solution space has dimension 2"):
+            complete_superalgebra(g, act, pairings)
 
-    def test_inconsistent_pins_rejected(self):
+    def test_no_candidate_pairings_rejected(self):
         g = sl2()
-        act = standard_rep(g)
-        pairings = invariant_pairings(g, act)
-        xx = pairings[0][(0, 0)]
-        with pytest.raises(AlgebraError, match="pins are inconsistent"):
-            complete_superalgebra(
-                g, act, pairings, pins=[((0, 0), xx), ((0, 0), tuple(scalar(2) * c for c in xx))]
-            )
+        with pytest.raises(AlgebraError, match="no candidate pairings supplied"):
+            complete_superalgebra(g, standard_rep(g), [])
+
+    def test_odd_g0_rejected_before_the_jacobi_solve(self):
+        # an odd g0 vector with a two-dimensional pairing span: the parity
+        # error comes first, not the dimension of the Jacobi solutions
+        g = SuperAlgebra(["z"], [1], {})
+        act = ModuleAction(g, ["x"], {})
+        pairings = [{(0, 0): (ONE,)}] * 2
+        with pytest.raises(AlgebraError, match="g0 must be purely even"):
+            complete_superalgebra(g, act, pairings)
 
 
 class TestBasisAndSerialization:
