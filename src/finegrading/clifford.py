@@ -606,9 +606,10 @@ def verify_even_clifford(built):
     bar = built.extras["bar"]
     cols = [bar.matrix.col(k) for k in range(full.dim)]
 
-    def bar_of(vec):
+    def bar_of(terms):
+        """bar of the element sum c e_t over the (t, c) of ``terms``."""
         out = [ZERO] * full.dim
-        for t, c in enumerate(vec):
+        for t, c in terms:
             if c.is_zero():
                 continue
             for r, v in enumerate(cols[t]):
@@ -618,7 +619,7 @@ def verify_even_clifford(built):
 
     full_deg = built.extras["full_degrees"]
     for k in range(full.dim):
-        if bar_of(cols[k]) != full.basis_vec(k):
+        if bar_of(enumerate(cols[k])) != full.basis_vec(k):
             raise CliffordError("bar is not an involution")
         for r, c in enumerate(cols[k]):
             if not c.is_zero() and full_deg[r] != full_deg[k]:
@@ -626,7 +627,7 @@ def verify_even_clifford(built):
     for i in range(n):
         barg = cols[1 + i]
         for k in range(full.dim):
-            lhs = bar_of(full.multiply(gen[i], full.basis_vec(k)))
+            lhs = bar_of(full.table.get((1 + i, k), ()))
             rhs = full.multiply(cols[k], barg)
             if lhs != rhs:
                 raise CliffordError("bar(xy) != bar(y)bar(x)")

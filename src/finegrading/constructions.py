@@ -579,13 +579,15 @@ def build_tkk(J, der_basis=None):
                     sign = MINUS_ONE if (dp * J.parity[i]) % 2 else ONE
                     table[(a * n + i, off + r)] = [(k, -(sign * c)) for k, c in terms]
     for r, (Dr, pr) in enumerate(ders):
-        for s, (Ds, ps) in enumerate(ders):
+        for s, (Ds, ps) in enumerate(ders[r:], r):
             sign = MINUS_ONE if (pr * ps) % 2 else ONE
             comm = Dr * Ds - (Ds * Dr).scale(sign)
             cs = dcoords(comm)
             terms = [(off + k, c) for k, c in enumerate(cs) if not c.is_zero()]
             if terms:
                 table[(off + r, off + s)] = terms
+                if s != r:
+                    table[(off + s, off + r)] = [(k, -(sign * c)) for k, c in terms]
 
     alg = SuperAlgebra(names, parity, table)
     extras = {
@@ -1115,14 +1117,13 @@ def _build_f4_cayley():
     names0 = ["E", "H", "F"] + so7_names
     table0 = dict(_sl2_table())
     for i in range(21):
-        for j in range(21):
-            if i == j:
-                continue
+        for j in range(i + 1, 21):
             comm = so7_mats[i] * so7_mats[j] - so7_mats[j] * so7_mats[i]
             cs = so7_coords(comm)
             terms = [(3 + k, c) for k, c in enumerate(cs) if not c.is_zero()]
             if terms:
                 table0[(3 + i, 3 + j)] = terms
+                table0[(3 + j, 3 + i)] = [(k, -c) for k, c in terms]
     g0 = SuperAlgebra(names0, (0,) * 24, table0)
 
     m_names = ["u.%s" % nm for nm in wb["names"]] + ["v.%s" % nm for nm in wb["names"]]

@@ -10,6 +10,11 @@ reduced forms, kernel bases and solutions do not depend on row order or on
 how the elimination proceeds.  :func:`span_solver` reduces a fixed set of
 columns once and then answers many coordinate queries against it.
 
+``_accumulate`` is the one sparse axpy: the elimination, and through
+:mod:`~finegrading.superalg` the product kernel and the verifiers, add
+scaled sparse rows with it.  :class:`Mat` keeps dense storage but does work
+only for nonzero entries.
+
 :func:`joint_eigenspaces` refines the ambient space under a family of
 commuting operators whose candidate eigenvalues are supplied by the caller;
 it never searches for eigenvalues.  The annihilator is its certificate: the
@@ -44,7 +49,16 @@ __all__ = [
 
 
 class Mat:
-    """Immutable dense matrix with Scalar entries."""
+    """Immutable matrix with Scalar entries, stored dense, costed sparse.
+
+    The entries are kept as a tuple of row tuples, so indexing and equality
+    are plain tuple operations.  Scalar arithmetic runs only over nonzero
+    entries (the zero tests still visit each entry once): a product costs one
+    multiply-add per pair of a nonzero ``A[i, k]`` and a nonzero ``B[k, j]``,
+    :meth:`apply` one per nonzero vector entry and nonzero row entry in its
+    column, and ``-`` copies the left entry where the right one is zero.  So
+    a product of two n x n signed permutations costs n multiplications.
+    """
 
     __slots__ = ("rows", "ncols")
 
@@ -62,6 +76,15 @@ class Mat:
         object.__setattr__(self, "rows", data)
         object.__setattr__(self, "ncols", ncols)
 
+    @classmethod
+    def _of(cls, rows, ncols):
+        """The Mat of ``rows``, a tuple of equal-length tuples of Scalars
+        (unchecked: results of Mat arithmetic need no coercion)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "ncols", ncols)
+        return m
+
     def __setattr__(self, *args):
         raise AttributeError("Mat is immutable")
 
@@ -75,11 +98,11 @@ class Mat:
 
     @staticmethod
     def zeros(m, n):
-        return Mat([[ZERO] * n for _ in range(m)], ncols=n)
+        return Mat._of(((ZERO,) * n,) * m, n)
 
     @staticmethod
     def identity(n):
-        return Mat([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return diag((ONE,) * n)
 
     @staticmethod
     def from_cols(cols, nrows=None):
@@ -104,30 +127,37 @@ class Mat:
         return [self.col(j) for j in range(self.ncols)]
 
     def transpose(self):
-        return Mat([self.col(j) for j in range(self.ncols)], ncols=self.nrows)
+        if not self.rows:
+            return Mat._of(((),) * self.ncols, 0)
+        return Mat._of(tuple(zip(*self.rows)), self.nrows)
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise LinAlgError("shape mismatch in +")
-        return Mat(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+        return Mat._of(
+            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)),
+            self.ncols,
         )
 
     def __sub__(self, other):
         if self.shape != other.shape:
             raise LinAlgError("shape mismatch in -")
-        return Mat(
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+        return Mat._of(
+            tuple(
+                tuple(a if b.is_zero() else a - b for a, b in zip(r, s))
+                for r, s in zip(self.rows, other.rows)
+            ),
+            self.ncols,
         )
 
     def __neg__(self):
-        return Mat([[-a for a in r] for r in self.rows], ncols=self.ncols)
+        return Mat._of(tuple(tuple(-a for a in r) for r in self.rows), self.ncols)
 
     def scale(self, c):
         c = scalar(c)
-        return Mat([[c * a for a in r] for r in self.rows], ncols=self.ncols)
+        if c == ONE:
+            return self
+        return Mat._of(tuple(tuple(c * a for a in r) for r in self.rows), self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -136,15 +166,20 @@ class Mat:
                     "cannot multiply %s by %s" % (self.shape, other.shape)
                 )
             ocols = other.ncols
+            # the nonzero (j, B[k, j]) of each row k of the right factor
+            terms = [
+                [(j, y) for j, y in enumerate(orow) if not y.is_zero()]
+                for orow in other.rows
+            ]
             out = []
             for r in self.rows:
                 acc = [ZERO] * ocols
-                for a, orow in zip(r, other.rows):
-                    if a.is_zero():
-                        continue
-                    acc = [x + a * y for x, y in zip(acc, orow)]
-                out.append(acc)
-            return Mat(out, ncols=ocols)
+                for a, row_terms in zip(r, terms):
+                    if row_terms and not a.is_zero():
+                        for j, y in row_terms:
+                            acc[j] = acc[j] + a * y
+                out.append(tuple(acc))
+            return Mat._of(tuple(out), ocols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -155,13 +190,15 @@ class Mat:
         vec = tuple(scalar(x) for x in vec)
         if len(vec) != self.ncols:
             raise LinAlgError("vector length %d, expected %d" % (len(vec), self.ncols))
-        out = [ZERO] * self.nrows
-        for i, r in enumerate(self.rows):
+        terms = [(j, x) for j, x in enumerate(vec) if not x.is_zero()]
+        out = []
+        for r in self.rows:
             acc = ZERO
-            for a, x in zip(r, vec):
-                if not a.is_zero() and not x.is_zero():
+            for j, x in terms:
+                a = r[j]
+                if not a.is_zero():
                     acc = acc + a * x
-            out[i] = acc
+            out.append(acc)
         return tuple(out)
 
     def __eq__(self, other):
@@ -198,14 +235,17 @@ def is_zero_vec(u):
 def diag(entries):
     """Square matrix with the given diagonal."""
     n = len(entries)
-    return Mat([[e if i == j else ZERO for j in range(n)] for i, e in enumerate(entries)], ncols=n)
+    zeros = (ZERO,) * n
+    return Mat._of(
+        tuple(zeros[:i] + (scalar(e),) + zeros[i + 1:] for i, e in enumerate(entries)), n
+    )
 
 
 def kron(A, B):
     """Kronecker product: entry ((i, k), (j, l)) is A[i, j] * B[k, l]."""
-    return Mat(
-        [[a * b for a in ra for b in rb] for ra in A.rows for rb in B.rows],
-        ncols=A.ncols * B.ncols,
+    return Mat._of(
+        tuple(tuple(a * b for a in ra for b in rb) for ra in A.rows for rb in B.rows),
+        A.ncols * B.ncols,
     )
 
 
@@ -228,9 +268,9 @@ def rref(mat):
     ncols = mat.ncols
     basis = sparse_row_reduce(_rows(mat), ncols)
     pivots = tuple(sorted(basis))
-    rows = [[basis[p].get(c, ZERO) for c in range(ncols)] for p in pivots]
-    rows += [[ZERO] * ncols for _ in range(mat.nrows - len(pivots))]
-    return Mat(rows, ncols=ncols), pivots
+    rows = [tuple(basis[p].get(c, ZERO) for c in range(ncols)) for p in pivots]
+    rows += [(ZERO,) * ncols] * (mat.nrows - len(pivots))
+    return Mat._of(tuple(rows), ncols), pivots
 
 
 def rank(mat):
@@ -256,7 +296,7 @@ def solve(mat, rhs):
         if any(not b.is_zero() for b in rhs):
             return None
         return (ZERO,) * mat.ncols
-    aug = Mat([list(r) + [b] for r, b in zip(mat.rows, rhs)], ncols=mat.ncols + 1)
+    aug = Mat._of(tuple(r + (b,) for r, b in zip(mat.rows, rhs)), mat.ncols + 1)
     red, pivots = rref(aug)
     if pivots and pivots[-1] == mat.ncols:
         return None
@@ -270,14 +310,11 @@ def inverse(mat):
     n = mat.nrows
     if n != mat.ncols:
         raise LinAlgError("inverse of a non-square matrix")
-    aug = Mat(
-        [list(r) + list(Mat.identity(n).rows[i]) for i, r in enumerate(mat.rows)],
-        ncols=2 * n,
-    )
+    aug = Mat._of(tuple(r + e for r, e in zip(mat.rows, Mat.identity(n).rows)), 2 * n)
     red, pivots = rref(aug)
     if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
         raise LinAlgError("matrix is singular")
-    return Mat([r[n:] for r in red.rows], ncols=n)
+    return Mat._of(tuple(r[n:] for r in red.rows), n)
 
 
 def span_solver(cols, dim):
@@ -328,6 +365,22 @@ def span_solver(cols, dim):
     return coords
 
 
+def _accumulate(acc, f, terms):
+    """acc[k] += f * c over the (k, c) of ``terms``; entries that cancel go.
+
+    The one sparse axpy: elimination, the superalgebra product kernel and the
+    verifiers all add scaled sparse rows through it.
+    """
+    for k, c in terms:
+        v = f * c
+        if k in acc:
+            v = acc[k] + v
+        if v.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = v
+
+
 def sparse_row_reduce(rows, ncols):
     """Reduced row basis of a (possibly huge) iterable of sparse rows.
 
@@ -336,41 +389,29 @@ def sparse_row_reduce(rows, ncols):
     space.  Only independent rows are retained, so memory stays proportional
     to the rank even when millions of constraint rows are streamed through.
     """
+    # Each reduction step subtracts f times a basis row from a row whose
+    # entry at the pivot is f: one multiply-add per off-pivot entry, against
+    # the off-pivot terms of the basis row, negated once per basis row.
     basis = {}
+    neg_tails = {}
     for row in rows:
         row = {c: v for c, v in row.items() if not v.is_zero()}
         while row:
             p = min(row)
             if p in basis:
-                f = row.pop(p)
-                for c, v in basis[p].items():
-                    if c == p:
-                        continue
-                    nv = row.get(c, ZERO) - f * v
-                    if nv.is_zero():
-                        row.pop(c, None)
-                    else:
-                        row[c] = nv
+                _accumulate(row, row.pop(p), neg_tails[p])
             else:
                 inv = row[p].inverse()
                 row = {c: inv * v for c, v in row.items()}
                 basis[p] = row
+                neg_tails[p] = [(c, -v) for c, v in row.items() if c != p]
                 break
     # back-reduce so every pivot column appears in exactly one row
     for p in sorted(basis, reverse=True):
-        prow = basis[p]
+        neg_tail = [(c, -v) for c, v in basis[p].items() if c != p]
         for q, qrow in basis.items():
-            if q == p or p not in qrow:
-                continue
-            f = qrow.pop(p)
-            for c, v in prow.items():
-                if c == p:
-                    continue
-                nv = qrow.get(c, ZERO) - f * v
-                if nv.is_zero():
-                    qrow.pop(c, None)
-                else:
-                    qrow[c] = nv
+            if q != p and p in qrow:
+                _accumulate(qrow, qrow.pop(p), neg_tail)
     return basis
 
 

@@ -5,9 +5,10 @@ multiplication table over the scalar field; the same class carries
 associative algebras (quaternions, Clifford algebras), composition algebras
 and Lie superalgebras — what distinguishes them is which checkers one runs.
 The verifiers and basis changes work on that table through one private
-sparse product kernel; dense coordinate tuples remain only as the element
-API (:meth:`SuperAlgebra.multiply`, :meth:`ModuleAction.act`), which wraps
-the same kernel.
+sparse product kernel, built on the sparse axpy of :mod:`~finegrading.linalg`;
+dense coordinate tuples remain only as the element API
+(:meth:`SuperAlgebra.multiply`, :meth:`ModuleAction.act`), which wraps the
+same kernel.
 
 The heavy lifting lives in the verification and completion routines:
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 
 from .errors import AlgebraError, ScalarError
-from .linalg import Mat, flatten, span_solver, sparse_kernel
+from .linalg import Mat, _accumulate, flatten, span_solver, sparse_kernel
 from .scalars import ONE, ZERO, format_scalar, parse_scalar, scalar
 
 __all__ = [
@@ -57,18 +58,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # sparse product kernel
 # ---------------------------------------------------------------------------
-
-
-def _accumulate(acc, f, terms):
-    """acc[k] += f * c over the (k, c) of ``terms``; entries that cancel go."""
-    for k, c in terms:
-        v = f * c
-        if k in acc:
-            v = acc[k] + v
-        if v.is_zero():
-            acc.pop(k, None)
-        else:
-            acc[k] = v
 
 
 def _product(table, x, y, acc=None):
@@ -230,47 +219,9 @@ class ModuleAction:
             if entry:
                 tab[(i, j)] = entry
         self.table = tab
-        self._matrices = None
 
     def act(self, x, v):
         return _dense(_product(self.table, _sparse(x), _sparse(v)), self.module_dim)
-
-    def basis_matrices(self):
-        if self._matrices is None:
-            mats = []
-            for i in range(self.algebra.dim):
-                cols = []
-                for j in range(self.module_dim):
-                    col = [ZERO] * self.module_dim
-                    for k, c in self.table.get((i, j), ()):
-                        col[k] = c
-                    cols.append(col)
-                mats.append(Mat.from_cols(cols, nrows=self.module_dim))
-            self._matrices = mats
-        return self._matrices
-
-    def matrix(self, x):
-        mats = self.basis_matrices()
-        out = Mat.zeros(self.module_dim, self.module_dim)
-        for i, xi in enumerate(x):
-            if not xi.is_zero():
-                out = out + mats[i].scale(xi)
-        return out
-
-    def check_representation(self):
-        """For a Lie algebra: a([x,y]) = a(x)a(y) - a(y)a(x) on basis pairs."""
-        g = self.algebra
-        mats = self.basis_matrices()
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                br = g.multiply(g.basis_vec(i), g.basis_vec(j))
-                lhs = self.matrix(br)
-                rhs = mats[i] * mats[j] - mats[j] * mats[i]
-                if lhs != rhs:
-                    raise AlgebraError(
-                        "action is not a representation at pair (%s, %s)"
-                        % (g.names[i], g.names[j])
-                    )
 
 
 class LinMap:

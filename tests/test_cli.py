@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import pathlib
 import time
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from finegrading import clifford
 from finegrading.cli import main
 from finegrading.superalg import load_algebra
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 FANO_CONFIG = """\
 Z_2 x Z_2 x Z_2
@@ -21,11 +24,23 @@ Z_2 x Z_2 x Z_2
 """
 
 
+def assert_matches_golden(report, name):
+    """``report`` (a ``--format json`` report) equals the committed report
+    ``tests/golden/<name>.json`` byte for byte, apart from the elapsed_ms
+    line that the committed copy leaves out."""
+    lines = report.split("\n")
+    kept = [line for line in lines if not line.startswith('  "elapsed_ms": ')]
+    assert len(kept) == len(lines) - 1
+    assert "\n".join(kept) == (GOLDEN / ("%s.json" % name)).read_text(encoding="utf-8")
+
+
 def test_theorem_check_g3(capsys):
-    assert main(["theorem-check", "g3"]) == 0
+    assert main(["theorem-check", "g3", "--format", "json"]) == 0
     out = capsys.readouterr().out
-    assert "axioms-g3" in out
-    assert "3/3 checks passed" in out
+    records = json.loads(out)["records"]
+    assert "axioms-g3" in [r["name"] for r in records]
+    assert [r["status"] for r in records] == ["pass"] * 3
+    assert_matches_golden(out, "theorem-check-g3")
 
 
 def test_theorem_check_f4_builds_no_clifford_table(monkeypatch, capsys):
@@ -35,10 +50,25 @@ def test_theorem_check_f4_builds_no_clifford_table(monkeypatch, capsys):
         raise AssertionError("clifford_algebra called for %d generators" % len(names))
 
     monkeypatch.setattr(clifford, "clifford_algebra", refuse)
-    assert main(["theorem-check", "f4"]) == 0
+    assert main(["theorem-check", "f4", "--format", "json"]) == 0
     out = capsys.readouterr().out
-    assert "octonion-clifford-model" in out
-    assert "FAIL" not in out
+    records = json.loads(out)["records"]
+    assert "octonion-clifford-model" in [r["name"] for r in records]
+    assert all(r["status"] == "pass" for r in records)
+    assert_matches_golden(out, "theorem-check-f4")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["d21a"], "theorem-check-d21a"),
+        (["d21a", "--alpha=-(1/2)"], "theorem-check-d21a-alpha-minus-half"),
+    ],
+    ids=["symbolic", "alpha-minus-half"],
+)
+def test_theorem_check_d21a_matches_golden_report(argv, name, capsys):
+    assert main(["theorem-check"] + argv + ["--format", "json"]) == 0
+    assert_matches_golden(capsys.readouterr().out, name)
 
 
 def test_theorem_check_d21a_omega_json(tmp_path):

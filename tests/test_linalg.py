@@ -19,7 +19,12 @@ from finegrading.linalg import (
     span_solver,
     sparse_kernel,
 )
-from finegrading.scalars import ALPHA, IUNIT, OMEGA, ONE, ZETA, ZERO, Scalar, scalar
+from finegrading.scalars import ALPHA, IUNIT, OMEGA, ONE, ZETA, ZERO, Cyc, Scalar, scalar
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # a test extra; only TestMatProperties needs it
+    st = None
 
 
 def gauss_jordan(entries, ncols):
@@ -92,6 +97,97 @@ class TestMat:
     def test_ragged_rejected(self):
         with pytest.raises(LinAlgError):
             Mat([[1, 2], [3]])
+
+
+# ---------------------------------------------------------------------------
+# the Mat kernel against naive dense arithmetic, on zero-heavy matrices
+# ---------------------------------------------------------------------------
+
+
+def dense_mul(A, B, n):
+    return [
+        [sum((a * B[k][j] for k, a in enumerate(r)), ZERO) for j in range(n)]
+        for r in A
+    ]
+
+
+def dense_apply(A, v):
+    return tuple(sum((a * x for a, x in zip(r, v)), ZERO) for r in A)
+
+
+def entries_of(mat):
+    """The entries as lists; each must already be a Scalar."""
+    rows = [list(r) for r in mat.rows]
+    assert all(type(x) is Scalar for r in rows for x in r)
+    return rows
+
+
+if st is not None:
+    fixed = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    cycs = st.builds(Cyc, st.tuples(*[st.integers(-3, 3)] * 4), st.integers(1, 4))
+    polys = st.lists(cycs, min_size=1, max_size=3)
+    # Q, Q(zeta12) and rational functions of a of degree at most 2
+    entries = st.one_of(
+        st.fractions(max_denominator=6).map(Scalar.from_rational),
+        cycs.map(Scalar.from_cyc),
+        st.builds(Scalar, polys, polys.filter(lambda d: any(not c.is_zero() for c in d))),
+    )
+
+    @st.composite
+    def zero_heavy(draw, m, n):
+        """An m x n Mat with at most half its entries nonzero and, when it
+        has any entries, one all-zero row and one all-zero column."""
+        rows = [[ZERO] * n for _ in range(m)]
+        if m and n:
+            zr, zc = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+            cells = [(i, j) for i in range(m) for j in range(n) if i != zr and j != zc]
+            k = draw(st.integers(0, min(len(cells), m * n // 2)))
+            for i, j in draw(st.permutations(cells))[:k]:
+                rows[i][j] = draw(entries)
+        return Mat(rows, ncols=n)
+
+    sparse_entries = st.one_of(st.just(ZERO), entries)
+    dims = st.integers(0, 4)
+
+    class TestMatProperties:
+        @fixed
+        @given(st.data(), dims, dims, dims)
+        def test_product(self, data, m, k, n):
+            A, B = data.draw(zero_heavy(m, k)), data.draw(zero_heavy(k, n))
+            AB = A * B
+            assert AB.shape == (m, n)
+            assert entries_of(AB) == dense_mul(A.rows, B.rows, n)
+
+        @fixed
+        @given(st.data(), dims, dims)
+        def test_sum_difference_negation_transpose(self, data, m, n):
+            A, B = data.draw(zero_heavy(m, n)), data.draw(zero_heavy(m, n))
+            pairs = [list(zip(r, s)) for r, s in zip(A.rows, B.rows)]
+            assert entries_of(A + B) == [[a + b for a, b in r] for r in pairs]
+            assert entries_of(A - B) == [[a - b for a, b in r] for r in pairs]
+            assert entries_of(-A) == [[-a for a in r] for r in A.rows]
+            assert (A - B).shape == (-A).shape == (m, n)
+            T = A.transpose()
+            assert T.shape == (n, m)
+            assert entries_of(T) == [[A.rows[i][j] for i in range(m)] for j in range(n)]
+
+        @fixed
+        @given(st.data(), dims, dims, st.one_of(st.just(ZERO), st.just(ONE), entries))
+        def test_scale(self, data, m, n, c):
+            A = data.draw(zero_heavy(m, n))
+            assert entries_of(A.scale(c)) == [[c * a for a in r] for r in A.rows]
+            assert A.scale(c).shape == (m, n)
+            if c == ONE:
+                assert A.scale(c) is A
+
+        @fixed
+        @given(st.data(), dims, dims)
+        def test_apply(self, data, m, n):
+            A = data.draw(zero_heavy(m, n))
+            v = tuple(data.draw(st.lists(sparse_entries, min_size=n, max_size=n)))
+            got = A.apply(v)
+            assert all(type(x) is Scalar for x in got)
+            assert got == dense_apply(A.rows, v)
 
 
 class TestRankKernelSolve:
@@ -233,6 +329,21 @@ class TestAgainstGaussJordanOracle:
     @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0)])
     def test_empty(self, m, n):
         oracle_check([[] for _ in range(m)], n, [[0] * m])
+
+    def test_zero_heavy(self):
+        # mostly zero rows over Q(zeta12)(a), with a zero row and a sum of
+        # two rows, so the elimination cancels pivots and whole rows
+        rng = random.Random(12)
+        pool = [ONE, -ONE, scalar(2), ZETA, OMEGA, IUNIT, ALPHA, ALPHA + ONE]
+        for _ in range(25):
+            m, n = rng.randint(1, 6), rng.randint(1, 7)
+            entries = [
+                [rng.choice(pool) if rng.random() < 0.3 else ZERO for _ in range(n)]
+                for _ in range(m)
+            ]
+            entries.append([a + b for a, b in zip(entries[0], entries[-1])])
+            entries[rng.randrange(m + 1)] = [ZERO] * n
+            oracle_check(entries, n, self.random_rhs(rng, entries, m + 1, n))
 
     def test_cyclotomic_entries(self):
         # the third row is omega times the first plus i times the second
