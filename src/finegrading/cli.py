@@ -4,8 +4,10 @@ Subcommands: ``build`` (serialize a model and round-trip check it),
 ``theorem-check`` (catalog gradings plus the supporting structural and
 finite-group checks for one of f4/g3/d21a), ``clifford-class`` (dual-route
 classification of a graded quadratic configuration file), and
-``grading-report`` (catalog dump).  Exit code 0 iff every check passes;
-usage problems exit 2.
+``grading-report`` (catalog dump).  ``--alpha`` (the d21a parameter) is
+taken by ``build``, ``theorem-check`` and ``grading-report``; ``--model`` (the
+F(4) model) by ``build`` only, since ``theorem-check f4`` checks all three.
+Exit code 0 iff every check passes; usage problems exit 2.
 """
 
 import argparse
@@ -57,20 +59,24 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out_help):
-        p.add_argument("--alpha", metavar="SCALAR", default=None,
-                       help="parameter for d21a (scalar literal, not 0 or -1)")
-        p.add_argument("--model", choices=_MODELS, default=None,
-                       help="F(4) model (f4 targets only)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", metavar="PATH", default=None, help=out_help)
 
+    def alpha(p):
+        p.add_argument("--alpha", metavar="SCALAR", default=None,
+                       help="parameter for d21a (scalar literal, not 0 or -1)")
+
     p = sub.add_parser("build", help="serialize a model algebra")
     p.add_argument("target", choices=("k3", "k10", "d21a", "g3", "f4"))
+    alpha(p)
+    p.add_argument("--model", choices=_MODELS, default=None,
+                   help="F(4) model (f4 target only; default cayley)")
     common(p, "destination file for the serialized algebra (required)")
 
     p = sub.add_parser("theorem-check",
                        help="verify the grading theorem for one algebra")
     p.add_argument("target", choices=("f4", "g3", "d21a"))
+    alpha(p)
     common(p, "write the report to this file instead of stdout")
 
     p = sub.add_parser("clifford-class",
@@ -81,6 +87,7 @@ def _build_parser():
     p = sub.add_parser("grading-report", help="dump the grading catalog")
     p.add_argument("target", nargs="?", default="all",
                    choices=("f4", "g3", "d21a", "all"))
+    alpha(p)
     common(p, "write the report to this file instead of stdout")
     return parser
 
@@ -89,7 +96,7 @@ def _parse_alpha(parser, args):
     if args.alpha is None:
         return None
     # the target "all" (grading-report) passes alpha on to d21a only
-    if getattr(args, "target", None) not in ("d21a", "all"):
+    if args.target not in ("d21a", "all"):
         parser.error("--alpha only applies to the d21a target")
     try:
         value = parse_scalar(args.alpha)
@@ -98,11 +105,6 @@ def _parse_alpha(parser, args):
     if value == ZERO or value == MINUS_ONE:
         parser.error("--alpha must be a scalar other than 0 and -1")
     return value
-
-
-def _check_model_flag(parser, args):
-    if args.model is not None and getattr(args, "target", None) != "f4":
-        parser.error("--model only applies to the f4 target")
 
 
 def _fmt_type(t):
@@ -183,7 +185,8 @@ def _theorem_records(target, alpha):
 
 def _cmd_build(args, parser):
     alpha = _parse_alpha(parser, args)
-    _check_model_flag(parser, args)
+    if args.model is not None and args.target != "f4":
+        parser.error("--model only applies to the f4 target")
     if args.out is None:
         parser.error("build requires --out")
     target = args.target
@@ -214,8 +217,7 @@ def _config_error(path, lineno, message):
     raise SystemExit(1)
 
 
-def _cmd_clifford_class(args, parser):
-    _check_model_flag(parser, args)
+def _cmd_clifford_class(args):
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -274,14 +276,11 @@ def _dispatch(args, parser):
     if args.command == "build":
         return _cmd_build(args, parser)
     if args.command == "clifford-class":
-        return _cmd_clifford_class(args, parser)
+        return _cmd_clifford_class(args)
+    alpha = _parse_alpha(parser, args)
     if args.command == "theorem-check":
-        alpha = _parse_alpha(parser, args)
-        _check_model_flag(parser, args)
         return _theorem_records(args.target, alpha), {}
     # grading-report
-    alpha = _parse_alpha(parser, args)
-    _check_model_flag(parser, args)
     targets = ("f4", "g3", "d21a") if args.target == "all" else (args.target,)
     recs = []
     for t in targets:

@@ -37,6 +37,7 @@ from .constructions import (
 from .errors import CliffordError, LinAlgError
 from .linalg import (
     Mat,
+    _lincomb,
     flatten,
     inverse,
     kron,
@@ -674,10 +675,10 @@ def verify_even_clifford(built):
             cols.append(tuple(col))
         return Mat.from_cols(cols, nrows=n)
 
-    ops = {p: op_of(*p) for p in so_pairs}
+    ops = [op_of(*p) for p in so_pairs]
     alg = built.algebra
-    for a, pa in enumerate(so_pairs):
-        for b, pb in enumerate(so_pairs):
+    for a in range(len(so_pairs)):
+        for b in range(len(so_pairs)):
             comm = tuple(
                 x - y
                 for x, y in zip(
@@ -688,12 +689,7 @@ def verify_even_clifford(built):
             coeffs = proj(comm)
             if coeffs is None:
                 raise CliffordError("bracket span is not closed under commutator")
-            want = ops[pa] * ops[pb] - ops[pb] * ops[pa]
-            got = Mat.zeros(n, n)
-            for t, c in enumerate(coeffs):
-                if not c.is_zero():
-                    got = got + ops[so_pairs[t]].scale(c)
-            if got != want:
+            if _lincomb(coeffs, ops) != ops[a] * ops[b] - ops[b] * ops[a]:
                 raise CliffordError("so(U,q) embedding does not match operators")
 
 
@@ -1109,11 +1105,7 @@ def check_uuv_factorization(space, built=None):
                 if coeffs is None:
                     mat_ok = False
                     break
-                prod = imgs[p] * imgs[q]
-                got = Mat.zeros(2, 2)
-                for t, c in enumerate(coeffs):
-                    got = got + imgs[t].scale(c)
-                if got != prod:
+                if _lincomb(coeffs, imgs) != imgs[p] * imgs[q]:
                     mat_ok = False
                     break
             if not mat_ok:

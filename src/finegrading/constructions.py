@@ -22,6 +22,16 @@ The constructions, bottom to top:
   times — Cayley/spin model, TKK over the Kac superalgebra, quaternionic
   model — because each model makes different fine gradings visible.
 
+Every builder assembles its tables along one path.  Brackets of matrices are
+written by :func:`~finegrading.superalg._commutator_table` (one supercommutator
+per unordered pair, the mirror entry by super-antisymmetry), actions by
+matrices by ``_action_table`` (one entry per nonzero column), the sl2 part of
+the models by ``_quaternion_brackets`` or ``_sl2_table``, both read off a
+table, and linear combinations of matrices by ``linalg._lincomb``.  G(3) and
+the Cayley model of F(4) are both sl2 + g' acting on V (x) W; the one routine
+``_sl2_tensor_model`` builds that g0, its action and degrees, and solves for
+the odd bracket.
+
 The builders check the data they are given (Leibniz rules, closure, unique
 odd bracket) but not the Lie superalgebra axioms of what they return; run
 :func:`~finegrading.superalg.check_lie_super` on ``built.algebra`` for that.
@@ -35,6 +45,8 @@ from .abgroup import GradingGroup
 from .errors import AlgebraError
 from .linalg import (
     Mat,
+    _accumulate,
+    _lincomb,
     diag,
     flatten,
     inverse,
@@ -43,13 +55,13 @@ from .linalg import (
     rank,
     solve,
     span_solver,
-    vec_scale,
 )
 from .scalars import ALPHA, HALF, IUNIT, MINUS_ONE, ONE, ZERO, scalar
 from .superalg import (
     LinMap,
     ModuleAction,
     SuperAlgebra,
+    _commutator_table,
     _dense,
     change_basis,
     check_lie_super,
@@ -123,6 +135,22 @@ def _int_of(s):
     return int(f)
 
 
+def _action_table(mats, copies, first):
+    """Action-table entries of the basis vectors first, first + 1, ... acting
+    by the n x n ``mats`` on each of ``copies`` consecutive copies of an
+    n-dimensional module: column c of mats[r] is the entry at
+    (first + r, slot * n + c), moved to the slot's copy, for every slot."""
+    table = {}
+    for r, m in enumerate(mats):
+        n = m.ncols
+        for c in range(n):
+            col = [(k, v) for k, v in enumerate(m.col(c)) if not v.is_zero()]
+            if col:
+                for slot in range(copies):
+                    table[(first + r, slot * n + c)] = [(slot * n + k, v) for k, v in col]
+    return table
+
+
 # ---------------------------------------------------------------------------
 # split quaternions
 # ---------------------------------------------------------------------------
@@ -180,8 +208,25 @@ def build_quaternions():
     degrees = tuple(
         group.element((), t) for t in ((0, 0), (1, 0), (0, 1), (1, 1))
     )
-    extras = {"matrices": mats, "bar": bar, "norm_gram": gram}
+    extras = {"bar": bar, "norm_gram": gram}
     return BuiltAlgebra(alg, {group.literal(): (group, degrees)}, extras)
+
+
+def _quaternion_brackets(Qa):
+    """Commutators [q_a, q_b] = q_a q_b - q_b q_a of the trace-zero split
+    quaternions, read off ``Qa.table``: {(a, b): [(c, coeff), ...]} with
+    0, 1, 2 standing for q1, q2, q3, nonzero entries only."""
+    out = {}
+    for a in range(1, 4):
+        for b in range(1, 4):
+            acc = {}
+            _accumulate(acc, ONE, Qa.product_basis(a, b))
+            _accumulate(acc, MINUS_ONE, Qa.product_basis(b, a))
+            if 0 in acc:
+                raise AlgebraError("quaternion commutator has a unit component")
+            if acc:
+                out[(a - 1, b - 1)] = [(c - 1, v) for c, v in sorted(acc.items())]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +273,7 @@ def build_cayley():
     gram = diag([2 * ONE] * 8)
     group = GradingGroup(0, (2, 2, 2))
     degrees = tuple(group.element((), t) for t in _CAYLEY_SIGN_DEGREES)
-    extras = {"bar": bar, "norm_gram": gram, "lines": _FANO}
+    extras = {"bar": bar, "norm_gram": gram}
     return BuiltAlgebra(alg, {group.literal(): (group, degrees)}, extras)
 
 
@@ -336,9 +381,7 @@ def build_An(n):
     alg = SuperAlgebra(names, (0,) * len(names), table)
     group = GradingGroup(0, (n, n))
     degrees = tuple(group.element((), p) for p in pairs)
-    return BuiltAlgebra(
-        alg, {group.literal(): (group, degrees)}, {"epsilon": eps, "order": n}
-    )
+    return BuiltAlgebra(alg, {group.literal(): (group, degrees)})
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +502,15 @@ def build_tkk(J, der_basis=None):
     :func:`~finegrading.superalg.check_lie_super` checks them.
     """
     n = J.dim
-    basis = [J.basis_vec(i) for i in range(n)]
     for i in range(n):
         for j in range(i, n):
-            sign = MINUS_ONE if (J.parity[i] * J.parity[j]) % 2 else ONE
-            if J.multiply(basis[i], basis[j]) != vec_scale(
-                sign, J.multiply(basis[j], basis[i])
-            ):
+            # e_i e_j - (-1)^(|i||j|) e_j e_i must vanish
+            acc = {}
+            _accumulate(acc, ONE, J.product_basis(i, j))
+            _accumulate(
+                acc, ONE if J.parity[i] & J.parity[j] else MINUS_ONE, J.product_basis(j, i)
+            )
+            if acc:
                 raise AlgebraError(
                     "input is not supercommutative at (%s, %s)"
                     % (J.names[i], J.names[j])
@@ -500,94 +545,47 @@ def build_tkk(J, der_basis=None):
         for (m, p) in ders:
             if not is_derivation(J, m, parity=p):
                 raise AlgebraError("supplied matrix is not a superderivation")
-    nder = len(ders)
-    der_coords = span_solver([flatten(m) for (m, _) in ders], n * n)
+    der_mats = [m for (m, _) in ders]
+    der_parities = [p for (_, p) in ders]
+    der_coords = span_solver([flatten(m) for m in der_mats], n * n)
 
     def dcoords(mat):
-        sol = der_coords(flatten(mat))
-        if sol is None:
-            raise AlgebraError(
-                "left multiplications do not close into the derivation algebra"
-            )
-        return sol
+        return der_coords(flatten(mat))
 
-    L = [J.ad_matrix(b) for b in basis]  # left multiplications
-
-    lcomm = {}
-    for i in range(n):
-        for j in range(i, n):
-            sign = MINUS_ONE if (J.parity[i] * J.parity[j]) % 2 else ONE
-            comm = L[i] * L[j] - (L[j] * L[i]).scale(sign)
-            cij = dcoords(comm)
-            lcomm[(i, j)] = cij
-            if i != j:
-                lcomm[(j, i)] = tuple(-(sign * c) for c in cij)
+    # [L_x, L_y] of the left multiplications, in the derivation basis
+    L = [J.ad_matrix(J.basis_vec(i)) for i in range(n)]
+    lcomm = _commutator_table(L, J.parity, dcoords)
 
     QB = build_quaternions()
-    Qa = QB.algebra
+    qbr = _quaternion_brackets(QB.algebra)
     ngram = QB.extras["norm_gram"]
-    qvecs = [Qa.basis_vec(k) for k in range(4)]
-    qcomm = {}
-    for a in range(1, 4):
-        for b in range(1, 4):
-            comm = tuple(
-                x - y
-                for x, y in zip(
-                    Qa.multiply(qvecs[a], qvecs[b]), Qa.multiply(qvecs[b], qvecs[a])
-                )
-            )
-            if not comm[0].is_zero():
-                raise AlgebraError("quaternion commutator has a unit component")
-            qcomm[(a, b)] = comm
 
     qnames = ("q1", "q2", "q3")
     names = ["%s[%s]" % (qn, jn) for qn in qnames for jn in J.names]
-    names += ["d%d" % r for r in range(nder)]
-    parity = [J.parity[x] for _ in range(3) for x in range(n)]
-    parity += [p for (_, p) in ders]
+    names += ["d%d" % r for r in range(len(ders))]
+    parity = [J.parity[x] for _ in range(3) for x in range(n)] + der_parities
     off = 3 * n
 
     table = {}
     minus_two = scalar(-2)
     for a in range(3):
         for b in range(3):
-            comm = qcomm[(a + 1, b + 1)]
-            nab = ngram[a + 1, b + 1]
+            comm = qbr.get((a, b), ())
+            f = minus_two * ngram[a + 1, b + 1]
             for i in range(n):
                 for j in range(n):
-                    terms = []
                     prod = J.product_basis(i, j)
-                    for c in range(1, 4):
-                        if comm[c].is_zero():
-                            continue
-                        for (k, cf) in prod:
-                            terms.append(((c - 1) * n + k, comm[c] * cf))
-                    if not nab.is_zero():
-                        f = minus_two * nab
-                        for r, cr in enumerate(lcomm[(i, j)]):
-                            if not cr.is_zero():
-                                terms.append((off + r, f * cr))
+                    terms = [(c * n + k, cc * cf) for c, cc in comm for k, cf in prod]
+                    if not f.is_zero():
+                        terms += [(off + r, f * cr) for r, cr in lcomm.get((i, j), ())]
                     if terms:
                         table[(a * n + i, b * n + j)] = terms
-    for r, (D, dp) in enumerate(ders):
-        for a in range(3):
-            for i in range(n):
-                col = D.col(i)
-                terms = [(a * n + k, c) for k, c in enumerate(col) if not c.is_zero()]
-                if terms:
-                    table[(off + r, a * n + i)] = terms
-                    sign = MINUS_ONE if (dp * J.parity[i]) % 2 else ONE
-                    table[(a * n + i, off + r)] = [(k, -(sign * c)) for k, c in terms]
-    for r, (Dr, pr) in enumerate(ders):
-        for s, (Ds, ps) in enumerate(ders[r:], r):
-            sign = MINUS_ONE if (pr * ps) % 2 else ONE
-            comm = Dr * Ds - (Ds * Dr).scale(sign)
-            cs = dcoords(comm)
-            terms = [(off + k, c) for k, c in enumerate(cs) if not c.is_zero()]
-            if terms:
-                table[(off + r, off + s)] = terms
-                if s != r:
-                    table[(off + s, off + r)] = [(k, -(sign * c)) for k, c in terms]
+    # derivations act on each of the three copies of J
+    for (d, x), terms in _action_table(der_mats, 3, off).items():
+        table[(d, x)] = terms
+        sign = MINUS_ONE if der_parities[d - off] & parity[x] else ONE
+        table[(x, d)] = [(k, -(sign * c)) for k, c in terms]
+    table.update(_commutator_table(der_mats, der_parities, dcoords, shift=off))
 
     alg = SuperAlgebra(names, parity, table)
     extras = {
@@ -664,21 +662,13 @@ def verify_tkk_iso_lemma(tkkb=None):
 
     dom = []
     images = []
-    Qalg = QB.algebra
+    qbr = _quaternion_brackets(QB.algebra)
     for a in range(3):
         dom.append(tensor_vec(a, E2))
-        cols = []
+        cols = [[ZERO] * 7 for _ in range(7)]
         for b in range(3):
-            comm = tuple(
-                x - y
-                for x, y in zip(
-                    Qalg.multiply(Qalg.basis_vec(a + 1), Qalg.basis_vec(b + 1)),
-                    Qalg.multiply(Qalg.basis_vec(b + 1), Qalg.basis_vec(a + 1)),
-                )
-            )
-            cols.append(comm[1:4] + (ZERO,) * 4)
-        for _ in range(4):
-            cols.append((ZERO,) * 7)
+            for c, v in qbr.get((a, b), ()):
+                cols[b][c] = v
         images.append(Mat.from_cols(cols, nrows=7))
     # p (x) w generators
     for a in range(3):
@@ -734,11 +724,7 @@ def verify_tkk_iso_lemma(tkkb=None):
             if coords is None:
                 raise AlgebraError("the 21-dimensional space is not closed")
             lhs = images[i] * images[j] - images[j] * images[i]
-            rhs = Mat.zeros(7, 7)
-            for k, c in enumerate(coords):
-                if not c.is_zero():
-                    rhs = rhs + images[k].scale(c)
-            if lhs != rhs:
+            if lhs != _lincomb(coords, images):
                 raise AlgebraError(
                     "bracket mismatch at generator pair (%d, %d)" % (i, j)
                 )
@@ -939,6 +925,49 @@ def _sl2_table():
     }
 
 
+def _sl2_tensor_model(group, g_names, g_table, g_degrees, w_names, w_mats, w_degrees):
+    """sl2 + g' acting on V (x) W, completed by its odd bracket.
+
+    g' has the basis ``g_names`` and the table ``g_table`` and acts on W by
+    ``w_mats``; sl2 = (E, H, F) acts on the natural module V = (u, v).  The
+    basis is E, H, F, g', then u (x) W and v (x) W.  The degrees live in the
+    free group ``group`` with the H-weight first: -2, 0, 2 on sl2, 0 followed
+    by ``g_degrees`` on g', and -1 or 1 followed by ``w_degrees`` on the odd
+    part (both lists of int tuples).  The odd bracket is the unique (up to scale) degree-0 equivariant
+    pairing that satisfies the odd Jacobi identity.
+    """
+    table0 = _sl2_table()
+    for (i, j), terms in g_table.items():
+        table0[(3 + i, 3 + j)] = [(3 + k, c) for k, c in terms]
+    g0 = SuperAlgebra(["E", "H", "F"] + list(g_names), (0,) * (3 + len(g_names)), table0)
+
+    nw = len(w_names)
+    mtab = {}
+    # sl2 on the first slot: E: v -> 2u, H: u -> -u, v -> v, F: u -> -2v
+    for c in range(nw):
+        mtab[(0, nw + c)] = [(c, scalar(2))]
+        mtab[(1, c)] = [(c, scalar(-1))]
+        mtab[(1, nw + c)] = [(nw + c, ONE)]
+        mtab[(2, c)] = [(nw + c, scalar(-2))]
+    mtab.update(_action_table(w_mats, 2, 3))
+    m_names = ["%s.%s" % (v, nm) for v in "uv" for nm in w_names]
+    action = ModuleAction(g0, m_names, mtab)
+
+    rest = (0,) * (group.free_rank - 1)
+    degrees = [group.element((h,) + rest, ()) for h in (-2, 0, 2)]
+    degrees += [group.element((0,) + d, ()) for d in g_degrees]
+    degrees += [group.element((h,) + d, ()) for h in (-1, 1) for d in w_degrees]
+    pairings = invariant_pairings(g0, action, degrees=degrees)
+    alg, _ = complete_superalgebra(g0, action, pairings)
+    extras = {
+        "g0": g0,
+        "action": action,
+        "pairing_count": len(pairings),
+        "sl2_indices": (0, 1, 2),
+    }
+    return BuiltAlgebra(alg, {group.literal(): (group, tuple(degrees))}, extras)
+
+
 def _weight_split(alg, cartans, candidates):
     """Joint eigenbasis of the adjoint of the given elements.
 
@@ -989,69 +1018,16 @@ def build_G3():
         g2_names.append(base if seen[tag] == 1 else "%s#%d" % (base, seen[tag]))
     P2 = Mat.from_cols(g2_vecs, nrows=14)
     g2w = change_basis(der_alg, P2, names=g2_names)
-    g2w_mats = []
-    for col in range(14):
-        m = Mat.zeros(8, 8)
-        for k in range(14):
-            c = P2[k, col]
-            if not c.is_zero():
-                m = m + der_mats[k].scale(c)
-        g2w_mats.append(m)
+    g2w_mats = [_lincomb(P2.col(col), der_mats) for col in range(14)]
 
-    names0 = ["E", "H", "F"] + g2_names
-    table0 = dict(_sl2_table())
-    for (i, j), terms in g2w.table.items():
-        table0[(3 + i, 3 + j)] = [(3 + k, c) for k, c in terms]
-    g0 = SuperAlgebra(names0, (0,) * 17, table0)
-
-    m_names = ["u.%s" % nm for nm in cz["names"]] + ["v.%s" % nm for nm in cz["names"]]
-    mtab = {}
-    # sl2 on the first slot: E: v -> 2u, H: u -> -u, v -> v, F: u -> -2v
-    for c in range(7):
-        mtab[(0, 7 + c)] = [(c, scalar(2))]
-        mtab[(1, c)] = [(c, scalar(-1))]
-        mtab[(1, 7 + c)] = [(7 + c, ONE)]
-        mtab[(2, c)] = [(7 + c, scalar(-2))]
-    restrict = cz["restrict"]
-    g2_res = [restrict(m) for m in g2w_mats]
-    for r in range(14):
-        D7 = g2_res[r]
-        for c in range(7):
-            col = D7.col(c)
-            for slot in range(2):
-                terms = [
-                    (slot * 7 + k, v) for k, v in enumerate(col) if not v.is_zero()
-                ]
-                if terms:
-                    mtab[(3 + r, slot * 7 + c)] = terms
-    action = ModuleAction(g0, m_names, mtab)
-
-    czw = cz["weights"]
-    group = GradingGroup(3)
-    degrees = [group.element((-2, 0, 0), ()), group.zero(), group.element((2, 0, 0), ())]
-    degrees += [group.element((0,) + t, ()) for t in g2_tags]
-    for slot in range(2):
-        hw = -1 if slot == 0 else 1
-        for c in range(7):
-            degrees.append(group.element((hw,) + czw[c], ()))
-
-    pairings = invariant_pairings(g0, action, degrees=degrees)
-    alg, coeffs = complete_superalgebra(g0, action, pairings)
-
-    extras = {
-        "cayley": C,
-        "weight_basis": wb,
-        "zero_part": cz,
-        "g0": g0,
-        "action": action,
-        "pairing_count": len(pairings),
-        "coefficients": coeffs,
-        "g2_matrices": g2w_mats,
-        "g2_tags": g2_tags,
-        "sl2_indices": (0, 1, 2),
-        "g2_indices": tuple(range(3, 17)),
-    }
-    return BuiltAlgebra(alg, {group.literal(): (group, tuple(degrees))}, extras)
+    built = _sl2_tensor_model(
+        GradingGroup(3), g2_names, g2w.table, g2_tags,
+        cz["names"], [cz["restrict"](m) for m in g2w_mats], cz["weights"],
+    )
+    built.extras.update(
+        {"cayley": C, "weight_basis": wb, "zero_part": cz, "g2_matrices": g2w_mats}
+    )
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -1114,85 +1090,29 @@ def _build_f4_cayley():
         rho = (lw * lwp - lwp * lw).scale(HALF)
         rho_wb.append(Pinv * rho * P)
 
-    names0 = ["E", "H", "F"] + so7_names
-    table0 = dict(_sl2_table())
-    for i in range(21):
-        for j in range(i + 1, 21):
-            comm = so7_mats[i] * so7_mats[j] - so7_mats[j] * so7_mats[i]
-            cs = so7_coords(comm)
-            terms = [(3 + k, c) for k, c in enumerate(cs) if not c.is_zero()]
-            if terms:
-                table0[(3 + i, 3 + j)] = terms
-                table0[(3 + j, 3 + i)] = [(k, -c) for k, c in terms]
-    g0 = SuperAlgebra(names0, (0,) * 24, table0)
-
-    m_names = ["u.%s" % nm for nm in wb["names"]] + ["v.%s" % nm for nm in wb["names"]]
-    mtab = {}
-    for c in range(8):
-        mtab[(0, 8 + c)] = [(c, scalar(2))]
-        mtab[(1, c)] = [(c, scalar(-1))]
-        mtab[(1, 8 + c)] = [(8 + c, ONE)]
-        mtab[(2, c)] = [(8 + c, scalar(-2))]
-    for t in range(21):
-        R = rho_wb[t]
-        for c in range(8):
-            col = R.col(c)
-            for slot in range(2):
-                terms = [
-                    (slot * 8 + k, v) for k, v in enumerate(col) if not v.is_zero()
-                ]
-                if terms:
-                    mtab[(3 + t, slot * 8 + c)] = terms
-    action = ModuleAction(g0, m_names, mtab)
-
     # Cartan c_k = -1/4 M_{x_k, y_k}; spin weights read off the diagonal
-    cartan_pairs = [pairs.index((0, 4)), pairs.index((1, 5)), pairs.index((2, 6))]
     quarter = scalar(Fraction(-1, 4))
-    spin_diag = []
-    for k in range(3):
-        rho_c = rho_wb[cartan_pairs[k]].scale(quarter)
-        diag = []
-        for a in range(8):
-            for b in range(8):
-                if a != b and not rho_c[a, b].is_zero():
-                    raise AlgebraError("Cartan spin action is not diagonal")
-            diag.append(rho_c[a, a])
-        spin_diag.append(diag)
+    cartans = [rho_wb[pairs.index(p)].scale(quarter) for p in ((0, 4), (1, 5), (2, 6))]
+    for rho_c in cartans:
+        if rho_c != diag([rho_c[a, a] for a in range(8)]):
+            raise AlgebraError("Cartan spin action is not diagonal")
+    spin_wt = [tuple(_int_of(2 * rho_c[c, c]) for rho_c in cartans) for c in range(8)]
 
-    group = GradingGroup(4)
-    degrees = [
-        group.element((-2, 0, 0, 0), ()),
-        group.zero(),
-        group.element((2, 0, 0, 0), ()),
-    ]
-    for w in so7_wt:
-        degrees.append(group.element((0, 2 * w[0], 2 * w[1], 2 * w[2]), ()))
-    for slot in range(2):
-        hw = -1 if slot == 0 else 1
-        for c in range(8):
-            dd = tuple(_int_of(2 * spin_diag[k][c]) for k in range(3))
-            degrees.append(group.element((hw,) + dd, ()))
-
-    pairings = invariant_pairings(g0, action, degrees=degrees)
-    alg, coeffs = complete_superalgebra(g0, action, pairings)
-
-    extras = {
-        "cayley": C,
-        "weight_basis": wb,
-        "zero_part": cz,
-        "g0": g0,
-        "action": action,
-        "pairing_count": len(pairings),
-        "coefficients": coeffs,
-        "so7_pairs": pairs,
-        "so7_mats": so7_mats,
-        "so7_coords": so7_coords,
-        "rho": rho_wb,
-        "spin_diag": spin_diag,
-        "sl2_indices": (0, 1, 2),
-        "so7_indices": tuple(range(3, 24)),
-    }
-    return BuiltAlgebra(alg, {group.literal(): (group, tuple(degrees))}, extras)
+    built = _sl2_tensor_model(
+        GradingGroup(4), so7_names, _commutator_table(so7_mats, (0,) * 21, so7_coords),
+        [tuple(2 * x for x in w) for w in so7_wt], wb["names"], rho_wb, spin_wt,
+    )
+    built.extras.update(
+        {
+            "cayley": C,
+            "weight_basis": wb,
+            "zero_part": cz,
+            "so7_mats": so7_mats,
+            "so7_coords": so7_coords,
+            "rho": rho_wb,
+        }
+    )
+    return built
 
 
 def _lift_left(D, parity):
@@ -1262,11 +1182,7 @@ def _build_f4_tkk():
         for tag, vecs in blocks:
             wt = _int_of(tag[0])
             for v in vecs:
-                m = Mat.zeros(3, 3)
-                for k, c in enumerate(v):
-                    if not c.is_zero():
-                        m = m + mats[k].scale(c)
-                out.append((wt, m))
+                out.append((wt, _lincomb(v, mats)))
         return out
 
     evens_w = adapt(evens3, 0, (-2, 0, 2))
@@ -1351,11 +1267,9 @@ def _build_f4_tkk():
     tkkb.extras.update(
         {
             "kac": K10b,
-            "kaplansky": K3b,
             "tau_hat": tau_hat,
             "ad_q": adq,
             "zweight_total": tuple(ztot),
-            "der_zdegrees": tuple(der_z),
         }
     )
     return tkkb
@@ -1419,7 +1333,6 @@ def _cube_phi(Qa, a, b, c):
 def _build_f4_quaternion():
     QB = build_quaternions()
     Qa = QB.algebra
-    qvecs = [Qa.basis_vec(k) for k in range(4)]
     Tw = [_cube_phi(Qa, *t) for t in _W_TRIPLES]
     ident16 = Mat.identity(16)
     for k in range(7):
@@ -1437,20 +1350,9 @@ def _build_f4_quaternion():
     s_names = ["s(%d,%d)" % p for p in spairs]
     s_mats = [Tw[k - 1] * Tw[l - 1] * HALF for (k, l) in spairs]
 
-    # structure constants of the orthogonal part via monomial arithmetic
-    table0 = {}
-    qcoords = {}
-    for a in range(1, 4):
-        for b in range(1, 4):
-            comm = tuple(
-                x - y
-                for x, y in zip(
-                    Qa.multiply(qvecs[a], qvecs[b]), Qa.multiply(qvecs[b], qvecs[a])
-                )
-            )
-            terms = [(c - 1, comm[c]) for c in range(1, 4) if not comm[c].is_zero()]
-            if terms:
-                table0[(a - 1, b - 1)] = terms
+    # sl2 = q1, q2, q3 under the commutator; the orthogonal part via
+    # monomial arithmetic
+    table0 = _quaternion_brackets(Qa)
     for i, p1 in enumerate(spairs):
         for j, p2 in enumerate(spairs):
             if i == j:
@@ -1478,20 +1380,9 @@ def _build_f4_quaternion():
     m_names = [
         "m(%s,%s)" % (Qa.names[x], Qa.names[y]) for x in range(4) for y in range(4)
     ]
-    mtab = {}
-    for a in range(3):
-        act = kron(Mat.identity(4), _right_mat(Qa, a + 1)).scale(MINUS_ONE)
-        for c in range(16):
-            col = act.col(c)
-            terms = [(k, v) for k, v in enumerate(col) if not v.is_zero()]
-            if terms:
-                mtab[(a, c)] = terms
-    for i in range(21):
-        for c in range(16):
-            col = s_mats[i].col(c)
-            terms = [(k, v) for k, v in enumerate(col) if not v.is_zero()]
-            if terms:
-                mtab[(3 + i, c)] = terms
+    q_mats = [kron(Mat.identity(4), _right_mat(Qa, a)).scale(MINUS_ONE) for a in (1, 2, 3)]
+    mtab = _action_table(q_mats, 1, 0)
+    mtab.update(_action_table(s_mats, 1, 3))
     action = ModuleAction(g0, m_names, mtab)
 
     group = GradingGroup(0, (4, 2, 2, 2))
@@ -1513,21 +1404,15 @@ def _build_f4_quaternion():
             )
 
     pairings = invariant_pairings(g0, action, degrees=degs)
-    alg, coeffs = complete_superalgebra(g0, action, pairings)
+    alg, _ = complete_superalgebra(g0, action, pairings)
 
     extras = {
         "quaternions": QB,
         "g0": g0,
         "action": action,
         "pairing_count": len(pairings),
-        "coefficients": coeffs,
         "generators": Tw,
         "generator_squares": _W_SQUARES,
-        "pair_index": s_at,
-        "pair_names": s_names,
-        "m_layout": m_names,
-        "sl2_indices": (0, 1, 2),
-        "w_degrees": _W_DEGREES,
     }
     return BuiltAlgebra(alg, {group.literal(): (group, tuple(degs))}, extras)
 

@@ -13,7 +13,8 @@ columns once and then answers many coordinate queries against it.
 ``_accumulate`` is the one sparse axpy: the elimination, and through
 :mod:`~finegrading.superalg` the product kernel and the verifiers, add
 scaled sparse rows with it.  :class:`Mat` keeps dense storage but does work
-only for nonzero entries.
+only for nonzero entries; ``_lincomb`` forms a linear combination of
+matrices the same way.
 
 :func:`joint_eigenspaces` refines the ambient space under a family of
 commuting operators whose candidate eigenvalues are supplied by the caller;
@@ -252,6 +253,21 @@ def kron(A, B):
 def flatten(m):
     """The entries of ``m`` row by row, as a tuple."""
     return tuple(x for r in m.rows for x in r)
+
+
+def _lincomb(coeffs, mats):
+    """The matrix sum_k coeffs[k] * mats[k] over the nonzero coefficients;
+    ``mats`` is nonempty and of one shape."""
+    ncols = mats[0].ncols
+    acc = [[ZERO] * ncols for _ in range(mats[0].nrows)]
+    for c, m in zip(coeffs, mats):
+        if c.is_zero():
+            continue
+        for arow, mrow in zip(acc, m.rows):
+            for j, x in enumerate(mrow):
+                if not x.is_zero():
+                    arow[j] = arow[j] + c * x
+    return Mat._of(tuple(map(tuple, acc)), ncols)
 
 
 def _rows(mat):

@@ -425,6 +425,33 @@ def derivations(A, parity=0):
     return mats
 
 
+def _commutator_table(mats, parities, coords, shift=0):
+    """Table entries of the supercommutators [M_i, M_j] = M_i M_j -
+    (-1)^(|i||j|) M_j M_i, written in the coordinates ``coords(matrix)``.
+
+    Only i <= j is formed (i = j only for odd M_i, where it need not
+    vanish); the entry at (j, i) follows by super-antisymmetry.  ``shift`` is
+    added to every index, keys and terms alike.  AlgebraError names the pair
+    when ``coords`` returns None.
+    """
+    table = {}
+    for i, (Mi, pi) in enumerate(zip(mats, parities)):
+        for j in range(i if pi else i + 1, len(mats)):
+            Mj, pj = mats[j], parities[j]
+            sign = -ONE if pi & pj else ONE
+            cs = coords(Mi * Mj - (Mj * Mi).scale(sign))
+            if cs is None:
+                raise AlgebraError(
+                    "supercommutator of matrices %d and %d leaves the span" % (i, j)
+                )
+            terms = [(shift + k, c) for k, c in enumerate(cs) if not c.is_zero()]
+            if terms:
+                table[(shift + i, shift + j)] = terms
+                if i != j:
+                    table[(shift + j, shift + i)] = [(k, -(sign * c)) for k, c in terms]
+    return table
+
+
 def derivation_superalgebra(A, names=None):
     """The Lie superalgebra der(A) of all superderivations.
 
@@ -436,23 +463,9 @@ def derivation_superalgebra(A, names=None):
     odds = derivations(A, parity=1)
     mats = list(evens) + list(odds)
     parities = [0] * len(evens) + [1] * len(odds)
-    n = A.dim
     # coordinates of a matrix over the derivation basis, reduced once
-    solver = span_solver([flatten(m) for m in mats], n * n)
-
-    def coords(mat):
-        sol = solver(flatten(mat))
-        if sol is None:
-            raise AlgebraError("supercommutator left the derivation space")
-        return sol
-
-    table = {}
-    for i, (Di, pi) in enumerate(zip(mats, parities)):
-        for j, (Dj, pj) in enumerate(zip(mats, parities)):
-            comm = Di * Dj - (Dj * Di).scale(-ONE if (pi * pj) % 2 else ONE)
-            entry = [(k, c) for k, c in enumerate(coords(comm)) if not c.is_zero()]
-            if entry:
-                table[(i, j)] = entry
+    solver = span_solver([flatten(m) for m in mats], A.dim * A.dim)
+    table = _commutator_table(mats, parities, lambda m: solver(flatten(m)))
     if names is None:
         names = ["d%d" % i for i in range(len(mats))]
     der = SuperAlgebra(names, parities, table)
@@ -591,7 +604,11 @@ def invariant_pairings(g0, action, degrees=None, target=None):
     cols = {}
     for i in range(md):
         for j in range(i, md):
-            ks = [k for k in tgt if degrees is None or dm[i] + dm[j] == d0[k]]
+            if degrees is None:
+                ks = tgt
+            else:
+                d = dm[i] + dm[j]
+                ks = [k for k in tgt if d == d0[k]]
             allowed[(i, j)] = ks
             for k in ks:
                 cols[(i, j, k)] = len(cols)

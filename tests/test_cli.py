@@ -99,9 +99,12 @@ def test_theorem_check_d21a_omega_json(tmp_path):
         ["theorem-check", "g3", "--alpha", "2"],
         ["theorem-check", "d21a", "--model", "tkk"],
         ["build", "k10"],
+        ["theorem-check", "f4", "--model", "tkk"],
+        ["clifford-class", "fano.cfg", "--alpha", "1"],
     ],
     ids=["alpha-minus1", "alpha-0", "alpha-garbage", "unknown-target",
-         "alpha-for-g3", "model-for-d21a", "build-without-out"],
+         "alpha-for-g3", "model-for-d21a", "build-without-out",
+         "model-for-theorem-check", "alpha-for-clifford-class"],
 )
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as err:

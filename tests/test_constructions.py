@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from finegrading.constructions import (
+    BuiltAlgebra,
     build_An,
     build_cayley,
     build_D21,
@@ -32,6 +33,7 @@ from finegrading.superalg import (
     LinMap,
     check_homomorphism,
     check_lie_super,
+    derivation_superalgebra,
     derivations,
     dumps_algebra,
     ideal_generated_by,
@@ -63,6 +65,8 @@ STRUCTURE_DIGESTS = {
     "f4_tkk": "0b56416edfd5130cc69b95ab40217b342cf47ce4ba7177adc641ece0c712fadf",
     "f4_quaternion": "0002bd6f81d9ceba73cbf504a69d5d887a7d073bcb235b678d0c9b858a8fe812",
     "d21": "40e82bdf16942923b12bc9483ba4e6ad5aba0320f21f24f3188ac758523bf7cb",
+    "tkk10": "ba2b040e962400ad756b5e474f18ddee7603750cd5c474668417457e4073400c",
+    "cayley_der": "239128c8425923c39352704845e1320a6c010ec53f695eba419af2600402e40a",
 }
 
 
@@ -96,6 +100,11 @@ def kac():
 def tkk10(kac):
     _, K10b = kac
     return checked(build_tkk(K10b.algebra))
+
+
+@pytest.fixture(scope="module")
+def cayley_der(cayley):
+    return checked(BuiltAlgebra(derivation_superalgebra(cayley.algebra)[0]))
 
 
 @pytest.fixture(scope="module")

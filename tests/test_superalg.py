@@ -1,11 +1,12 @@
 import pytest
 
 from finegrading.errors import AlgebraError
-from finegrading.linalg import Mat, inverse, rank
+from finegrading.linalg import Mat, flatten, inverse, rank, solve
 from finegrading.scalars import ONE, ZERO, scalar
 from finegrading.superalg import (
     ModuleAction,
     SuperAlgebra,
+    _commutator_table,
     change_basis,
     check_homomorphism,
     check_lie_super,
@@ -263,6 +264,23 @@ class TestDerivations:
         assert der.parity == (0, 0, 0, 1, 1)
         check_lie_super(der)
         assert len(mats) == 5
+        # every ordered pair, mirror entries and the odd diagonal included,
+        # holds the coordinates of D_i D_j - (-1)^(|i||j|) D_j D_i
+        span = Mat.from_cols([flatten(m) for m in mats])
+        for i in range(5):
+            for j in range(5):
+                sign = -1 if der.parity[i] and der.parity[j] else 1
+                comm = mats[i] * mats[j] - (mats[j] * mats[i]).scale(sign)
+                coords = solve(span, flatten(comm))
+                assert coords is not None
+                want = tuple((k, c) for k, c in enumerate(coords) if not c.is_zero())
+                assert der.table.get((i, j), ()) == want
+        assert der.table.get((3, 3)) and der.table.get((4, 4))
+
+    def test_commutator_outside_the_span_names_the_pair(self):
+        mats = [Mat([[1, 0], [0, 0]]), Mat([[0, 1], [0, 0]])]
+        with pytest.raises(AlgebraError, match="matrices 0 and 1 leaves the span"):
+            _commutator_table(mats, [0, 0], lambda m: None)
 
 
 class TestClosure:
