@@ -42,14 +42,13 @@ from .linalg import (
     inverse,
     kron,
     rank,
-    solve,
     span_solver,
     sparse_row_reduce,
     vec_add,
     vec_scale,
 )
 from .scalars import HALF, IUNIT, MINUS_ONE, ONE, ZERO, scalar
-from .superalg import LinMap, SuperAlgebra
+from .superalg import LinMap, SuperAlgebra, _dense, _keyed_kernel, _sparse, _unit
 
 __all__ = [
     "DivisionClass",
@@ -343,6 +342,8 @@ def normalize_quadratic_basis(group, degrees, gram=None):
     """
     degrees = tuple(degrees)
     n = len(degrees)
+    if n > 7:
+        raise CliffordError("dimension %d quadratic space is out of scope" % n)
     if n % 2 == 0:
         raise CliffordError("even-dimensional spaces are unsupported")
     if gram is None:
@@ -745,34 +746,6 @@ def _reduce_by_degree(rows_by_degree):
     return out, total
 
 
-def _algebra_unit(alg):
-    """The two-sided identity element."""
-    e0 = alg.basis_vec(0)
-    if all(
-        alg.product_basis(0, j) == ((j, ONE),)
-        and alg.product_basis(j, 0) == ((j, ONE),)
-        for j in range(alg.dim)
-    ):
-        return e0
-    n = alg.dim
-    cols = []
-    for i in range(n):
-        stacked = []
-        for j in range(n):
-            stacked.extend(alg.multiply(alg.basis_vec(j), alg.basis_vec(i)))
-        cols.append(tuple(stacked))
-    rhs = []
-    for j in range(n):
-        rhs.extend(alg.basis_vec(j))
-    t = solve(Mat.from_cols(cols, nrows=len(rhs)), tuple(rhs))
-    if t is None:
-        raise CliffordError("the algebra has no right identity")
-    e = tuple(t)
-    if any(alg.multiply(e, alg.basis_vec(j)) != alg.basis_vec(j) for j in range(n)):
-        raise CliffordError("the algebra has no two-sided identity")
-    return e
-
-
 def _proportional(vec, base):
     """lambda with vec = lambda * base, or None."""
     lam = None
@@ -820,7 +793,9 @@ def division_class(built, label=None):
         label = next(iter(built.gradings))
     group, degrees = built.grading(label)
     zero_deg = group.zero()
-    e = _algebra_unit(alg)
+    e = _unit(alg)
+    if e is None:
+        raise CliffordError("the algebra has no two-sided identity")
     cuts = 0
 
     while True:
@@ -1151,32 +1126,20 @@ def check_uuv_factorization(space, built=None):
 
 
 def _centralizer(alg, elems):
-    """Basis of the centralizer of the given elements."""
-    n = alg.dim
-    rows = []
-    for off, s in enumerate(elems):
-        for k in range(n):
-            rows.append((off, k))
-    sparse = []
-    for t in range(n):
-        bt = alg.basis_vec(t)
-        col = {}
-        for off, s in enumerate(elems):
-            comm = tuple(
-                x - y for x, y in zip(alg.multiply(s, bt), alg.multiply(bt, s))
-            )
-            for k, c in enumerate(comm):
-                if not c.is_zero():
-                    col[off * n + k] = c
-        sparse.append(col)
-    # transpose the columns into constraint rows
-    constraint = {}
-    for t, col in enumerate(sparse):
-        for key, c in col.items():
-            constraint.setdefault(key, {})[t] = c
-    from .linalg import sparse_kernel
+    """Basis of the centralizer of the given elements: the x with
+    [s, x] = 0 for each s, read off the table."""
+    n, tab = alg.dim, alg.table
 
-    return sparse_kernel(list(constraint.values()), n)
+    def commutator(s):
+        # the terms of [s, x] = sum_t x_t (s e_t - e_t s)
+        for i, si in _sparse(s).items():
+            for t in range(n):
+                for k, c in tab.get((i, t), ()):
+                    yield k, t, si * c
+                for k, c in tab.get((t, i), ()):
+                    yield k, t, -(si * c)
+
+    return [_dense(v, n) for v in _keyed_kernel(range(n), map(commutator, elems))]
 
 
 # ---------------------------------------------------------------------------

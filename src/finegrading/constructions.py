@@ -53,7 +53,6 @@ from .linalg import (
     joint_eigenspaces,
     kron,
     rank,
-    solve,
     span_solver,
 )
 from .scalars import ALPHA, HALF, IUNIT, MINUS_ONE, ONE, ZERO, scalar
@@ -63,6 +62,8 @@ from .superalg import (
     SuperAlgebra,
     _commutator_table,
     _dense,
+    _product,
+    _unit,
     change_basis,
     check_lie_super,
     complete_superalgebra,
@@ -515,19 +516,7 @@ def build_tkk(J, der_basis=None):
                     "input is not supercommutative at (%s, %s)"
                     % (J.names[i], J.names[j])
                 )
-    # unit: solve u . b_j = b_j for all j
-    urows = []
-    urhs = []
-    for j in range(n):
-        for k in range(n):
-            row = [ZERO] * n
-            for i in range(n):
-                for (t, c) in J.product_basis(i, j):
-                    if t == k:
-                        row[i] = row[i] + c
-            urows.append(row)
-            urhs.append(ONE if k == j else ZERO)
-    unit = solve(Mat(urows, ncols=n), urhs)
+    unit = _unit(J)
     if unit is None:
         raise AlgebraError("input algebra has no unit")
 
@@ -1247,12 +1236,12 @@ def _build_f4_tkk():
     Qa = QB.algebra
     adq = []
     for gen in (1, 2):
-        gvec = Qa.basis_vec(gen)
+        q = {gen: ONE}
         signs = []
         for a in range(3):
             # q_gen^2 = 1 for gen in (1, 2), so the inverse is q_gen itself
-            conj = Qa.multiply(Qa.multiply(gvec, Qa.basis_vec(a + 1)), gvec)
-            signs += [conj[a + 1]] * 10
+            conj = _product(Qa.table, _product(Qa.table, q, {a + 1: ONE}), q)
+            signs += [conj.get(a + 1, ZERO)] * 10
         signs += [ONE] * 10
         adq.append(LinMap(alg, alg, diag(signs)))
 

@@ -22,6 +22,16 @@ The heavy lifting lives in the verification and completion routines:
   space by solving the (linear) odd Jacobi constraints, whose solution must
   be a line.  It does not re-check the axioms: callers that need them run
   :func:`check_lie_super` on the result.
+
+Every linear condition read off a table is solved by one private routine,
+``_keyed_kernel``: it numbers keyed unknowns in the caller's order, sums the
+(output, unknown, coeff) terms of each streamed vector equation into one
+sparse row per output and returns the kernel of
+:func:`~finegrading.linalg.sparse_kernel` as {unknown: Scalar} dicts.  Its
+callers are :func:`derivations`, :func:`invariant_pairings`,
+:func:`complete_superalgebra`, ``_unit`` (the two-sided unit, used by
+``constructions.build_tkk`` and ``clifford.division_class``) and the
+centralizer in ``clifford.check_uuv_factorization``.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ import json
 
 from .errors import AlgebraError, ScalarError
 from .linalg import Mat, _accumulate, flatten, span_solver, sparse_kernel
-from .scalars import ONE, ZERO, format_scalar, parse_scalar, scalar
+from .scalars import MINUS_ONE, ONE, ZERO, format_scalar, parse_scalar, scalar
 
 __all__ = [
     "SuperAlgebra",
@@ -371,56 +381,91 @@ def is_derivation(A, D, parity=0):
     return True
 
 
+def _keyed_kernel(unknowns, equations):
+    """Kernel of a linear system in keyed unknowns, one {unknown: Scalar}
+    dict of nonzero coordinates per kernel vector.
+
+    ``unknowns`` lists the keys in column order, which fixes the kernel
+    basis: one vector per free unknown, in that order, with a 1 there.  Each
+    of the streamed ``equations`` is a vector equation, an iterable of
+    (output, unknown, coeff) terms whose sum must vanish; its terms are summed
+    into one sparse row per output for :func:`~finegrading.linalg.sparse_kernel`,
+    so memory stays proportional to the rank.
+    """
+    keys = list(unknowns)
+    col = {u: c for c, u in enumerate(keys)}
+
+    def rows():
+        for terms in equations:
+            eq = {}  # output -> {column: coeff}
+            for out, u, c in terms:
+                row = eq.setdefault(out, {})
+                j = col[u]
+                row[j] = row[j] + c if j in row else c
+            yield from eq.values()
+
+    return [
+        {keys[j]: c for j, c in enumerate(v) if not c.is_zero()}
+        for v in sparse_kernel(rows(), len(keys))
+    ]
+
+
+def _unit(A):
+    """The two-sided unit of A as a coordinate tuple, or None if A has none.
+
+    Solves u e_j = lam e_j = e_j u for all j on the table, with lam the last
+    unknown.  If A has a unit 1, then u - lam 1 kills A from both sides and
+    so vanishes (multiply by 1): the kernel is the line through (1, 1).  A
+    kernel vector with lam != 0 has lam as its free column, so lam = 1 there
+    and u is a unit.
+    """
+    n, tab = A.dim, A.table
+
+    def equation(j, left):
+        # u e_j - lam e_j (left) or e_j u - lam e_j
+        for i in range(n):
+            for k, c in tab.get((i, j) if left else (j, i), ()):
+                yield k, i, c
+        yield j, n, MINUS_ONE
+
+    equations = (equation(j, left) for j in range(n) for left in (True, False))
+    ker = _keyed_kernel(range(n + 1), equations)
+    if len(ker) != 1 or ker[0].pop(n, ZERO) != ONE:
+        return None
+    return _dense(ker[0], n)
+
+
 def derivations(A, parity=0):
     """Basis of (super-)derivations of the given parity, as matrices.
 
     D(xy) = D(x)y + (-1)^(|D||x|) x D(y); unknowns are matrix entries D[k,i]
-    with parity[k] = parity[i] + parity(D).
+    with parity[k] = parity[i] + parity(D), numbered for i ascending, then k.
+    The Leibniz rows of each pair (i, j) are read off the table.
     """
     n = A.dim
     par = A.parity
     dpar = parity % 2
-    cols = {}
-    for i in range(n):
-        for k in range(n):
-            if par[k] == (par[i] + dpar) % 2:
-                cols[(k, i)] = len(cols)
+    targets = [[k for k in range(n) if par[k] == (par[i] + dpar) % 2] for i in range(n)]
 
-    def rows():
-        for i in range(n):
-            sign = -ONE if (dpar * par[i]) % 2 else ONE
-            for j in range(n):
-                eq = {}  # k -> {col: coeff}
-                for t, c in A.table.get((i, j), ()):
-                    for k in range(n):
-                        key = (k, t)
-                        if key in cols:
-                            eq.setdefault(k, {})[cols[key]] = (
-                                eq.get(k, {}).get(cols[key], ZERO) + c
-                            )
-                for a in range(n):
-                    key = (a, i)
-                    if key not in cols:
-                        continue
-                    for k, c in A.table.get((a, j), ()):
-                        d = eq.setdefault(k, {})
-                        d[cols[key]] = d.get(cols[key], ZERO) - c
-                for b in range(n):
-                    key = (b, j)
-                    if key not in cols:
-                        continue
-                    for k, c in A.table.get((i, b), ()):
-                        d = eq.setdefault(k, {})
-                        d[cols[key]] = d.get(cols[key], ZERO) - sign * c
-                for k, row in eq.items():
-                    yield row
+    def leibniz(i, j):
+        # D(e_i e_j) - D(e_i) e_j - (-1)^(|D||e_i|) e_i D(e_j)
+        odd = (dpar * par[i]) % 2
+        for t, c in A.table.get((i, j), ()):
+            for k in targets[t]:
+                yield k, (k, t), c
+        for a in targets[i]:
+            for k, c in A.table.get((a, j), ()):
+                yield k, (a, i), -c
+        for b in targets[j]:
+            for k, c in A.table.get((i, b), ()):
+                yield k, (b, j), c if odd else -c
 
-    ker = sparse_kernel(rows(), len(cols))
+    unknowns = [(k, i) for i in range(n) for k in targets[i]]
     mats = []
-    for v in ker:
+    for v in _keyed_kernel(unknowns, (leibniz(i, j) for i in range(n) for j in range(n))):
         entries = [[ZERO] * n for _ in range(n)]
-        for (k, i), cidx in cols.items():
-            entries[k][i] = v[cidx]
+        for (k, i), c in v.items():
+            entries[k][i] = c
         mats.append(Mat(entries, ncols=n))
     return mats
 
@@ -472,14 +517,14 @@ def derivation_superalgebra(A, names=None):
     return der, mats
 
 
-def _closure(A, vectors, gens=None):
-    """Echelon basis of the smallest span holding ``vectors`` and closed
-    under both products with ``gens`` (default: the span itself).  Rows are
-    sparse {index: Scalar} with pivot coefficient 1."""
-    basis = []
+def _closure(A, vectors, gens=None, basis=None):
+    """Echelon rows (pivot, {index: Scalar}), pivot coefficient 1, of the
+    smallest span holding ``vectors`` (sparse, reduced in place) and closed
+    under both products with ``gens`` (default: the span itself).  ``basis``,
+    the rows of such a closed span, is extended in place when given."""
+    basis = [] if basis is None else basis
 
     def insert(v):
-        # v is a fresh sparse element; it is reduced in place
         for piv, row in basis:
             f = v.get(piv)
             if f is not None:
@@ -492,7 +537,7 @@ def _closure(A, vectors, gens=None):
         basis.append((piv, v))
         return v
 
-    frontier = [v for v in (insert(_sparse(w)) for w in vectors) if v is not None]
+    frontier = [v for v in map(insert, vectors) if v is not None]
     while frontier:
         new = []
         current = [row for _, row in basis] if gens is None else gens
@@ -503,12 +548,12 @@ def _closure(A, vectors, gens=None):
                     if r is not None:
                         new.append(r)
         frontier = new
-    return [_dense(row, A.dim) for _, row in basis]
+    return basis
 
 
 def lie_closure(A, vectors):
     """Basis of the subalgebra generated by the given elements."""
-    return _closure(A, vectors)
+    return [_dense(row, A.dim) for _, row in _closure(A, map(_sparse, vectors))]
 
 
 def lie_generates(A, vectors):
@@ -517,7 +562,8 @@ def lie_generates(A, vectors):
 
 def ideal_generated_by(A, vectors):
     """Basis of the two-sided ideal generated by the given elements."""
-    return _closure(A, vectors, gens=[{i: ONE} for i in range(A.dim)])
+    gens = [{i: ONE} for i in range(A.dim)]
+    return [_dense(row, A.dim) for _, row in _closure(A, map(_sparse, vectors), gens)]
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +602,16 @@ def _check_degrees(g0, action, degrees):
 
 def _generating_indices(g0):
     """Basis indices whose Lie closure is g0, chosen greedily: an index is
-    kept when it enlarges the closure of the indices kept before it."""
-    chosen, dim = [], 0
+    kept when e_idx is not in the closure of the indices kept before it, and
+    that one closure is then grown by e_idx."""
+    chosen, basis = [], []
     for idx in range(g0.dim):
-        if dim == g0.dim:
+        if len(basis) == g0.dim:
             break
-        d = len(lie_closure(g0, [g0.basis_vec(i) for i in chosen + [idx]]))
-        if d > dim:
-            chosen, dim = chosen + [idx], d
+        before = len(basis)
+        _closure(g0, [{idx: ONE}], basis=basis)
+        if len(basis) > before:
+            chosen.append(idx)
     return chosen
 
 
@@ -601,49 +649,32 @@ def invariant_pairings(g0, action, degrees=None, target=None):
 
     # the unknowns b(u_i, u_j)_k, i <= j, with k allowed for the pair
     allowed = {}
-    cols = {}
     for i in range(md):
         for j in range(i, md):
             if degrees is None:
-                ks = tgt
+                allowed[(i, j)] = tgt
             else:
                 d = dm[i] + dm[j]
-                ks = [k for k in tgt if d == d0[k]]
-            allowed[(i, j)] = ks
-            for k in ks:
-                cols[(i, j, k)] = len(cols)
+                allowed[(i, j)] = [k for k in tgt if d == d0[k]]
 
-    def add(eq, l, cidx, v):
-        d = eq.setdefault(l, {})
-        d[cidx] = d[cidx] + v if cidx in d else v
+    def equivariance(g, i, j):
+        # [e_g, b(u_i, u_j)] - b(e_g.u_i, u_j) - b(u_i, e_g.u_j)
+        for k in allowed[(i, j)]:
+            for l, c in g0.table.get((g, k), ()):
+                yield l, (i, j, k), c
+        for p, q in ((i, j), (j, i)):
+            for a, f in action.table.get((g, p), ()):
+                pair = (a, q) if a <= q else (q, a)
+                for k in allowed[pair]:
+                    yield k, pair + (k,), -f
 
-    def rows():
-        for g in _generating_indices(g0):
-            for i in range(md):
-                for j in range(i, md):
-                    eq = {}  # l -> {col: coeff}
-                    # [e_g, b(u_i, u_j)]
-                    for k in allowed[(i, j)]:
-                        for l, c in g0.table.get((g, k), ()):
-                            add(eq, l, cols[(i, j, k)], c)
-                    # - b(e_g.u_i, u_j) - b(u_i, e_g.u_j)
-                    for p, q in ((i, j), (j, i)):
-                        for a, f in action.table.get((g, p), ()):
-                            pair = (a, q) if a <= q else (q, a)
-                            for k in allowed[pair]:
-                                add(eq, k, cols[pair + (k,)], -f)
-                    yield from eq.values()
-
-    ker = sparse_kernel(rows(), len(cols))
+    unknowns = [ij + (k,) for ij, ks in allowed.items() for k in ks]
+    equations = (equivariance(g, *ij) for g in _generating_indices(g0) for ij in allowed)
     out = []
-    for v in ker:
+    for v in _keyed_kernel(unknowns, equations):
         pairing = {}
-        for (i, j, k), cidx in cols.items():
-            c = v[cidx]
-            if c.is_zero():
-                continue
-            vec = pairing.setdefault((i, j), [ZERO] * n0)
-            vec[k] = c
+        for (i, j, k), c in v.items():
+            pairing.setdefault((i, j), [ZERO] * n0)[k] = c
         out.append({ij: tuple(vec) for ij, vec in pairing.items()})
     return out
 
@@ -670,26 +701,17 @@ def complete_superalgebra(g0, action, pairings):
         {ij: tuple(_sparse(vec).items()) for ij, vec in b.items()} for b in pairings
     ]
 
-    def jac_terms(t, i, j, k):
-        # b(j, k).e_i + b(k, i).e_j + b(i, j).e_k, read off the action table
-        b = sparse_pairings[t]
-        out = {}
-        for p, q, m in ((j, k, i), (k, i, j), (i, j, k)):
-            for l, c in b.get((p, q) if p <= q else (q, p), ()):
-                _accumulate(out, c, action.table.get((l, m), ()))
-        return out
+    def jacobi(i, j, k):
+        # b_t(u_j, u_k).u_i + b_t(u_k, u_i).u_j + b_t(u_i, u_j).u_k for each
+        # t, read off the action table
+        for t, b in enumerate(sparse_pairings):
+            for p, q, m in ((j, k, i), (k, i, j), (i, j, k)):
+                for l, c in b.get((p, q) if p <= q else (q, p), ()):
+                    for o, f in action.table.get((l, m), ()):
+                        yield o, t, c * f
 
-    def rows():
-        for i in range(md):
-            for j in range(i, md):
-                for k in range(j, md):
-                    per_t = [jac_terms(t, i, j, k) for t in range(npair)]
-                    for l in range(md):
-                        row = {t: p[l] for t, p in enumerate(per_t) if l in p}
-                        if row:
-                            yield row
-
-    ker = sparse_kernel(rows(), npair)
+    triples = ((i, j, k) for i in range(md) for j in range(i, md) for k in range(j, md))
+    ker = _keyed_kernel(range(npair), (jacobi(*ijk) for ijk in triples))
     if not ker:
         raise AlgebraError("no Jacobi-compatible bracket in the pairing span")
     if len(ker) > 1:
@@ -697,8 +719,8 @@ def complete_superalgebra(g0, action, pairings):
             "Jacobi solution space has dimension %d; the bracket is not unique "
             "up to scale" % len(ker)
         )
-    inv = next(c for c in ker[0] if not c.is_zero()).inverse()
-    coeffs = tuple(inv * c for c in ker[0])
+    inv = ker[0][min(ker[0])].inverse()
+    coeffs = tuple(inv * ker[0].get(t, ZERO) for t in range(npair))
 
     # assemble the full table
     names = list(g0.names) + list(action.module_names)

@@ -189,6 +189,13 @@ def test_clifford_class_even_dimension_is_error(tmp_path, capsys):
     assert "ERROR" in out
 
 
+def test_clifford_class_nine_lines_is_error(tmp_path, capsys):
+    cfg = tmp_path / "nine.cfg"
+    cfg.write_text("Z_2\n" + "([];[0])\n" * 9)
+    assert main(["clifford-class", str(cfg)]) == 1
+    assert "dimension 9 quadratic space is out of scope" in capsys.readouterr().out
+
+
 def test_grading_report_d21a(capsys):
     assert main(["grading-report", "d21a"]) == 0
     out = capsys.readouterr().out

@@ -37,6 +37,7 @@ from finegrading.constructions import (
 from finegrading.errors import CliffordError
 from finegrading.linalg import Mat, vec_scale
 from finegrading.scalars import ALPHA, IUNIT, OMEGA, ONE, ZERO, scalar
+from finegrading.superalg import SuperAlgebra
 
 # ---------------------------------------------------------------------------
 # the ten reference configurations
@@ -406,6 +407,14 @@ def test_normalize_rejects():
         )
 
 
+def test_normalize_rejects_dimension_over_seven_up_front():
+    # nine degree-0 lines: odd, compatible and nondegenerate, so only the
+    # dimension bound of clifford_algebra stops them
+    G = z2n(1)
+    with pytest.raises(CliffordError, match="dimension 9 quadratic space is out of scope"):
+        normalize_quadratic_basis(G, [G.element((), (0,))] * 9)
+
+
 def test_normalize_fixes_normal_input():
     sp = space_of(CONFIGS[4])  # Z_2^6 units, already normal
     assert sp.m == 0 and sp.l == 3
@@ -505,6 +514,14 @@ def test_division_class_label_handling():
     with pytest.raises(CliffordError):
         division_class(built)
     assert division_class(built, label) == "F"
+
+
+def test_division_class_needs_a_unit():
+    G = z2n(1)
+    nil = SuperAlgebra(["u", "v"], [0, 0], {(0, 0): [(1, 1)]})
+    built = BuiltAlgebra(nil, {"Z_2": (G, (G.element((), (0,)),) * 2)})
+    with pytest.raises(CliffordError, match="no two-sided identity"):
+        division_class(built)
 
 
 def test_dim7_table_needs_dim7():

@@ -31,6 +31,7 @@ from finegrading.linalg import Mat, rank
 from finegrading.scalars import HALF, IUNIT, OMEGA, ONE, ZERO, scalar
 from finegrading.superalg import (
     LinMap,
+    _generating_indices,
     check_homomorphism,
     check_lie_super,
     derivation_superalgebra,
@@ -39,6 +40,7 @@ from finegrading.superalg import (
     ideal_generated_by,
     invariant_pairings,
     is_homomorphism,
+    lie_closure,
 )
 
 # ---------------------------------------------------------------------------
@@ -738,3 +740,21 @@ def test_structure_constants_are_pinned(fixture, request):
     built = request.getfixturevalue(fixture)
     digest = hashlib.sha256(dumps_algebra(built.algebra).encode()).hexdigest()
     assert digest == STRUCTURE_DIGESTS[fixture]
+
+
+@pytest.mark.parametrize(
+    "fixture, count", [("g3", 13), ("f4_cayley", 15), ("f4_quaternion", 8)]
+)
+def test_generating_indices_match_the_from_scratch_closures(fixture, count, request):
+    # oracle: keep idx when the closure of the kept indices plus idx, each
+    # computed from scratch, is larger than the closure without it
+    g0 = request.getfixturevalue(fixture).extras["g0"]
+    chosen, dim = [], 0
+    for idx in range(g0.dim):
+        if dim == g0.dim:
+            break
+        d = len(lie_closure(g0, [g0.basis_vec(i) for i in chosen + [idx]]))
+        if d > dim:
+            chosen, dim = chosen + [idx], d
+    assert _generating_indices(g0) == chosen
+    assert len(chosen) == count

@@ -1,12 +1,17 @@
+import random
+
 import pytest
 
+from finegrading.constructions import build_quaternions
 from finegrading.errors import AlgebraError
-from finegrading.linalg import Mat, flatten, inverse, rank, solve
-from finegrading.scalars import ONE, ZERO, scalar
+from finegrading.linalg import Mat, flatten, inverse, kernel, rank, solve
+from finegrading.scalars import HALF, ONE, ZERO, scalar
 from finegrading.superalg import (
     ModuleAction,
     SuperAlgebra,
     _commutator_table,
+    _keyed_kernel,
+    _unit,
     change_basis,
     check_homomorphism,
     check_lie_super,
@@ -400,6 +405,69 @@ class TestPairingsAndCompletion:
         pairings = [{(0, 0): (ONE,)}] * 2
         with pytest.raises(AlgebraError, match="g0 must be purely even"):
             complete_superalgebra(g, act, pairings)
+
+
+def dense_kernel(unknowns, equations):
+    """Oracle for _keyed_kernel: one dense row per (equation, output), in
+    the column order of ``unknowns``, solved by linalg.kernel."""
+    col = {u: c for c, u in enumerate(unknowns)}
+    rows = []
+    for terms in equations:
+        by_output = {}
+        for out, u, c in terms:
+            row = by_output.setdefault(out, [ZERO] * len(unknowns))
+            row[col[u]] = row[col[u]] + scalar(c)
+        rows.extend(by_output.values())
+    return [
+        {unknowns[j]: c for j, c in enumerate(v) if not c.is_zero()}
+        for v in kernel(Mat(rows, ncols=len(unknowns)))
+    ]
+
+
+class TestKeyedKernel:
+    def test_idle_unknown_and_cancelling_term(self):
+        unknowns = ["x", "y", "idle", "z", "w"]
+        equations = [
+            # x enters output "a" twice and cancels there
+            [("a", "x", 1), ("a", "y", 2), ("b", "z", 1), ("a", "x", -1), ("b", "w", -3),
+             ("a", "w", -2)],
+            [("a", "y", 1), ("a", "w", -1)],
+        ]
+        equations = [[(out, u, scalar(c)) for out, u, c in eq] for eq in equations]
+        ker = _keyed_kernel(unknowns, (iter(eq) for eq in equations))
+        assert ker == dense_kernel(unknowns, equations)
+        # x and idle are free and appear in no surviving row; w is the third
+        # free column, with y = w and z = 3w
+        assert ker == [{"x": ONE}, {"idle": ONE}, {"y": ONE, "z": scalar(3), "w": ONE}]
+
+    def test_matches_the_dense_kernel_on_random_systems(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            unknowns = [(rng.randrange(5), t) for t in range(rng.randrange(1, 9))]
+            equations = [
+                [
+                    (rng.randrange(3), rng.choice(unknowns), scalar(rng.randrange(-2, 3)))
+                    for _ in range(rng.randrange(6))
+                ]
+                for _ in range(rng.randrange(5))
+            ]
+            assert _keyed_kernel(unknowns, equations) == dense_kernel(unknowns, equations)
+
+    def test_unit_of_permuted_quaternions(self):
+        Q = build_quaternions().algebra
+        # new basis q1, q2, 2*1, q3: the unit is (1/2) b2, not b0
+        P = Mat.from_cols(
+            [Q.basis_vec("q1"), Q.basis_vec("q2"), Q.element({"1": 2}), Q.basis_vec("q3")]
+        )
+        A = change_basis(Q, P)
+        assert _unit(A) == (ZERO, ZERO, HALF, ZERO)
+        assert _unit(Q) == Q.basis_vec("1")
+
+    def test_no_unit(self):
+        assert _unit(sl2()) is None
+        # e is a left identity only: e x = x, but f e = 0
+        left = SuperAlgebra(["e", "f"], [0, 0], {(0, 0): [(0, 1)], (0, 1): [(1, 1)]})
+        assert _unit(left) is None
 
 
 class TestBasisAndSerialization:
