@@ -108,18 +108,16 @@ class Q83K:
         self.index = {g: k for k, g in enumerate(elems)}
         self.identity = self.index[(0, 0, 0, 0)]
         n = len(elems)
-        mul = []
-        for g in elems:
-            row = []
-            for h in elems:
-                c1, t1 = q8_mul((g[0], 0), (h[0], 0))
-                c2, t2 = q8_mul((g[1], 0), (h[1], 0))
-                c3, t3 = q8_mul((g[2], 0), (h[2], 0))
-                row.append(
-                    self.index[(c1, c2, c3, g[3] ^ h[3] ^ t1 ^ t2 ^ t3)]
-                )
-            mul.append(tuple(row))
-        self.mul = tuple(mul)
+        # the axis and sign products of the three slots, read off the Q_8 table
+        index, ax, sg = self.index, _QAX, _QSG
+        self.mul = tuple(
+            tuple(
+                index[(ax[a1][b1], ax[a2][b2], ax[a3][b3],
+                       s ^ t ^ sg[a1][b1] ^ sg[a2][b2] ^ sg[a3][b3])]
+                for b1, b2, b3, t in elems
+            )
+            for a1, a2, a3, s in elems
+        )
         comm = []
         for g in range(n):
             mask = 0

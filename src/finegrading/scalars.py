@@ -15,10 +15,16 @@ field, represented exactly:
   coefficients.  The canonical form has monic denominator and coprime
   numerator/denominator, so again ``==`` on the stored data is field equality.
 
-Fast path: a canonical constant has a one-term ``num`` and ``den == (1,)``, and a
-``Cyc`` with ``d == 1`` is reduced.  So ``+ - *`` of two constants is one ``Cyc``
-operation (gcd only when ``d != 1``) giving the canonical result directly, a zero
-operand returns the other, and only functions of ``a`` take the polynomial path.
+Fast path: a canonical constant has a one-term ``num == (c,)`` and ``den == (1,)``.
+``*``, ``+`` (so ``-``), unary ``-`` and ``inverse`` of constants read a table:
+one module-level ``lru_cache(maxsize=4096)`` per operation, keyed by the
+coordinates ``(c.n, c.d)`` of each operand, whose entries are canonical
+``Scalar`` results.  The tables are exact: a ``Cyc`` is gcd-reduced with
+``d > 0``, so equal keys are equal values, and a ``Scalar`` is immutable, so
+every caller may share one result.  A miss runs the ``Cyc`` operation once; the
+bound only evicts.  A zero operand of ``+`` returns the other and a zero
+operand of ``*`` returns zero without a lookup.  Only functions of ``a`` take
+the polynomial path.
 
 The text grammar accepted by :func:`parse_scalar` and produced by
 ``str(Scalar)`` uses integers, ``/`` for rationals, ``z``, ``a``, the
@@ -420,8 +426,8 @@ class Scalar:
         if not p:
             return other
         if len(p) == 1 and len(q) == 1 and len(self.den) == 1 and len(other.den) == 1:
-            c = p[0] + q[0]
-            return ZERO if c.n == _N_ZERO else _canonical((c,), _P_ONE)
+            a, b = p[0], q[0]
+            return _constant_add(a.n, a.d, b.n, b.d)
         if self.den == _P_ONE and other.den == _P_ONE:
             return Scalar(_p_add(self.num, other.num), _P_ONE)
         return Scalar(
@@ -434,7 +440,8 @@ class Scalar:
     def __neg__(self):
         p = self.num
         if len(p) == 1 and len(self.den) == 1:
-            return _canonical((-p[0],), _P_ONE)
+            a = p[0]
+            return _constant_neg(a.n, a.d)
         return _canonical(_p_neg(p), self.den)
 
     def __sub__(self, other):
@@ -456,15 +463,20 @@ class Scalar:
         if not p or not q:
             return ZERO
         if len(p) == 1 and len(q) == 1 and len(self.den) == 1 and len(other.den) == 1:
-            return _canonical((p[0] * q[0],), _P_ONE)
+            a, b = p[0], q[0]
+            return _constant_mul(a.n, a.d, b.n, b.d)
         return Scalar(_p_mul(self.num, other.num), _p_mul(self.den, other.den))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
+        p = self.num
+        if not p:
             raise ScalarError("division by zero in Q(zeta)(a)")
-        return Scalar(self.den, self.num)
+        if len(p) == 1 and len(self.den) == 1:
+            a = p[0]
+            return _constant_inverse(a.n, a.d)
+        return Scalar(self.den, p)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -533,6 +545,31 @@ def _canonical(num, den):
     _set_den(s, den)
     _set_scalar_hash(s, None)
     return s
+
+
+# The constant tables of the module docstring: canonical operand coordinates
+# to the canonical Scalar result; a miss runs the ``Cyc`` operation.
+
+
+@lru_cache(maxsize=4096)
+def _constant_mul(an, ad, bn, bd):
+    return _canonical((_cyc(an, ad) * _cyc(bn, bd),), _P_ONE)
+
+
+@lru_cache(maxsize=4096)
+def _constant_add(an, ad, bn, bd):
+    c = _cyc(an, ad) + _cyc(bn, bd)
+    return ZERO if c.n == _N_ZERO else _canonical((c,), _P_ONE)
+
+
+@lru_cache(maxsize=4096)
+def _constant_neg(n, d):
+    return _canonical((-_cyc(n, d),), _P_ONE)
+
+
+@lru_cache(maxsize=4096)
+def _constant_inverse(n, d):
+    return _canonical((_cyc(n, d).inverse(),), _P_ONE)
 
 
 ZERO = _canonical(_P_ZERO, _P_ONE)

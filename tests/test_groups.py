@@ -47,6 +47,21 @@ def test_group_order_and_center():
     assert G.coset(((0, 1), (0, 1), (0, 0))) == G.identity
 
 
+def test_multiplication_table_matches_q8_mul():
+    # the table as the product of the three slots through q8_mul
+    G = Q83K()
+    expected = []
+    for g in G.elements:
+        row = []
+        for h in G.elements:
+            (c1, t1), (c2, t2), (c3, t3) = (
+                q8_mul((g[m], 0), (h[m], 0)) for m in range(3)
+            )
+            row.append(G.index[(c1, c2, c3, g[3] ^ h[3] ^ t1 ^ t2 ^ t3)])
+        expected.append(tuple(row))
+    assert G.mul == tuple(expected)
+
+
 def test_coset_folding():
     G = Q83K()
     # flipping two signs is a K-operation and fixes the class

@@ -3,6 +3,8 @@
 Field laws for the cyclotomic constants ``Cyc``, for constant ``Scalar``s and
 for rational functions in ``a`` whose numerator and denominator have degree at
 most 2, plus the text round trip ``parse_scalar(format_scalar(x)) == x``.
+The constant tables of ``Scalar`` are checked against ``Cyc`` arithmetic done
+directly, past their bound, and beside the polynomial path of ``a``.
 The runs are derandomized, so every run checks the same examples.
 """
 
@@ -11,9 +13,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from finegrading import scalars  # noqa: E402
+from finegrading.errors import ScalarError  # noqa: E402
 from finegrading.scalars import (  # noqa: E402
+    ALPHA,
+    CYC_MINUS_ONE,
+    CYC_OMEGA,
     CYC_ONE,
     CYC_ZERO,
+    CYC_ZETA,
     ONE,
     ZERO,
     Cyc,
@@ -40,6 +48,12 @@ functions = st.builds(
     ),
 )
 elements = st.one_of(constants, functions)
+# 0, +-1, non-unit denominators and non-rational elements, besides random ones
+special_cycs = st.sampled_from(
+    [CYC_ZERO, CYC_ONE, CYC_MINUS_ONE, Cyc((1, 0, 0, 0), 2), Cyc((-3, 0, 0, 0), 4),
+     CYC_ZETA, CYC_OMEGA, Cyc((1, 0, 0, 1), 2), Cyc((0, 2, 0, -1), 3)]
+)
+table_cycs = st.one_of(special_cycs, cycs)
 
 
 @fixed
@@ -99,3 +113,40 @@ def test_scalar_field_laws(values):
 def test_format_parse_round_trip(x):
     text = format_scalar(x)
     assert parse_scalar(text) == x, text
+
+
+@fixed
+@given(table_cycs, table_cycs)
+def test_constant_tables_match_cyc_arithmetic(x, y):
+    sx, sy = Scalar.from_cyc(x), Scalar.from_cyc(y)
+    assert sx * sy == Scalar.from_cyc(x * y)
+    assert sx + sy == Scalar.from_cyc(x + y)
+    assert sx - sy == Scalar.from_cyc(x - y)
+    assert -sx == Scalar.from_cyc(-x)
+    if x.is_zero():
+        with pytest.raises(ScalarError):
+            sx.inverse()
+    else:
+        assert sx.inverse() == Scalar.from_cyc(x.inverse())
+
+
+def test_constant_product_table_past_its_bound():
+    bound = scalars._constant_mul.cache_info().maxsize
+    xs = [Cyc((k, 1, 0, 0), 1 + k % 3) for k in range(-40, 40)]
+    ys = [Cyc((1, 0, k, 0), 1 + k % 5) for k in range(1, 61)]
+    assert len(xs) * len(ys) > bound
+    for _ in range(2):  # the second pass meets evicted keys again
+        for x in xs:
+            for y in ys:
+                assert Scalar.from_cyc(x) * Scalar.from_cyc(y) == Scalar.from_cyc(x * y)
+    assert scalars._constant_mul.cache_info().currsize <= bound
+
+
+@fixed
+@given(table_cycs, functions)
+def test_constant_times_function_of_a(x, f):
+    c = Scalar.from_cyc(x)
+    expected = Scalar(tuple(x * n for n in f.num), f.den)
+    assert c * f == expected
+    assert f * c == expected
+    assert c * ALPHA == Scalar((CYC_ZERO, x))
