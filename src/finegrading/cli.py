@@ -153,15 +153,16 @@ def _theorem_records(target, alpha):
         recs.append(_dict_record(
             "groups-q8cubed-mod-k", "135 maximal abelian subgroups, all "
             "Z_2^2 x Z_4, 3 orbits", maximal_abelian_Q83K()))
+        torus = maximal_abelian_FxQ82K()
         recs.append(_dict_record(
             "groups-f2-lemma-blocks2", "two exclusive families",
-            f2_subspace_cases(2)))
+            torus["cases"]))
         recs.append(_dict_record(
             "groups-f2-lemma-blocks3", "three exclusive maximal families",
             f2_subspace_cases(3)))
         recs.append(_dict_record(
             "groups-torus-q8sq-mod-k", "two families of maximal abelian "
-            "subgroups", maximal_abelian_FxQ82K()))
+            "subgroups", torus))
     elif target == "g3":
         recs.append(_axiom_record("axioms-g3", build_G3(), 31, 17, 14))
     else:

@@ -19,17 +19,27 @@ multiplication identifying the even Clifford algebra of the split octonions
 (trace-zero part, negated norm) with all 8x8 matrices, and the quaternion
 cube acting on a rank-4 free module by a skew-hermitian-compatible
 representation.
+
+Every product is read off a structure table: ``superalg._product`` on sparse
+elements {index: Scalar}, or a single-term lookup where each product of two
+basis vectors is one signed basis vector (the split quaternions).  Dense
+coordinate tuples appear only where a value is handed out (extras, report
+values, ``DivisionClass.info``) or handed to ``linalg``.  The full Clifford
+table is written by ``constructions._straighten``, and one bilinear-form
+evaluation ``_form`` serves the normalization and the octonion model.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from math import isqrt
 
 from .constructions import (
     BuiltAlgebra,
     _cube_phi,
     _right_mat,
+    _straighten,
     _W_TRIPLES,
     build_cayley,
     build_quaternions,
@@ -37,18 +47,26 @@ from .constructions import (
 from .errors import CliffordError, LinAlgError
 from .linalg import (
     Mat,
-    _lincomb,
+    _accumulate,
     flatten,
     inverse,
     kron,
     rank,
     span_solver,
     sparse_row_reduce,
-    vec_add,
-    vec_scale,
 )
 from .scalars import HALF, IUNIT, MINUS_ONE, ONE, ZERO, scalar
-from .superalg import LinMap, SuperAlgebra, _dense, _keyed_kernel, _sparse, _unit
+from .superalg import (
+    LinMap,
+    SuperAlgebra,
+    _commutator,
+    _dense,
+    _keyed_kernel,
+    _product,
+    _respects_product,
+    _sparse,
+    _unit,
+)
 
 __all__ = [
     "DivisionClass",
@@ -84,17 +102,11 @@ def scalar_sqrt(c):
         return ZERO
     mag = abs(val)
     num, den = mag.numerator, mag.denominator
-    rn, rd = _isqrt(num), _isqrt(den)
+    rn, rd = isqrt(num), isqrt(den)
     if rn * rn != num or rd * rd != den:
         raise CliffordError("%s is not a rational square up to sign" % s)
     root = scalar(Fraction(rn, rd))
     return root if val > 0 else IUNIT * root
-
-
-def _isqrt(k):
-    from math import isqrt
-
-    return isqrt(k)
 
 
 def _as_fraction(x):
@@ -110,37 +122,6 @@ def _as_fraction(x):
 # ---------------------------------------------------------------------------
 # Clifford algebra on a polar Gram matrix
 # ---------------------------------------------------------------------------
-
-
-def _straighten(word, polar, squares):
-    """Reduce a word in the generators to the square-free increasing basis.
-
-    Uses x_a x_b = -x_b x_a + B_ab for a > b and x_a^2 = B_aa / 2; returns
-    {sorted_word: Fraction}.
-    """
-    out = {}
-    stack = [(list(word), Fraction(1))]
-    while stack:
-        w, c = stack.pop()
-        for p in range(len(w) - 1):
-            a, b = w[p], w[p + 1]
-            if a == b:
-                if squares[a]:
-                    stack.append((w[:p] + w[p + 2 :], c * squares[a]))
-                break
-            if a > b:
-                stack.append((w[:p] + [b, a] + w[p + 2 :], -c))
-                if polar[a][b]:
-                    stack.append((w[:p] + w[p + 2 :], c * polar[a][b]))
-                break
-        else:
-            key = tuple(w)
-            tot = out.get(key, Fraction(0)) + c
-            if tot:
-                out[key] = tot
-            else:
-                out.pop(key, None)
-    return out
 
 
 def _mono_name(names, word):
@@ -304,28 +285,46 @@ def _default_gram(degrees):
     return rows
 
 
-def _gram_schmidt(vecs, bform):
-    """Orthogonal basis of the span for a nondegenerate symmetric form."""
-    rest = [tuple(v) for v in vecs]
+def _form(gram, x, y):
+    """The bilinear form with Gram matrix ``gram`` on sparse elements x, y."""
+    acc = ZERO
+    for i, xi in x.items():
+        for j, yj in y.items():
+            g = gram[i, j]
+            if not g.is_zero():
+                acc = acc + xi * g * yj
+    return acc
+
+
+def _comb(*terms):
+    """The sparse element sum f * v over the (f, v) of ``terms``."""
+    acc = {}
+    for f, v in terms:
+        _accumulate(acc, f, v.items())
+    return acc
+
+
+def _gram_schmidt(vecs, gram):
+    """Orthogonal basis of the span of sparse elements for a nondegenerate
+    symmetric form."""
+    rest = list(vecs)
     out = []
     while rest:
-        k = next((i for i, v in enumerate(rest) if not bform(v, v).is_zero()), None)
+        k = next((i for i, v in enumerate(rest) if not _form(gram, v, v).is_zero()), None)
         if k is None:
             v0 = rest[0]
             j = next(
-                (j for j in range(1, len(rest)) if not bform(v0, rest[j]).is_zero()),
+                (j for j in range(1, len(rest)) if not _form(gram, v0, rest[j]).is_zero()),
                 None,
             )
             if j is None:
                 raise CliffordError("degenerate 2-torsion component")
-            rest[0] = vec_add(v0, rest[j])
+            rest[0] = _comb((ONE, v0), (ONE, rest[j]))
             continue
         z = rest.pop(k)
-        qz = bform(z, z)
+        qz = _form(gram, z, z)
         out.append(z)
-        rest = [
-            vec_add(v, vec_scale(-(bform(z, v) * qz.inverse()), z)) for v in rest
-        ]
+        rest = [_comb((ONE, v), (-(_form(gram, z, v) * qz.inverse()), z)) for v in rest]
     return out
 
 
@@ -368,20 +367,6 @@ def normalize_quadratic_basis(group, degrees, gram=None):
     if rank(gmat) != n:
         raise CliffordError("the quadratic form is degenerate")
 
-    def bform(x, y):
-        acc = ZERO
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero() or rows[i][j].is_zero():
-                    continue
-                acc = acc + xi * rows[i][j] * yj
-        return acc
-
-    def unitvec(i):
-        return tuple(ONE if t == i else ZERO for t in range(n))
-
     comp_order = []
     comps = {}
     for i, d in enumerate(degrees):
@@ -411,11 +396,8 @@ def normalize_quadratic_basis(group, degrees, gram=None):
         )
         X = inverse(C)
         for t, a in enumerate(plus):
-            u = unitvec(a)
-            v = [ZERO] * n
-            for c, b in enumerate(minus):
-                v[b] = X[(c, t)]
-            pairs.append((u, tuple(v), g))
+            v = {b: X[c, t] for c, b in enumerate(minus) if not X[c, t].is_zero()}
+            pairs.append(({a: ONE}, v, g))
         trace.append(
             "degrees %s / %s: %d hyperbolic pair(s) by duality"
             % (g.literal(), (-g).literal(), len(plus))
@@ -425,16 +407,16 @@ def normalize_quadratic_basis(group, degrees, gram=None):
     for g in comp_order:
         if not (g + g).is_zero():
             continue
-        vecs = [unitvec(i) for i in comps[g]]
-        ortho = _gram_schmidt(vecs, bform)
+        vecs = [{i: ONE} for i in comps[g]]
+        ortho = _gram_schmidt(vecs, gmat)
         ws = []
         rescaled = 0
         for z in ortho:
-            c = bform(z, z) * HALF
+            c = _form(gmat, z, z) * HALF
             r = scalar_sqrt(c)
             if r != ONE:
                 rescaled += 1
-            ws.append(vec_scale(r.inverse(), z))
+            ws.append(_comb((r.inverse(), z)))
         note = "degree %s: %d unit vector(s)" % (g.literal(), len(ws))
         if len(vecs) > 1:
             note += ", orthogonalized"
@@ -448,9 +430,9 @@ def normalize_quadratic_basis(group, degrees, gram=None):
         while len(ws) >= 2:
             w1 = ws.pop(0)
             w2 = ws.pop(0)
-            u = vec_scale(HALF, vec_add(w1, vec_scale(IUNIT, w2)))
-            v = vec_scale(HALF, vec_add(w1, vec_scale(-IUNIT, w2)))
-            if bform(u, v) != ONE or not bform(u, u).is_zero():
+            u = _comb((HALF, w1), (HALF * IUNIT, w2))
+            v = _comb((HALF, w1), (-(HALF * IUNIT), w2))
+            if _form(gmat, u, v) != ONE or not _form(gmat, u, u).is_zero():
                 raise CliffordError("merge produced a non-hyperbolic pair")
             pairs.append((u, v, g))
             trace.append(
@@ -470,7 +452,7 @@ def normalize_quadratic_basis(group, degrees, gram=None):
 
     cols = [c for (u, v, _) in pairs for c in (u, v)]
     cols += [w for (w, _) in units]
-    P = Mat.from_cols(cols, nrows=n)
+    P = Mat.from_cols([_dense(c, n) for c in cols], nrows=n)
     space = GradedQuadraticSpace(
         group, pair_degs, unit_degs, basis=P, shift=s, trace=trace
     )
@@ -478,7 +460,7 @@ def normalize_quadratic_basis(group, degrees, gram=None):
     canon = space.gram()
     for a in range(n):
         for b in range(n):
-            if bform(P.col(a), P.col(b)) != canon[(a, b)]:
+            if _form(gmat, cols[a], cols[b]) != canon[(a, b)]:
                 raise CliffordError("normalization failed to reach the normal form")
     return space
 
@@ -494,17 +476,19 @@ def build_even_clifford(space):
     Returns a :class:`BuiltAlgebra` of dimension 2^(dim-1) with the induced
     grading.  Extras: the full Clifford algebra and its monomial words, the
     central element z = [u_1,v_1]...[u_m,v_m] w_1...w_{2l+1} with its square
-    (-1)^l, the bar anti-involution (identity on the space, reversal on
-    monomials) on both the full and even algebras, and the bracket span
-    realizing so(U, q) inside the even part.  :func:`verify_even_clifford`
-    checks these extras.
+    (-1)^l, the bar anti-involution of the full algebra, which is minus the
+    identity on the space (the Clifford conjugation) and so reverses
+    monomials up to the sign (-1)^length, and the bracket span realizing
+    so(U, q) inside the even part.  :func:`verify_even_clifford` checks these
+    extras.  Every product is read off the table of the full algebra.
     """
     n = space.dim
     full, words = clifford_algebra(space.names, space.gram())
+    tab = full.table
     even = tuple(k for k, w in enumerate(words) if len(w) % 2 == 0)
     pos = {k: t for t, k in enumerate(even)}
     table = {}
-    for (i, j), entries in full.table.items():
+    for (i, j), entries in tab.items():
         if i in pos and j in pos:
             table[(pos[i], pos[j])] = [(pos[k], c) for k, c in entries]
     alg = SuperAlgebra(
@@ -521,20 +505,15 @@ def build_even_clifford(space):
     mono_deg = tuple(full_deg[k] for k in even)
     gradings = {space.group.literal(): (space.group, mono_deg)}
 
-    gen = [full.basis_vec(1 + t) for t in range(n)]
-    z = full.basis_vec(0)
+    gen = [{1 + t: ONE} for t in range(n)]
+    z = {0: ONE}
     for i in range(space.m):
-        u, v = gen[2 * i], gen[2 * i + 1]
-        br = tuple(
-            a - b
-            for a, b in zip(full.multiply(u, v), full.multiply(v, u))
-        )
-        z = full.multiply(z, br)
+        z = _product(tab, z, _commutator(tab, gen[2 * i], gen[2 * i + 1]))
     for j in range(len(space.unit_degrees)):
-        z = full.multiply(z, gen[2 * space.m + j])
-    z2 = full.multiply(z, z)
-    zsq = z2[0]
-    if any(not c.is_zero() for c in z2[1:]):
+        z = _product(tab, z, gen[2 * space.m + j])
+    z2 = _product(tab, z, z)
+    zsq = z2.pop(0, ZERO)
+    if z2:
         raise CliffordError("z^2 is not scalar")
     want = ONE if space.l % 2 == 0 else MINUS_ONE
     if zsq != want:
@@ -542,31 +521,19 @@ def build_even_clifford(space):
 
     cols = []
     for w in words:
-        acc = full.basis_vec(0)
+        acc = {0: ONE}
         for t in reversed(w):
-            acc = full.multiply(acc, gen[t])
+            acc = _product(tab, acc, gen[t])
         if len(w) % 2:
-            acc = tuple(-c for c in acc)
-        cols.append(acc)
+            acc = {k: -c for k, c in acc.items()}
+        cols.append(_dense(acc, full.dim))
     bar = LinMap(full, full, Mat.from_cols(cols, nrows=full.dim))
-    bar_even = LinMap(
-        alg,
-        alg,
-        Mat.from_cols(
-            [tuple(cols[k][r] for r in even) for k in even], nrows=len(even)
-        ),
-    )
 
     so_pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     so_span = []
     for (i, j) in so_pairs:
-        br = tuple(
-            a - b
-            for a, b in zip(
-                full.multiply(gen[i], gen[j]), full.multiply(gen[j], gen[i])
-            )
-        )
-        so_span.append(tuple(br[k] for k in even))
+        br = _commutator(tab, gen[i], gen[j])
+        so_span.append(tuple(br.get(k, ZERO) for k in even))
 
     built = BuiltAlgebra(
         alg,
@@ -577,10 +544,9 @@ def build_even_clifford(space):
             "words": words,
             "even_indices": even,
             "full_degrees": tuple(full_deg),
-            "z": z,
+            "z": _dense(z, full.dim),
             "zsquare": zsq,
             "bar": bar,
-            "bar_even": bar_even,
             "so_pairs": so_pairs,
             "so_span": tuple(so_span),
         },
@@ -592,78 +558,54 @@ def verify_even_clifford(built):
     """Check the extras of :func:`build_even_clifford`: z is central, bar is
     a degree-preserving anti-involution, [[u, v], w] acts on the space as in
     so(U, q), and the bracket span is closed and matches those operators.
-    Returns None; raises CliffordError naming the first failure.
+    Every product is read off the tables.  Returns None; raises
+    CliffordError naming the first failure.
     """
     space = built.extras["space"]
     full = built.extras["full"]
+    tab = full.table
     n = space.dim
-    gen = [full.basis_vec(1 + t) for t in range(n)]
+    gen = [{1 + t: ONE} for t in range(n)]
     gram = space.gram()
-    z = built.extras["z"]
+    z = _sparse(built.extras["z"])
 
-    for g in gen:
-        if full.multiply(z, g) != full.multiply(g, z):
-            raise CliffordError("z is not central")
+    if any(_commutator(tab, z, g) for g in gen):
+        raise CliffordError("z is not central")
 
     bar = built.extras["bar"]
-    cols = [bar.matrix.col(k) for k in range(full.dim)]
+    cols = [_sparse(bar.matrix.col(k)) for k in range(full.dim)]
 
-    def bar_of(terms):
-        """bar of the element sum c e_t over the (t, c) of ``terms``."""
-        out = [ZERO] * full.dim
-        for t, c in terms:
-            if c.is_zero():
-                continue
-            for r, v in enumerate(cols[t]):
-                if not v.is_zero():
-                    out[r] = out[r] + c * v
-        return tuple(out)
+    def bar_of(x):
+        return _comb(*((c, cols[t]) for t, c in x.items()))
 
     full_deg = built.extras["full_degrees"]
     for k in range(full.dim):
-        if bar_of(enumerate(cols[k])) != full.basis_vec(k):
+        if bar_of(cols[k]) != {k: ONE}:
             raise CliffordError("bar is not an involution")
-        for r, c in enumerate(cols[k]):
-            if not c.is_zero() and full_deg[r] != full_deg[k]:
-                raise CliffordError("bar moves a homogeneous component")
+        if any(full_deg[r] != full_deg[k] for r in cols[k]):
+            raise CliffordError("bar moves a homogeneous component")
     for i in range(n):
-        barg = cols[1 + i]
         for k in range(full.dim):
-            lhs = bar_of(full.table.get((1 + i, k), ()))
-            rhs = full.multiply(cols[k], barg)
-            if lhs != rhs:
+            lhs = bar_of(dict(tab.get((1 + i, k), ())))
+            if lhs != _product(tab, cols[k], cols[1 + i]):
                 raise CliffordError("bar(xy) != bar(y)bar(x)")
 
     two = scalar(2)
     for i in range(n):
         for j in range(n):
-            bij = tuple(
-                a - b
-                for a, b in zip(
-                    full.multiply(gen[i], gen[j]), full.multiply(gen[j], gen[i])
-                )
-            )
+            bij = _commutator(tab, gen[i], gen[j])
             for k in range(n):
-                lhs = tuple(
-                    a - b
-                    for a, b in zip(
-                        full.multiply(bij, gen[k]), full.multiply(gen[k], bij)
-                    )
-                )
-                rhs = vec_add(
-                    vec_scale(two * gram[(j, k)], gen[i]),
-                    vec_scale(-(two * gram[(i, k)]), gen[j]),
-                )
-                if lhs != tuple(rhs):
+                want = _comb((two * gram[j, k], gen[i]), (-(two * gram[i, k]), gen[j]))
+                if _commutator(tab, bij, gen[k]) != want:
                     raise CliffordError("[[u,v],w] identity fails")
 
     # the bracket span is so(U, q): right dimension, closed under commutator,
     # and the commutators match the induced operators on U
     so_pairs = built.extras["so_pairs"]
     so_span = built.extras["so_span"]
-    dim_even = built.algebra.dim
+    alg = built.algebra
     try:
-        proj = span_solver(so_span, dim_even)
+        proj = span_solver(so_span, alg.dim)
     except LinAlgError:
         raise CliffordError("bracket span has the wrong dimension") from None
 
@@ -676,22 +618,17 @@ def verify_even_clifford(built):
             cols.append(tuple(col))
         return Mat.from_cols(cols, nrows=n)
 
-    ops = [op_of(*p) for p in so_pairs]
-    alg = built.algebra
-    for a in range(len(so_pairs)):
-        for b in range(len(so_pairs)):
-            comm = tuple(
-                x - y
-                for x, y in zip(
-                    alg.multiply(so_span[a], so_span[b]),
-                    alg.multiply(so_span[b], so_span[a]),
-                )
-            )
-            coeffs = proj(comm)
-            if coeffs is None:
-                raise CliffordError("bracket span is not closed under commutator")
-            if _lincomb(coeffs, ops) != ops[a] * ops[b] - ops[b] * ops[a]:
-                raise CliffordError("so(U,q) embedding does not match operators")
+    fail = _respects_product(
+        so_span,
+        [op_of(*p) for p in so_pairs],
+        lambda x, y: _commutator(alg.table, x, y),
+        lambda M, N: M * N - N * M,
+        proj,
+    )
+    if fail is not None:
+        if not fail[2]:
+            raise CliffordError("bracket span is not closed under commutator")
+        raise CliffordError("so(U,q) embedding does not match operators")
 
 
 # ---------------------------------------------------------------------------
@@ -724,53 +661,38 @@ class DivisionClass:
         return "DivisionClass(%s)" % self.tag
 
 
-def _reduce_by_degree(rows_by_degree):
-    """Per-degree rref; returns ({degree: [dense vecs]}, total dimension)."""
+def _reduce_by_degree(rows_by_degree, ncols):
+    """Per-degree rref of sparse rows; returns ({degree: [sparse rows by
+    pivot]}, total dimension)."""
     out = {}
     total = 0
     for d, rows in rows_by_degree.items():
-        if not rows:
-            continue
-        ncols = len(rows[0])
-        sparse = [
-            {c: v for c, v in enumerate(r) if not v.is_zero()} for r in rows
-        ]
-        red = sparse_row_reduce(sparse, ncols)
-        vecs = []
-        for p in sorted(red):
-            row = red[p]
-            vecs.append(tuple(row.get(c, ZERO) for c in range(ncols)))
-        if vecs:
-            out[d] = vecs
-            total += len(vecs)
+        red = sparse_row_reduce(rows, ncols)
+        if red:
+            out[d] = [red[p] for p in sorted(red)]
+            total += len(red)
     return out, total
 
 
 def _proportional(vec, base):
-    """lambda with vec = lambda * base, or None."""
-    lam = None
-    for a, b in zip(vec, base):
-        if b.is_zero():
-            if not a.is_zero():
-                return None
-            continue
-        r = a * b.inverse()
-        if lam is None:
-            lam = r
-        elif lam != r:
-            return None
-    return lam if lam is not None else ZERO
+    """lambda with vec = lambda * base for sparse elements, or None."""
+    if not vec:
+        return ZERO
+    if vec.keys() != base.keys():
+        return None
+    k = next(iter(base))
+    lam = vec[k] * base[k].inverse()
+    return lam if all(vec[j] == lam * c for j, c in base.items()) else None
 
 
 def _corner_components(alg, degrees, e):
-    """Degree components of the corner algebra e R e."""
+    """Degree components of the corner algebra e R e (e sparse)."""
     rows = {}
     for i in range(alg.dim):
-        w = alg.multiply(e, alg.multiply(alg.basis_vec(i), e))
-        if all(c.is_zero() for c in w):
-            continue
-        rows.setdefault(degrees[i], []).append(w)
-    return _reduce_by_degree(rows)
+        w = _product(alg.table, _product(alg.table, e, {i: ONE}), e)
+        if w:
+            rows.setdefault(degrees[i], []).append(w)
+    return _reduce_by_degree(rows, alg.dim)
 
 
 def division_class(built, label=None):
@@ -796,6 +718,8 @@ def division_class(built, label=None):
     e = _unit(alg)
     if e is None:
         raise CliffordError("the algebra has no two-sided identity")
+    e = _sparse(e)
+    tab = alg.table
     cuts = 0
 
     while True:
@@ -804,19 +728,19 @@ def division_class(built, label=None):
         if len(zero_part) <= 1:
             break
         # candidates in the degree-0 corner: basis vectors, then products
-        cands = list(zero_part)
-        for a in zero_part:
-            for b in zero_part:
-                cands.append(alg.multiply(a, b))
+        cands = chain(
+            zero_part, (_product(tab, a, b) for a in zero_part for b in zero_part)
+        )
         refined = None
         four = scalar(4)
         two = scalar(2)
         for x in cands:
             if _proportional(x, e) is not None:
                 continue
-            sq = alg.multiply(x, x)
+            sq = _product(tab, x, x)
             # x^2 = a x + b e gives p = (2x - a e)/sqrt(a^2 + 4b), p^2 = e
-            coeffs = span_solver([x, e], alg.dim)(sq)
+            solve = span_solver([_dense(x, alg.dim), _dense(e, alg.dim)], alg.dim)
+            coeffs = solve(_dense(sq, alg.dim))
             if coeffs is None:
                 continue
             a, b = coeffs
@@ -827,18 +751,16 @@ def division_class(built, label=None):
                 r = scalar_sqrt(disc)
             except CliffordError:
                 continue
-            p = vec_scale(
-                r.inverse(), vec_add(vec_scale(two, x), vec_scale(-a, e))
-            )
-            refined = vec_scale(HALF, vec_add(e, p))
+            p = _comb((r.inverse() * two, x), (-(r.inverse() * a), e))
+            refined = _comb((HALF, e), (HALF, p))
             break
         if refined is None:
             raise CliffordError(
                 "no idempotent found in the degree-0 corner (dimension %d)"
                 % len(zero_part)
             )
-        e = tuple(refined)
-        if alg.multiply(e, e) != e:
+        e = refined
+        if _product(tab, e, e) != e:
             raise CliffordError("idempotent refinement broke down")
         cuts += 1
         if cuts > 12:
@@ -854,7 +776,7 @@ def division_class(built, label=None):
         y = dcomp.get(-d)
         if y is None:
             raise CliffordError("support is not symmetric")
-        lam = _proportional(alg.multiply(x, y[0]), e)
+        lam = _proportional(_product(tab, x, y[0]), e)
         if lam is None or lam.is_zero():
             raise CliffordError(
                 "homogeneous component %s is not invertible" % d.literal()
@@ -868,7 +790,7 @@ def division_class(built, label=None):
         support_size=supp,
         division_dim=ddim,
         cuts=cuts,
-        idempotent=e,
+        idempotent=_dense(e, alg.dim),
     )
 
 
@@ -1034,27 +956,24 @@ def check_uuv_factorization(space, built=None):
     if built is None:
         built = build_even_clifford(space)
     alg = built.algebra
-    full = built.extras["full"]
-    even = built.extras["even_indices"]
-    z = built.extras["z"]
+    tab = built.extras["full"].table
+    pos = {k: t for t, k in enumerate(built.extras["even_indices"])}
+    z = _sparse(built.extras["z"])
     eps = built.extras["zsquare"]
     n = space.dim
 
-    even_set = set(even)
-
     def to_even(vec):
-        for k, c in enumerate(vec):
-            if not c.is_zero() and k not in even_set:
-                raise CliffordError("vector is not even")
-        return tuple(vec[k] for k in even)
+        if any(k not in pos for k in vec):
+            raise CliffordError("vector is not even")
+        return {pos[k]: c for k, c in vec.items()}
 
-    u1 = full.basis_vec(1)
-    v1 = full.basis_vec(2)
-    a = to_even(full.multiply(z, u1))
-    b = to_even(full.multiply(z, v1))
-    ab = alg.multiply(a, b)
-    ba = alg.multiply(b, a)
-    quad = [a, b, ab, ba]
+    def mul(x, y):
+        return _product(alg.table, x, y)
+
+    a = to_even(_product(tab, z, {1: ONE}))
+    b = to_even(_product(tab, z, {2: ONE}))
+    squad = [a, b, mul(a, b), mul(b, a)]
+    quad = [_dense(v, alg.dim) for v in squad]
     try:
         proj = span_solver(quad, alg.dim)
         s_dim = 4
@@ -1072,30 +991,16 @@ def check_uuv_factorization(space, built=None):
         Mat(((eps, ZERO), (ZERO, ZERO))),
         Mat(((ZERO, ZERO), (ZERO, eps))),
     ]
-    mat_ok = ok
-    if ok:
-        for p in range(4):
-            for q in range(4):
-                coeffs = proj(alg.multiply(quad[p], quad[q]))
-                if coeffs is None:
-                    mat_ok = False
-                    break
-                if _lincomb(coeffs, imgs) != imgs[p] * imgs[q]:
-                    mat_ok = False
-                    break
-            if not mat_ok:
-                break
+    mat_ok = ok and _respects_product(quad, imgs, mul, lambda M, N: M * N, proj) is None
     report["s_is_2x2_matrices"] = mat_ok
     ok = ok and mat_ok
 
-    gens = [full.basis_vec(1 + t) for t in range(n)]
     commutes = True
     for p in range(2, n):
         for q in range(p + 1, n):
-            y = to_even(full.multiply(gens[p], gens[q]))
-            for s in (a, b):
-                if alg.multiply(y, s) != alg.multiply(s, y):
-                    commutes = False
+            y = to_even(dict(tab.get((1 + p, 1 + q), ())))
+            if _commutator(alg.table, y, a) or _commutator(alg.table, y, b):
+                commutes = False
     report["complement_commutes"] = commutes
     ok = ok and commutes
 
@@ -1105,20 +1010,14 @@ def check_uuv_factorization(space, built=None):
     report["dims_multiply"] = 4 * len(cent) == alg.dim
     ok = ok and len(cent) == want
 
-    prods = []
-    for s in quad:
-        for c in cent:
-            prods.append(alg.multiply(s, c))
+    prods = [_dense(mul(s, c), alg.dim) for s in squad for c in cent]
     spans = rank(Mat.from_cols(prods, nrows=alg.dim)) == alg.dim
     report["product_spans"] = spans
     ok = ok and spans
 
-    e = to_even(full.multiply(u1, v1))
+    e = to_even(dict(tab.get((1, 2), ())))
     _, mono_deg = built.grading(space.group.literal())
-    idx = next(k for k, c in enumerate(e) if not c.is_zero())
-    report["idempotent_ok"] = (
-        alg.multiply(e, e) == e and mono_deg[idx].is_zero()
-    )
+    report["idempotent_ok"] = mul(e, e) == e and mono_deg[min(e)].is_zero()
     ok = ok and report["idempotent_ok"]
 
     report["ok"] = ok
@@ -1126,20 +1025,20 @@ def check_uuv_factorization(space, built=None):
 
 
 def _centralizer(alg, elems):
-    """Basis of the centralizer of the given elements: the x with
-    [s, x] = 0 for each s, read off the table."""
+    """Basis of the centralizer of the given sparse elements: the x with
+    [s, x] = 0 for each s, read off the table, as sparse elements."""
     n, tab = alg.dim, alg.table
 
     def commutator(s):
         # the terms of [s, x] = sum_t x_t (s e_t - e_t s)
-        for i, si in _sparse(s).items():
+        for i, si in s.items():
             for t in range(n):
                 for k, c in tab.get((i, t), ()):
                     yield k, t, si * c
                 for k, c in tab.get((t, i), ()):
                     yield k, t, -(si * c)
 
-    return [_dense(v, n) for v in _keyed_kernel(range(n), map(commutator, elems))]
+    return _keyed_kernel(range(n), map(commutator, elems))
 
 
 # ---------------------------------------------------------------------------
@@ -1185,26 +1084,13 @@ def verify_octonion_clifford_model():
     report["span_dim"] = rank(Mat.from_cols(even_cols, nrows=64))
     report["spans_end"] = report["span_dim"] == 64
 
-    def norm(x, y):
-        acc = ZERO
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            g = gram.row(i)
-            for j, yj in enumerate(y):
-                if not yj.is_zero() and not g[j].is_zero():
-                    acc = acc + xi * g[j] * yj
-        return acc
-
     adjoint = True
     for i in range(7):
-        x = alg.basis_vec(1 + i)
         for a in range(8):
-            y = alg.basis_vec(a)
-            xy = alg.multiply(x, y)
-            for bidx in range(8):
-                zv = alg.basis_vec(bidx)
-                if norm(xy, zv) != -norm(y, alg.multiply(x, zv)):
+            xy = dict(alg.product_basis(1 + i, a))
+            for b in range(8):
+                xz = dict(alg.product_basis(1 + i, b))
+                if _form(gram, xy, {b: ONE}) != -_form(gram, {a: ONE}, xz):
                     adjoint = False
     report["norm_adjoint"] = adjoint
 
@@ -1233,32 +1119,28 @@ def verify_quaternion_clifford_model():
     """
     Q = build_quaternions()
     alg = Q.algebra
+    tab = alg.table
     ngram = Q.extras["norm_gram"]
     report = {}
 
     bar_sign = (ONE, MINUS_ONE, MINUS_ONE, MINUS_ONE)
 
-    def qbar(vec):
-        return tuple(c * s for c, s in zip(vec, bar_sign))
-
-    basisQ = [alg.basis_vec(i) for i in range(4)]
-
-    def qmul(x, y):
-        return alg.multiply(x, y)
+    def mul(i, j):
+        # e_i e_j is one signed basis vector c e_k of the split quaternions
+        ((k, c),) = alg.product_basis(i, j)
+        return k, c
 
     # structure constants of Q (x) Q (x) Q on elementary tensors
     def t_mul(t1, t2):
         coeff = ONE
         out = []
-        for s in range(3):
-            prod = qmul(basisQ[t1[s]], basisQ[t2[s]])
-            k = next(k for k, c in enumerate(prod) if not c.is_zero())
-            coeff = coeff * prod[k]
+        for i, j in zip(t1, t2):
+            k, c = mul(i, j)
+            coeff = coeff * c
             out.append(k)
         return tuple(out), coeff
 
     triples = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
-    tindex = {t: k for k, t in enumerate(triples)}
     mats = {t: _cube_phi(alg, *t) for t in triples}
 
     gens = [
@@ -1313,20 +1195,12 @@ def verify_quaternion_clifford_model():
     report["w_degrees_rank"] = _f2_rank(wdeg)
     report["w_degrees_sum_zero"] = total == 0
 
-    # conjugation on the cube
-    q2 = basisQ[2]
-
+    # conjugation on the cube: a (x) b (x) c -> abar (x) bbar (x) q2 cbar q2
     def conj_triple(t):
         a, b, c = t
-        va, vb = qbar(basisQ[a]), qbar(basisQ[b])
-        vc = qmul(q2, qmul(qbar(basisQ[c]), q2))
-        coeff = ONE
-        out = []
-        for v in (va, vb, vc):
-            k = next(k for k, cc in enumerate(v) if not cc.is_zero())
-            coeff = coeff * v[k]
-            out.append(k)
-        return tuple(out), coeff
+        k, c1 = mul(c, 2)
+        k, c2 = mul(2, k)
+        return (a, b, k), bar_sign[a] * bar_sign[b] * bar_sign[c] * c1 * c2
 
     conj_ok = True
     for g in gens:
@@ -1340,81 +1214,68 @@ def verify_quaternion_clifford_model():
                 conj_ok = False
     report["conjugation_antiautomorphism"] = conj_ok
 
-    # the skew-hermitian form on M = Q (x) Q
+    # the skew-hermitian form on M = Q (x) Q, on sparse elements
+    # {(x, y): coeff} of M, with values sparse elements of Q
+    ybar_q2_v = {
+        (y, v): _product(tab, {y: bar_sign[y]}, dict(alg.product_basis(2, v)))
+        for y in range(4)
+        for v in range(4)
+    }
+
     def hform(m1, m2):
-        # ((x, y), (u, v)) -> N(x, u) * ybar q2 v, on basis pairs
-        out = alg.zero()
-        for (x, y), c1 in m1:
-            for (u, v), c2 in m2:
-                nxu = ngram[(x, u)]
-                if nxu.is_zero():
-                    continue
-                val = qmul(qbar(basisQ[y]), qmul(q2, basisQ[v]))
-                out = tuple(
-                    o + c1 * c2 * nxu * w for o, w in zip(out, val)
-                )
+        # ((x, y), (u, v)) -> N(x, u) * ybar q2 v
+        out = {}
+        for (x, y), c1 in m1.items():
+            for (u, v), c2 in m2.items():
+                nxu = ngram[x, u]
+                if not nxu.is_zero():
+                    _accumulate(out, c1 * c2 * nxu, ybar_q2_v[(y, v)].items())
         return out
 
     pairsM = [(x, y) for x in range(4) for y in range(4)]
     skew = True
     for p in pairsM:
         for q in pairsM:
-            h1 = hform([(p, ONE)], [(q, ONE)])
-            h2 = hform([(q, ONE)], [(p, ONE)])
-            if h1 != tuple(-c for c in qbar(h2)):
+            h1, h2 = hform({p: ONE}, {q: ONE}), hform({q: ONE}, {p: ONE})
+            if h1 != {k: -(bar_sign[k] * c) for k, c in h2.items()}:
                 skew = False
     report["h_skew_hermitian"] = skew
 
     rightlin = True
     for p in pairsM:
         for q in pairsM:
-            base = hform([(p, ONE)], [(q, ONE)])
+            base = hform({p: ONE}, {q: ONE})
             for s in (1, 2):
-                shifted = qmul(basisQ[q[1]], basisQ[s])
-                acc = alg.zero()
-                for k, c in enumerate(shifted):
-                    if not c.is_zero():
-                        acc = tuple(
-                            o + c * w
-                            for o, w in zip(
-                                acc, hform([(p, ONE)], [((q[0], k), ONE)])
-                            )
-                        )
-                if acc != qmul(base, basisQ[s]):
+                shifted = {(q[0], k): c for k, c in alg.product_basis(q[1], s)}
+                if hform({p: ONE}, shifted) != _product(tab, base, {s: ONE}):
                     rightlin = False
     report["h_right_linear"] = rightlin
 
     def apply_phi(t, melem):
-        # Phi_t applied to an element of M given as [(pair, coeff)]
+        # Phi_t applied to a sparse element of M, read off the columns of mats[t]
         out = {}
-        mat = mats[t]
-        for (x, y), c in melem:
-            col = mat.col(4 * x + y)
-            for idx, v in enumerate(col):
-                if not v.is_zero():
-                    key = (idx // 4, idx % 4)
-                    out[key] = out.get(key, ZERO) + c * v
-        return [(k, c) for k, c in out.items() if not c.is_zero()]
+        for (x, y), c in melem.items():
+            col = mats[t].col(4 * x + y)
+            _accumulate(
+                out, c, ((divmod(i, 4), v) for i, v in enumerate(col) if not v.is_zero())
+            )
+        return out
 
     adj = True
     for t in gens:
         ct, st = conj_triple(t)
         for p in pairsM:
             for q in pairsM:
-                lhs = hform(apply_phi(t, [(p, ONE)]), [(q, ONE)])
-                rhs = hform(
-                    [(p, ONE)], apply_phi(ct, [(q, st)])
-                )
+                lhs = hform(apply_phi(t, {p: ONE}), {q: ONE})
+                rhs = hform({p: ONE}, apply_phi(ct, {q: st}))
                 if lhs != rhs:
                     adj = False
     report["h_phi_adjoint"] = adj
 
     # frozen value: h(q1 (x) 1, q1 (x) q2) = N(q1, q1) * (1bar q2 q2) = -2
-    val = hform([((1, 0), ONE)], [((1, 2), ONE)])
+    val = _dense(hform({(1, 0): ONE}, {(1, 2): ONE}), 4)
     report["h_sample"] = val
-    report["h_sample_ok"] = val == tuple(
-        scalar(-2) if k == 0 else ZERO for k in range(4)
-    )
+    report["h_sample_ok"] = val == (scalar(-2), ZERO, ZERO, ZERO)
 
     report["ok"] = all(
         report[k]

@@ -27,10 +27,12 @@ written by :func:`~finegrading.superalg._commutator_table` (one supercommutator
 per unordered pair, the mirror entry by super-antisymmetry), actions by
 matrices by ``_action_table`` (one entry per nonzero column), the sl2 part of
 the models by ``_quaternion_brackets`` or ``_sl2_table``, both read off a
-table, and linear combinations of matrices by ``linalg._lincomb``.  G(3) and
-the Cayley model of F(4) are both sl2 + g' acting on V (x) W; the one routine
-``_sl2_tensor_model`` builds that g0, its action and degrees, and solves for
-the odd bracket.
+table, the so7 part of the quaternion model by ``_straighten`` (the word
+straightening that also writes the Clifford tables of
+:func:`~finegrading.clifford.clifford_algebra`), and linear combinations of
+matrices by ``linalg._lincomb``.  G(3) and the Cayley model of F(4) are
+both sl2 + g' acting on V (x) W; the one routine ``_sl2_tensor_model`` builds
+that g0, its action and degrees, and solves for the odd bracket.
 
 The builders check the data they are given (Leibniz rules, closure, unique
 odd bracket) but not the Lie superalgebra axioms of what they return; run
@@ -63,6 +65,7 @@ from .superalg import (
     _commutator_table,
     _dense,
     _product,
+    _respects_product,
     _unit,
     change_basis,
     check_lie_super,
@@ -705,18 +708,18 @@ def verify_tkk_iso_lemma(tkkb=None):
     for m in images:
         if (m.transpose() * G + G * m) != Mat.zeros(7, 7):
             raise AlgebraError("an image is not skew for the quadratic form")
-    domcoords = span_solver(dom, A.dim)
-    for i in range(21):
-        for j in range(21):
-            br = A.multiply(dom[i], dom[j])
-            coords = domcoords(br)
-            if coords is None:
-                raise AlgebraError("the 21-dimensional space is not closed")
-            lhs = images[i] * images[j] - images[j] * images[i]
-            if lhs != _lincomb(coords, images):
-                raise AlgebraError(
-                    "bracket mismatch at generator pair (%d, %d)" % (i, j)
-                )
+    fail = _respects_product(
+        dom,
+        images,
+        lambda x, y: _product(A.table, x, y),
+        lambda M, N: M * N - N * M,
+        span_solver(dom, A.dim),
+    )
+    if fail is not None:
+        i, j, closed = fail
+        if not closed:
+            raise AlgebraError("the 21-dimensional space is not closed")
+        raise AlgebraError("bracket mismatch at generator pair (%d, %d)" % (i, j))
     return True
 
 
@@ -1276,32 +1279,47 @@ _W_TRIPLES = (
     (2, 2, 2),
 )
 _W_SQUARES = (1, -1, 1, -1, 1, -1, 1)
-_W_DEGREES = {
-    1: (0, 1, 0, 0),
-    2: (0, 1, 1, 0),
-    3: (0, 0, 1, 1),
-    4: (2, 0, 1, 1),
-    5: (2, 1, 1, 0),
-    6: (2, 1, 0, 0),
-    7: (2, 0, 0, 0),
-}
+_W_DEGREES = (
+    (0, 1, 0, 0),
+    (0, 1, 1, 0),
+    (0, 0, 1, 1),
+    (2, 0, 1, 1),
+    (2, 1, 1, 0),
+    (2, 1, 0, 0),
+    (2, 0, 0, 0),
+)
 
 
-def _mono_mul(m1, m2, squares):
-    """Product of square-free monomials in anticommuting generators."""
-    sign, out = m1[0] * m2[0], list(m1[1])
-    for g in m2[1]:
-        # move g left past the tail of out
-        pos = len(out)
-        while pos > 0 and out[pos - 1] > g:
-            sign = -sign
-            pos -= 1
-        if pos > 0 and out[pos - 1] == g:
-            sign *= squares[g - 1]
-            out.pop(pos - 1)
+def _straighten(word, polar, squares, out=None, coeff=1):
+    """Add coeff times a word in the generators, reduced to the square-free
+    increasing basis, to ``out`` (a new dict by default) and return it.
+
+    Uses x_a x_b = -x_b x_a + B_ab for a > b and x_a^2 = B_aa / 2 (``polar``
+    is B, ``squares[a]`` is B_aa / 2); ``out`` is {sorted_word: Fraction}.
+    """
+    out = {} if out is None else out
+    stack = [(list(word), Fraction(coeff))]
+    while stack:
+        w, c = stack.pop()
+        for p in range(len(w) - 1):
+            a, b = w[p], w[p + 1]
+            if a == b:
+                if squares[a]:
+                    stack.append((w[:p] + w[p + 2 :], c * squares[a]))
+                break
+            if a > b:
+                stack.append((w[:p] + [b, a] + w[p + 2 :], -c))
+                if polar[a][b]:
+                    stack.append((w[:p] + w[p + 2 :], c * polar[a][b]))
+                break
         else:
-            out.insert(pos, g)
-    return (sign, tuple(out))
+            key = tuple(w)
+            tot = out.get(key, Fraction(0)) + c
+            if tot:
+                out[key] = tot
+            else:
+                out.pop(key, None)
+    return out
 
 
 def _right_mat(A, b):
@@ -1334,33 +1352,27 @@ def _build_f4_quaternion():
                     "generators %d and %d do not anticommute" % (k + 1, l + 1)
                 )
 
-    spairs = [(k, l) for k in range(1, 8) for l in range(k + 1, 8)]
+    spairs = [(k, l) for k in range(7) for l in range(k + 1, 7)]
     s_at = {p: i for i, p in enumerate(spairs)}
-    s_names = ["s(%d,%d)" % p for p in spairs]
-    s_mats = [Tw[k - 1] * Tw[l - 1] * HALF for (k, l) in spairs]
+    s_names = ["s(%d,%d)" % (k + 1, l + 1) for (k, l) in spairs]
+    s_mats = [Tw[k] * Tw[l] * HALF for (k, l) in spairs]
 
-    # sl2 = q1, q2, q3 under the commutator; the orthogonal part via
-    # monomial arithmetic
+    # sl2 = q1, q2, q3 under the commutator; the orthogonal part by
+    # straightening words in the anticommuting w_k:
+    # [s_p, s_r] = [w_p, w_r] / 4 with s_p = w_p / 2 for a pair p
     table0 = _quaternion_brackets(Qa)
+    polar = [[0] * 7 for _ in range(7)]
     for i, p1 in enumerate(spairs):
         for j, p2 in enumerate(spairs):
             if i == j:
                 continue
-            prod1 = _mono_mul((1, p1), (1, p2), _W_SQUARES)
-            prod2 = _mono_mul((1, p2), (1, p1), _W_SQUARES)
-            acc = {}
-            for sgn, mono in (prod1, (-prod2[0], prod2[1])):
-                if mono in acc:
-                    acc[mono] += sgn
-                else:
-                    acc[mono] = sgn
+            acc = _straighten(p1 + p2, polar, _W_SQUARES)
+            _straighten(p2 + p1, polar, _W_SQUARES, acc, -1)
             terms = []
             for mono, cf in acc.items():
-                if cf == 0:
-                    continue
                 if len(mono) != 2:
                     raise AlgebraError("bracket left the pair span")
-                terms.append((3 + s_at[mono], scalar(Fraction(cf, 2))))
+                terms.append((3 + s_at[mono], scalar(cf / 2)))
             if terms:
                 table0[(3 + i, 3 + j)] = terms
     names0 = ["q1", "q2", "q3"] + s_names

@@ -536,7 +536,8 @@ def maximal_abelian_FxQ82K():
     two-block subspace condition, so the maximal abelian subgroups are the
     preimages of the maximal conditioned subspaces.  Verifies there are
     exactly two families: the product of two cyclic subgroups <i>, and the
-    diagonal {(x,x)} family.
+    diagonal {(x,x)} family.  The two-block report of
+    :func:`f2_subspace_cases` it rests on is returned under ``"cases"``.
     """
     cases = f2_subspace_cases(2)
     maximal = cases["maximal"]
@@ -600,5 +601,6 @@ def maximal_abelian_FxQ82K():
         "orbit_count": len(orbits),
         "orbit_sizes": tuple(sorted(len(o) for o in orbits)),
         "center_index": 4,
+        "cases": cases,
         "ok": True,
     }

@@ -4,11 +4,15 @@ A :class:`SuperAlgebra` is a Z_2-graded algebra given by a sparse
 multiplication table over the scalar field; the same class carries
 associative algebras (quaternions, Clifford algebras), composition algebras
 and Lie superalgebras — what distinguishes them is which checkers one runs.
-The verifiers and basis changes work on that table through one private
-sparse product kernel, built on the sparse axpy of :mod:`~finegrading.linalg`;
-dense coordinate tuples remain only as the element API
-(:meth:`SuperAlgebra.multiply`, :meth:`ModuleAction.act`), which wraps the
-same kernel.
+The verifiers and basis changes, here and in :mod:`~finegrading.clifford`
+and :mod:`~finegrading.constructions`, work on that table through one private
+sparse product kernel ``_product``, built on the sparse axpy of
+:mod:`~finegrading.linalg`; none of them multiplies dense basis vectors.
+Dense coordinate tuples remain the element API (:meth:`SuperAlgebra.multiply`,
+:meth:`ModuleAction.act`), which wraps the same kernel.  ``_commutator`` forms
+x y - y x of sparse elements, and ``_respects_product`` checks that a span is
+closed under a product and that a map to matrices respects it (the so(U, q)
+and 2x2-matrix checks of the Clifford layer and the TKK lemma).
 
 The heavy lifting lives in the verification and completion routines:
 
@@ -39,7 +43,7 @@ from __future__ import annotations
 import json
 
 from .errors import AlgebraError, ScalarError
-from .linalg import Mat, _accumulate, flatten, span_solver, sparse_kernel
+from .linalg import Mat, _accumulate, _lincomb, flatten, span_solver, sparse_kernel
 from .scalars import MINUS_ONE, ONE, ZERO, format_scalar, parse_scalar, scalar
 
 __all__ = [
@@ -84,6 +88,34 @@ def _product(table, x, y, acc=None):
             if terms:
                 _accumulate(acc, xi * yj, terms)
     return acc
+
+
+def _commutator(table, x, y):
+    """x * y - y * x of sparse elements, read off ``table``."""
+    return _product(table, {k: -c for k, c in y.items()}, x, _product(table, x, y))
+
+
+def _respects_product(span, images, mul, image_mul, coords):
+    """Where the linear map span[a] -> images[a] fails to respect a product.
+
+    ``span`` holds dense elements; ``mul`` multiplies two of them given as
+    sparse elements into a sparse element, ``image_mul`` two images, and
+    ``coords`` is the :func:`~finegrading.linalg.span_solver` of the span.
+    Returns None when the span is closed under ``mul`` and the map carries it
+    to ``image_mul``; otherwise (a, b, closed) for the first pair that fails:
+    closed is False when mul(span[a], span[b]) leaves the span, True when its
+    image is not image_mul(images[a], images[b]).
+    """
+    dim = len(span[0]) if span else 0
+    elems = [_sparse(v) for v in span]
+    for a, x in enumerate(elems):
+        for b, y in enumerate(elems):
+            c = coords(_dense(mul(x, y), dim))
+            if c is None:
+                return a, b, False
+            if _lincomb(c, images) != image_mul(images[a], images[b]):
+                return a, b, True
+    return None
 
 
 def _entry(terms):

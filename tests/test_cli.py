@@ -6,9 +6,12 @@ import time
 
 import pytest
 
+from test_clifford import CONFIGS
+
 from finegrading import clifford
+from finegrading.abgroup import GradingGroup
 from finegrading.cli import main
-from finegrading.superalg import load_algebra
+from finegrading.superalg import SuperAlgebra, load_algebra
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -213,3 +216,31 @@ def test_grading_report_all_passes_alpha_to_d21a(tmp_path):
     d21a = [r for r in records if r["name"].startswith("d21a")]
     assert d21a and len(d21a) < len(records)
     assert d21a == json.loads(alone.read_text())["records"]
+
+
+def test_no_dense_products_in_theorem_check_f4_or_clifford_class(
+    monkeypatch, capsys, tmp_path
+):
+    # every product of these runs is read off a structure table, so the
+    # dense element API may be switched off without changing any answer
+    def refuse(self, x, y):
+        raise AssertionError("dense SuperAlgebra.multiply called")
+
+    monkeypatch.setattr(SuperAlgebra, "multiply", refuse)
+    monkeypatch.setattr(SuperAlgebra, "bracket", refuse)
+    assert main(["theorem-check", "f4", "--format", "json"]) == 0
+    assert_matches_golden(capsys.readouterr().out, "theorem-check-f4")
+
+    runs = [(FANO_CONFIG, "F", "m=0 r=3")]
+    for _, free_rank, moduli, coords, tag, case in CONFIGS:
+        G = GradingGroup(free_rank, moduli)
+        lines = [G.literal()] + [G.element(f, t).literal() for f, t in coords]
+        runs.append(("\n".join(lines) + "\n", tag, case))
+    for k, (text, tag, case) in enumerate(runs):
+        cfg, dest = tmp_path / ("%d.cfg" % k), tmp_path / ("%d.json" % k)
+        cfg.write_text(text)
+        code = main(["clifford-class", str(cfg), "--format", "json", "--out", str(dest)])
+        payload = json.loads(dest.read_text())
+        assert code == 0 and payload["case"] == case
+        assert payload["records"][0]["actual"] == "case %s: table %s, algebra %s" % (
+            case, tag, tag)

@@ -37,7 +37,7 @@ from finegrading.constructions import (
 from finegrading.errors import CliffordError
 from finegrading.linalg import Mat, vec_scale
 from finegrading.scalars import ALPHA, IUNIT, OMEGA, ONE, ZERO, scalar
-from finegrading.superalg import SuperAlgebra
+from finegrading.superalg import LinMap, SuperAlgebra
 
 # ---------------------------------------------------------------------------
 # the ten reference configurations
@@ -695,3 +695,88 @@ def test_quaternion_model_realizes_triple_class():
     sp = normalize_quadratic_basis(G, degs)
     assert sp.m == 0
     assert dim7_case_classify(sp) == "QQQ"
+
+
+# ---------------------------------------------------------------------------
+# the bar anti-involution and negative controls of the table-based verifiers
+# ---------------------------------------------------------------------------
+
+
+def test_bar_is_the_clifford_conjugation():
+    # minus the identity on the space, and reversal on products of two
+    # generators, on the Z_2^2 quaternion configuration
+    G = z2n(2)
+    e = lambda *t: G.element((), t)
+    built = build_even_clifford(normalize_quadratic_basis(G, [e(1, 0), e(0, 1), e(1, 1)]))
+    full, bar = built.extras["full"], built.extras["bar"]
+    words = built.extras["words"]
+    x = [full.basis_vec(1 + t) for t in range(3)]
+    for t in range(3):
+        assert bar(x[t]) == tuple(-c for c in x[t])
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert bar(full.basis_vec(words.index((i, j)))) == full.multiply(x[j], x[i])
+    assert "bar_even" not in built.extras
+
+
+def tampered(built, **extras):
+    return BuiltAlgebra(built.algebra, built.gradings, dict(built.extras, **extras))
+
+
+def test_even_clifford_rejects_tampered_extras():
+    built = build_even_clifford(space_of(CONFIGS[9]))
+    full = built.extras["full"]
+    with pytest.raises(CliffordError, match="z is not central"):
+        verify_even_clifford(tampered(built, z=full.basis_vec(1)))
+    doubled_bar = LinMap(full, full, built.extras["bar"].matrix.scale(2))
+    with pytest.raises(CliffordError, match="bar is not an involution"):
+        verify_even_clifford(tampered(built, bar=doubled_bar))
+    span = built.extras["so_span"]
+    with pytest.raises(CliffordError, match="wrong dimension"):
+        verify_even_clifford(tampered(built, so_span=(span[1],) + span[1:]))
+    # twice the first vector spans the same space, but its commutators no
+    # longer match the operators of so(U, q)
+    doubled = (vec_scale(scalar(2), span[0]),) + span[1:]
+    with pytest.raises(CliffordError, match="so\\(U,q\\) embedding does not match"):
+        verify_even_clifford(tampered(built, so_span=doubled))
+
+
+def test_uuv_factorization_rejects_a_wrong_z_square():
+    # with the sign of z^2 flipped, z u_1 -> E12, z v_1 -> -z^2 E21 is no
+    # longer multiplicative: (z u_1 z v_1) z u_1 = z^2 z u_1
+    sp = space_of(CONFIGS[2])
+    built = build_even_clifford(sp)
+    rep = check_uuv_factorization(sp, tampered(built, zsquare=-built.extras["zsquare"]))
+    assert rep["s_dim"] == 4
+    assert not rep["s_is_2x2_matrices"]
+    assert not rep["ok"]
+
+
+def test_quaternion_model_rejects_scaled_norm(monkeypatch):
+    def scaled_quaternions():
+        Q = build_quaternions()
+        extras = dict(Q.extras, norm_gram=Q.extras["norm_gram"].scale(2))
+        return BuiltAlgebra(Q.algebra, Q.gradings, extras)
+
+    monkeypatch.setattr(clifford, "build_quaternions", scaled_quaternions)
+    rep = verify_quaternion_clifford_model()
+    assert rep["h_sample"] == (scalar(-4), ZERO, ZERO, ZERO)
+    assert not rep["h_sample_ok"]
+    assert not rep["ok"]
+
+
+def test_octonion_model_rejects_a_norm_that_is_not_invariant(monkeypatch):
+    # N(e1, e1) doubled alone: N(xy, z) = -N(y, xz) fails wherever z or xy
+    # is e1 and the other side does not see e1
+    def lopsided_cayley():
+        C = build_cayley()
+        gram = C.extras["norm_gram"]
+        rows = [list(r) for r in gram.rows]
+        rows[1][1] = rows[1][1] * scalar(2)
+        extras = dict(C.extras, norm_gram=Mat(rows))
+        return BuiltAlgebra(C.algebra, C.gradings, extras)
+
+    monkeypatch.setattr(clifford, "build_cayley", lopsided_cayley)
+    rep = verify_octonion_clifford_model()
+    assert not rep["norm_adjoint"]
+    assert not rep["ok"]

@@ -443,6 +443,15 @@ def test_tkk_orthogonal_model(tkk10):
     assert verify_tkk_iso_lemma(tkk10)
 
 
+def test_tkk_orthogonal_model_rejects_scaled_derivation_images(tkk10):
+    # images of the derivations twice their action on V (x) V: still skew
+    # and independent, but no longer a Lie homomorphism
+    ders = [(D.scale(2), p) for D, p in tkk10.extras["der_mats"]]
+    wrong = BuiltAlgebra(tkk10.algebra, {}, dict(tkk10.extras, der_mats=ders))
+    with pytest.raises(AlgebraError, match="bracket mismatch at generator pair"):
+        verify_tkk_iso_lemma(wrong)
+
+
 # ---------------------------------------------------------------------------
 # D(2,1;a)
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ import pytest
 
 from finegrading.constructions import build_quaternions
 from finegrading.errors import AlgebraError
-from finegrading.linalg import Mat, flatten, inverse, kernel, rank, solve
+from finegrading.linalg import Mat, flatten, inverse, kernel, rank, solve, span_solver
 from finegrading.scalars import HALF, ONE, ZERO, scalar
 from finegrading.superalg import (
     ModuleAction,
     SuperAlgebra,
     _commutator_table,
     _keyed_kernel,
+    _product,
+    _respects_product,
     _unit,
     change_basis,
     check_homomorphism,
@@ -537,3 +539,36 @@ class TestBasisAndSerialization:
         assert clone.parity == osp.parity
         assert clone.table == osp.table
         check_lie_super(clone)
+
+
+# ---------------------------------------------------------------------------
+# the shared check that a map from a span to matrices respects a product
+# ---------------------------------------------------------------------------
+
+
+def quaternion_span_check(span, images):
+    """_respects_product for the product of the split quaternions and the
+    matrix product of the images."""
+    Q = build_quaternions().algebra
+    return _respects_product(
+        span,
+        images,
+        lambda x, y: _product(Q.table, x, y),
+        lambda M, N: M * N,
+        span_solver(span, Q.dim),
+    )
+
+
+def test_respects_product_finds_a_span_that_is_not_closed():
+    # q1 q1 = 1 leaves the line through q1
+    q1 = build_quaternions().algebra.basis_vec(1)
+    assert quaternion_span_check([q1], [Mat([[1, 0], [0, -1]])]) == (0, 0, False)
+
+
+def test_respects_product_finds_a_wrong_image():
+    Q = build_quaternions().algebra
+    span = [Q.basis_vec(0), Q.basis_vec(1)]
+    D = Mat([[1, 0], [0, -1]])
+    assert quaternion_span_check(span, [Mat.identity(2), D]) is None
+    # q1 q1 = 1 maps to the identity, but (2D)(2D) = 4 times it
+    assert quaternion_span_check(span, [Mat.identity(2), D.scale(2)]) == (1, 1, True)
