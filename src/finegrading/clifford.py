@@ -48,6 +48,8 @@ from .errors import CliffordError, LinAlgError
 from .linalg import (
     Mat,
     _accumulate,
+    _columns,
+    _dense,
     flatten,
     inverse,
     kron,
@@ -60,7 +62,6 @@ from .superalg import (
     LinMap,
     SuperAlgebra,
     _commutator,
-    _dense,
     _keyed_kernel,
     _product,
     _respects_product,
@@ -573,7 +574,7 @@ def verify_even_clifford(built):
         raise CliffordError("z is not central")
 
     bar = built.extras["bar"]
-    cols = [_sparse(bar.matrix.col(k)) for k in range(full.dim)]
+    cols = _columns(bar.matrix)
 
     def bar_of(x):
         return _comb(*((c, cols[t]) for t, c in x.items()))

@@ -48,6 +48,7 @@ from .errors import AlgebraError
 from .linalg import (
     Mat,
     _accumulate,
+    _dense,
     _lincomb,
     diag,
     flatten,
@@ -63,7 +64,6 @@ from .superalg import (
     ModuleAction,
     SuperAlgebra,
     _commutator_table,
-    _dense,
     _product,
     _respects_product,
     _unit,

@@ -12,7 +12,8 @@ Q_8, and two elements commute iff the symplectic form sum_i det(x_i, y_i)
 vanishes.  The subspace lemmas read the form, certified first against the
 pair test on every pair, so that isotropy is tested on a basis.  The group
 route reads the multiplication table: an abelian subgroup A is a bitmask over
-the elements, and <A, x> for x centralizing A is the union of the x^k A.
+the elements, and <A, x> for x centralizing A is the union of the x^k A.  Its
+search starts at the centre, which every maximal abelian subgroup contains.
 """
 
 from itertools import combinations, product
@@ -153,22 +154,30 @@ class Q83K:
         """The maximal abelian subgroups, as frozensets of element indices.
 
         Abelian subgroups are bitmasks, extended by one element x of the
-        centralizer per coset xA; A is maximal when it is its centralizer."""
+        centralizer per coset xA; A is maximal when it is its centralizer.
+        Every maximal abelian subgroup contains the centre, so the search
+        starts there.  Each subgroup carries its element list, over which
+        the cosets xA are formed."""
+        mul, comm = self.mul, self.comm
+        centre = sorted(self.center)
         seen = set()
         maximal = set()
-        stack = [(1 << self.identity, self.comm[self.identity])]
+        # the centre's centralizer is the whole group
+        stack = [(sum(1 << z for z in centre), centre, (1 << len(self.elements)) - 1)]
         while stack:
-            A, cent = stack.pop()
+            A, elems, cent = stack.pop()
             if A in seen:
                 continue
             seen.add(A)
             ext = cent & ~A
             if not ext:
-                maximal.add(frozenset(_bits(A)))
+                maximal.add(frozenset(elems))
             while ext:
-                x = next(_bits(ext))
-                ext &= ~self.coset_mask(x, A)
-                stack.append((self.abelian_extension(A, x), cent & self.comm[x]))
+                x = (ext & -ext).bit_length() - 1
+                row = mul[x]
+                for a in elems:
+                    ext &= ~(1 << row[a])
+                stack.append(self._extension(A, elems, x) + (cent & comm[x],))
         return maximal
 
     def coset_mask(self, x, A):
@@ -179,11 +188,20 @@ class Q83K:
         """Bitmask of <A, x> for an abelian subgroup A (a bitmask) and an
         element x centralizing it: the union of the cosets x^k A, up to the
         first power of x that is already inside."""
-        out, y = A, x
+        return self._extension(A, list(_bits(A)), x)[0]
+
+    def _extension(self, A, elems, x):
+        """``abelian_extension`` on the bitmask A and its element list:
+        returns the bitmask and the element list of <A, x>."""
+        mul = self.mul
+        out, out_elems, y = A, list(elems), x
         while not (out >> y) & 1:
-            out |= self.coset_mask(y, A)
-            y = self.mul[y][x]
-        return out
+            row = mul[y]
+            for a in elems:
+                out |= 1 << row[a]
+                out_elems.append(row[a])
+            y = row[x]
+        return out, out_elems
 
     def action_maps(self):
         """Index maps for the triples of Q_8-automorphisms and coordinate
@@ -286,12 +304,18 @@ def _indep(x, y):
     return x != 0 and y != 0 and x != y
 
 
+# _INDEP[x][y] == _indep(x, y) on the four vectors of one F_2^2 block
+_INDEP = tuple(tuple(_indep(x, y) for y in range(4)) for x in range(4))
+
+
 def _is_conditioned(vs, blocks):
+    """Whether each pair of ``vs`` is independent in an even number of
+    blocks, read block by block off the table ``_INDEP``."""
     for b1, b2 in combinations(vs, 2):
-        count = sum(
-            1 for i in range(blocks) if _indep(_proj(b1, i), _proj(b2, i))
-        )
-        if count % 2:
+        odd = False
+        for shift in range(0, 2 * blocks, 2):
+            odd ^= _INDEP[(b1 >> shift) & 3][(b2 >> shift) & 3]
+        if odd:
             return False
     return True
 
@@ -311,18 +335,21 @@ def _orthogonality(blocks):
     ``_is_conditioned``; by bilinearity a subspace is then conditioned iff
     its basis is pairwise orthogonal."""
     low = int("01" * blocks, 2)
+    size = 1 << (2 * blocks)
     orth = []
-    for x in range(1 << (2 * blocks)):
+    for x in range(size):
         # det(x_i, y_i) is a common bit of y and x_i with its two bits swapped
         swapped = ((x & low) << 1) | ((x >> 1) & low)
-        orth.append(0)
-        for y in range(1 << (2 * blocks)):
-            isotropic = not bin(swapped & y).count("1") & 1
+        mask = 0
+        for y in range(size):
+            isotropic = not (swapped & y).bit_count() & 1
             if _is_conditioned((x, y), blocks) != isotropic:
                 raise GroupError(
                     "the pair test and the symplectic form disagree on (%d, %d)" % (x, y)
                 )
-            orth[x] |= isotropic << y
+            if isotropic:
+                mask |= 1 << y
+        orth.append(mask)
     return orth
 
 
@@ -333,22 +360,25 @@ def _conditioned_subspaces(blocks):
     orthogonal mask by one vector v of that mask per coset v + B outside B.
     B is maximal exactly when every vector orthogonal to B lies in B."""
     orth = _orthogonality(blocks)
-    seen = {1}
+    seen = {1: [0]}
     maximal = set()
-    stack = [(1, orth[0])]
+    stack = [(1, [0], orth[0])]
     while stack:
-        B, perp = stack.pop()
+        B, vecs, perp = stack.pop()
         ext = perp & ~B
         if not ext:
-            maximal.add(frozenset(_bits(B)))
+            maximal.add(frozenset(vecs))
         while ext:
-            v = next(_bits(ext))
-            C = B | sum(1 << (x ^ v) for x in _bits(B))
+            v = (ext & -ext).bit_length() - 1
+            coset = [x ^ v for x in vecs]
+            C = B
+            for y in coset:
+                C |= 1 << y
             ext &= ~C
             if C not in seen:
-                seen.add(C)
-                stack.append((C, perp & orth[v]))
-    return {frozenset(_bits(B)) for B in seen}, maximal
+                seen[C] = vecs + coset
+                stack.append((C, seen[C], perp & orth[v]))
+    return {frozenset(vecs) for vecs in seen.values()}, maximal
 
 
 def _block_intersection_dim(B, keep, blocks):

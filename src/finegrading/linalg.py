@@ -21,6 +21,9 @@ commuting operators whose candidate eigenvalues are supplied by the caller;
 it never searches for eigenvalues.  The annihilator is its certificate: the
 operators must commute and each must be killed by the product of
 (op - lambda) over its candidates, which makes the blocks exhaust the space.
+It reads each operator once into sparse columns and pays per nonzero entry,
+checking the certificate one basis vector and one factor at a time; it forms
+no dense matrix product.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ __all__ = [
     "joint_eigenspaces",
     "sparse_row_reduce",
     "sparse_kernel",
-    "vec_add",
-    "vec_sub",
     "vec_scale",
     "is_zero_vec",
     "diag",
@@ -216,14 +217,6 @@ class Mat:
         return "Mat[%s]" % body
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c, u):
     c = scalar(c)
     return tuple(c * a for a in u)
@@ -397,6 +390,32 @@ def _accumulate(acc, f, terms):
             acc[k] = v
 
 
+def _columns(mat):
+    """The columns of ``mat`` as ``{row: entry}`` dicts of its nonzero entries."""
+    cols = [{} for _ in range(mat.ncols)]
+    for i, r in enumerate(mat.rows):
+        for j, x in enumerate(r):
+            if not x.is_zero():
+                cols[j][i] = x
+    return cols
+
+
+def _apply_columns(cols, vec):
+    """The sparse vector sum_k vec[k] cols[k] of a sparse ``vec`` ``{k: Scalar}``."""
+    acc = {}
+    for k, c in vec.items():
+        _accumulate(acc, c, cols[k].items())
+    return acc
+
+
+def _dense(vec, dim):
+    """The dense tuple of a sparse vector ``{k: Scalar}``."""
+    out = [ZERO] * dim
+    for k, c in vec.items():
+        out[k] = c
+    return tuple(out)
+
+
 def sparse_row_reduce(rows, ncols):
     """Reduced row basis of a (possibly huge) iterable of sparse rows.
 
@@ -461,6 +480,13 @@ def joint_eigenspaces(ops, candidates, ambient=None):
     the certificate: it makes every operator diagonalizable with eigenvalues
     among its candidates on each joint eigenspace of the others (which it
     preserves), so the blocks always exhaust the space.
+
+    Each operator is read once into sparse columns, and all work is paid per
+    nonzero entry: commutation is A(B e_j) = B(A e_j) on each basis vector,
+    the certificate applies one factor (op - lam) at a time to each e_j, and
+    a block spanned by v_1..v_m splits by the kernel of the columns
+    (op - lam) v_k.  That kernel basis is the unique rref one, so the vectors
+    are those of the dense computation.
     """
     if len(ops) != len(candidates):
         raise LinAlgError("one candidate list per operator required")
@@ -471,32 +497,48 @@ def joint_eigenspaces(ops, candidates, ambient=None):
     for op in ops:
         if op.shape != (ambient, ambient):
             raise LinAlgError("operator shape %s, ambient %d" % (op.shape, ambient))
+    cols = [_columns(op) for op in ops]
     for a in range(len(ops)):
         for b in range(a + 1, len(ops)):
-            if ops[a] * ops[b] != ops[b] * ops[a]:
+            ca, cb = cols[a], cols[b]
+            if any(_apply_columns(ca, cb[j]) != _apply_columns(cb, ca[j])
+                   for j in range(ambient)):
                 raise LinAlgError("operators %d and %d do not commute" % (a, b))
-    ident = Mat.identity(ambient)
-    for index, (op, cands) in enumerate(zip(ops, candidates)):
-        ann = ident
-        for lam in cands:
-            ann = ann * (op - ident.scale(scalar(lam)))
-        if not ann.is_zero():
-            raise LinAlgError(
-                "operator %d is not annihilated by its candidate eigenvalues (%s)"
-                % (index, ", ".join(map(str, cands)))
-            )
-    blocks = [((), [ident.col(j) for j in range(ambient)])]
-    for op, cands in zip(ops, candidates):
-        cands = [scalar(c) for c in cands]
-        if len(set(cands)) != len(cands):
-            raise LinAlgError("duplicate candidate eigenvalues")
+    lams = [[scalar(lam) for lam in cands] for cands in candidates]
+    for index, (op_cols, cands) in enumerate(zip(cols, lams)):
+        for j in range(ambient):
+            v = {j: ONE}
+            for lam in cands:
+                if not v:
+                    break
+                w = _apply_columns(op_cols, v)
+                _accumulate(w, -lam, v.items())
+                v = w
+            if v:
+                raise LinAlgError(
+                    "operator %d is not annihilated by its candidate eigenvalues (%s)"
+                    % (index, ", ".join(map(str, candidates[index])))
+                )
+    if any(len(set(cands)) != len(cands) for cands in lams):
+        raise LinAlgError("duplicate candidate eigenvalues")
+    blocks = [((), [{j: ONE} for j in range(ambient)])]
+    for op_cols, cands in zip(cols, lams):
         new_blocks = []
         for tag, vecs in blocks:
-            B = Mat.from_cols(vecs, nrows=ambient)
+            images = [_apply_columns(op_cols, v) for v in vecs]
             for lam in cands:
-                # kernel of (op - lam) restricted to span(vecs)
-                ker = kernel(op * B - B.scale(lam))
+                # kernel of (op - lam) restricted to span(vecs): row i of the
+                # system holds entry i of each column (op - lam) v_k
+                rows = {}
+                for k, (v, image) in enumerate(zip(vecs, images)):
+                    w = dict(image)
+                    _accumulate(w, -lam, v.items())
+                    for i, x in w.items():
+                        rows.setdefault(i, {})[k] = x
+                ker = sparse_kernel(rows.values(), len(vecs))
                 if ker:
-                    new_blocks.append((tag + (lam,), [B.apply(c) for c in ker]))
+                    # the kernel vector c is the vector sum_k c_k v_k
+                    coords = [{k: x for k, x in enumerate(c) if not x.is_zero()} for c in ker]
+                    new_blocks.append((tag + (lam,), [_apply_columns(vecs, c) for c in coords]))
         blocks = new_blocks
-    return blocks
+    return [(tag, [_dense(v, ambient) for v in vecs]) for tag, vecs in blocks]

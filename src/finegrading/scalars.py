@@ -24,7 +24,10 @@ coordinates ``(c.n, c.d)`` of each operand, whose entries are canonical
 every caller may share one result.  A miss runs the ``Cyc`` operation once; the
 bound only evicts.  A zero operand of ``+`` returns the other and a zero
 operand of ``*`` returns zero without a lookup.  Only functions of ``a`` take
-the polynomial path.
+the polynomial path.  There, when both denominators are 1, the sum or product
+of the numerators is already canonical (its gcd with 1 is 1 and the
+denominator is monic), so ``*`` and ``+`` build it directly and run no gcd; a
+sum that cancels returns ``ZERO``.
 
 The text grammar accepted by :func:`parse_scalar` and produced by
 ``str(Scalar)`` uses integers, ``/`` for rationals, ``z``, ``a``, the
@@ -429,7 +432,8 @@ class Scalar:
             a, b = p[0], q[0]
             return _constant_add(a.n, a.d, b.n, b.d)
         if self.den == _P_ONE and other.den == _P_ONE:
-            return Scalar(_p_add(self.num, other.num), _P_ONE)
+            num = _p_add(p, q)
+            return _canonical(num, _P_ONE) if num else ZERO
         return Scalar(
             _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den)),
             _p_mul(self.den, other.den),
@@ -465,7 +469,9 @@ class Scalar:
         if len(p) == 1 and len(q) == 1 and len(self.den) == 1 and len(other.den) == 1:
             a, b = p[0], q[0]
             return _constant_mul(a.n, a.d, b.n, b.d)
-        return Scalar(_p_mul(self.num, other.num), _p_mul(self.den, other.den))
+        if self.den == _P_ONE and other.den == _P_ONE:
+            return _canonical(_p_mul(p, q), _P_ONE)
+        return Scalar(_p_mul(p, q), _p_mul(self.den, other.den))
 
     __rmul__ = __mul__
 

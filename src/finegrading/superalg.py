@@ -43,7 +43,17 @@ from __future__ import annotations
 import json
 
 from .errors import AlgebraError, ScalarError
-from .linalg import Mat, _accumulate, _lincomb, flatten, span_solver, sparse_kernel
+from .linalg import (
+    Mat,
+    _accumulate,
+    _apply_columns,
+    _columns,
+    _dense,
+    _lincomb,
+    flatten,
+    span_solver,
+    sparse_kernel,
+)
 from .scalars import MINUS_ONE, ONE, ZERO, format_scalar, parse_scalar, scalar
 
 __all__ = [
@@ -131,13 +141,6 @@ def _entry(terms):
 
 def _sparse(vec):
     return {i: c for i, c in enumerate(vec) if not c.is_zero()}
-
-
-def _dense(acc, dim):
-    out = [ZERO] * dim
-    for k, c in acc.items():
-        out[k] = c
-    return tuple(out)
 
 
 class SuperAlgebra:
@@ -284,15 +287,19 @@ class LinMap:
         return self.matrix.apply(vec)
 
     def order(self, bound=24):
-        """Multiplicative order of an endomorphism (source == target)."""
+        """Multiplicative order of an endomorphism (source == target).
+
+        Runs on sparse columns: the k-th power is tracked as the images
+        M^k e_j, one application of M per nonzero entry."""
         if self.source is not self.target:
             raise AlgebraError("order requires an endomorphism")
-        ident = Mat.identity(self.source.dim)
-        power = self.matrix
+        cols = _columns(self.matrix)
+        ident = [{j: ONE} for j in range(self.source.dim)]
+        power = cols
         for k in range(1, bound + 1):
             if power == ident:
                 return k
-            power = power * self.matrix
+            power = [_apply_columns(cols, p) for p in power]
         raise AlgebraError("order exceeds bound %d" % bound)
 
 
@@ -357,7 +364,7 @@ def check_homomorphism(A, B, F, bijective=False):
         F = F.matrix
     if F.shape != (B.dim, A.dim):
         raise AlgebraError("map shape %s, expected (%d, %d)" % (F.shape, B.dim, A.dim))
-    cols = [_sparse(F.col(j)) for j in range(A.dim)]
+    cols = _columns(F)
     for j, col in enumerate(cols):
         for k in col:
             if B.parity[k] != A.parity[j]:
@@ -397,7 +404,7 @@ def is_derivation(A, D, parity=0):
     """
     n = A.dim
     tab = A.table
-    cols = [_sparse(D.col(j)) for j in range(n)]
+    cols = _columns(D)
     for i in range(n):
         odd = (parity * A.parity[i]) % 2
         for j in range(n):
@@ -789,7 +796,7 @@ def change_basis(A, P, names=None):
     cols = [P.col(j) for j in range(n)]
     parity = [A.parity_of(c) for c in cols]
     cols = [_sparse(c) for c in cols]
-    inv_cols = [tuple(_sparse(Pinv.col(k)).items()) for k in range(n)]
+    inv_cols = [tuple(col.items()) for col in _columns(Pinv)]
     table = {}
     for i in range(n):
         for j in range(n):

@@ -11,6 +11,7 @@ from test_clifford import CONFIGS
 from finegrading import clifford
 from finegrading.abgroup import GradingGroup
 from finegrading.cli import main
+from finegrading.linalg import Mat
 from finegrading.superalg import SuperAlgebra, load_algebra
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -72,6 +73,22 @@ def test_theorem_check_f4_builds_no_clifford_table(monkeypatch, capsys):
 def test_theorem_check_d21a_matches_golden_report(argv, name, capsys):
     assert main(["theorem-check"] + argv + ["--format", "json"]) == 0
     assert_matches_golden(capsys.readouterr().out, name)
+
+
+def test_no_dense_matrix_products_in_theorem_check_d21a(monkeypatch, capsys):
+    # the eigenspace splits and automorphism orders run on sparse columns,
+    # so dense matrix products and scalings may be switched off
+    def refuse(self, other):
+        raise AssertionError("dense Mat product or scaling called")
+
+    monkeypatch.setattr(Mat, "__mul__", refuse)
+    monkeypatch.setattr(Mat, "scale", refuse)
+    for argv, name in [
+        (["d21a"], "theorem-check-d21a"),
+        (["d21a", "--alpha=-(1/2)"], "theorem-check-d21a-alpha-minus-half"),
+    ]:
+        assert main(["theorem-check"] + argv + ["--format", "json"]) == 0
+        assert_matches_golden(capsys.readouterr().out, name)
 
 
 def test_theorem_check_d21a_omega_json(tmp_path):

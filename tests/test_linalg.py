@@ -478,3 +478,59 @@ class TestJointEigenspaces:
         blocks = joint_eigenspaces([a, b], [[1, -1], [1, -1]])
         assert len(blocks) == 4
         assert all(len(v) == 1 for _, v in blocks)
+
+
+def dense_joint_eigenspaces(ops, candidates, ambient=None):
+    """Oracle: the splitting by dense matrix products, checks omitted.
+
+    Each block spanned by the columns of B splits by the kernel of
+    op * B - lam * B, and the kernel vectors c give the vectors B c."""
+    if ambient is None:
+        ambient = ops[0].nrows
+    ident = Mat.identity(ambient)
+    blocks = [((), [ident.col(j) for j in range(ambient)])]
+    for op, cands in zip(ops, candidates):
+        new_blocks = []
+        for tag, vecs in blocks:
+            B = Mat.from_cols(vecs, nrows=ambient)
+            for lam in map(scalar, cands):
+                ker = kernel(op * B - B.scale(lam))
+                if ker:
+                    new_blocks.append((tag + (lam,), [B.apply(c) for c in ker]))
+        blocks = new_blocks
+    return blocks
+
+
+def signed_cycles(rng, n, roots):
+    """A signed permutation of n points in cycles of length 1 to 3, and a
+    diagonal matrix of 12th roots of unity constant on each cycle; the two
+    commute."""
+    points = list(range(n))
+    rng.shuffle(points)
+    perm = [[ZERO] * n for _ in range(n)]
+    weights = [None] * n
+    while points:
+        cycle = [points.pop() for _ in range(min(len(points), rng.randint(1, 3)))]
+        w = rng.choice(roots)
+        for k, p in enumerate(cycle):
+            perm[cycle[(k + 1) % len(cycle)]][p] = rng.choice([ONE, -ONE])
+            weights[p] = w
+    return Mat(perm), diag(weights)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_joint_eigenspaces_match_dense_oracle(seed):
+    rng = random.Random(seed)
+    roots = [ZETA ** k for k in range(12)]
+    n = rng.randint(3, 7)
+    sigma, weights = signed_cycles(rng, n, roots)
+    families = [
+        ([weights], [roots]),
+        ([sigma], [roots]),
+        ([sigma, weights], [roots, roots]),
+        ([weights, sigma * sigma, sigma], [roots, roots, roots]),
+    ]
+    for ops, cands in families:
+        blocks = joint_eigenspaces(ops, cands)
+        assert blocks == dense_joint_eigenspaces(ops, cands)
+        assert sum(len(vecs) for _, vecs in blocks) == n

@@ -150,3 +150,24 @@ def test_constant_times_function_of_a(x, f):
     assert c * f == expected
     assert f * c == expected
     assert c * ALPHA == Scalar((CYC_ZERO, x))
+
+
+# polynomials in a of degree at most 3: zero, constants and functions of a
+polynomials = st.lists(table_cycs, max_size=4).map(Scalar)
+
+
+@fixed
+@given(polynomials, polynomials)
+def test_polynomial_fast_path_is_canonical(p, q):
+    # with both denominators 1, * and + skip the gcd of Scalar(); the result
+    # must be the canonical form Scalar() computes
+    product = Scalar(scalars._p_mul(p.num, q.num), scalars._P_ONE)
+    total = Scalar(scalars._p_add(p.num, q.num), scalars._P_ONE)
+    assert ((p * q).num, (p * q).den) == (product.num, product.den)
+    assert ((p + q).num, (p + q).den) == (total.num, total.den)
+    # a sum that cancels and a product with zero come back as ZERO itself
+    if not p.is_zero():
+        assert p + (-p) is ZERO
+    if total.is_zero() and not (p.is_zero() or q.is_zero()):
+        assert p + q is ZERO
+    assert p * ZERO is ZERO

@@ -7,6 +7,7 @@ from finegrading.errors import AlgebraError
 from finegrading.linalg import Mat, flatten, inverse, kernel, rank, solve, span_solver
 from finegrading.scalars import HALF, ONE, ZERO, scalar
 from finegrading.superalg import (
+    LinMap,
     ModuleAction,
     SuperAlgebra,
     _commutator_table,
@@ -572,3 +573,16 @@ def test_respects_product_finds_a_wrong_image():
     assert quaternion_span_check(span, [Mat.identity(2), D]) is None
     # q1 q1 = 1 maps to the identity, but (2D)(2D) = 4 times it
     assert quaternion_span_check(span, [Mat.identity(2), D.scale(2)]) == (1, 1, True)
+
+
+def test_order_of_a_signed_cycle_and_past_its_bound():
+    # e_0 -> e_1 -> e_2 -> -e_0 on an abelian algebra: order 6, read off the
+    # sparse columns of its powers
+    A = SuperAlgebra(["u", "v", "w"], [0, 0, 0], {})
+    f = LinMap(A, A, Mat([[0, 0, -1], [1, 0, 0], [0, 1, 0]]))
+    assert f.order(bound=6) == 6
+    assert LinMap(A, A, Mat.identity(3)).order(bound=1) == 1
+    with pytest.raises(AlgebraError, match="order exceeds bound 5"):
+        f.order(bound=5)
+    with pytest.raises(AlgebraError, match="endomorphism"):
+        LinMap(A, SuperAlgebra(["x", "y", "z"], [0, 0, 0], {}), Mat.identity(3)).order()
