@@ -118,15 +118,23 @@ def verify_grading(gr):
     """
     A = gr.algebra
     deg = gr.degrees
+    # each degree by the index of its first occurrence; one sum per pair of
+    # indices, itself an index (-1 when no basis vector has that degree)
+    index = {}
+    ix = [index.setdefault(d, len(index)) for d in deg]
+    sums = {}
     violations = []
     checked = 0
     for (i, j), terms in sorted(A.table.items()):
-        dsum = deg[i] + deg[j]
+        pair = (ix[i], ix[j])
+        dsum = sums.get(pair)
+        if dsum is None:
+            dsum = sums[pair] = index.get(deg[i] + deg[j], -1)
         for (k, c) in terms:
             if c.is_zero():
                 continue
             checked += 1
-            if deg[k] != dsum:
+            if ix[k] != dsum:
                 violations.append(
                     {
                         "left": A.names[i],

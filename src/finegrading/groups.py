@@ -180,10 +180,6 @@ class Q83K:
                 stack.append(self._extension(A, elems, x) + (cent & comm[x],))
         return maximal
 
-    def coset_mask(self, x, A):
-        """Bitmask of the coset xA of a bitmask A."""
-        return sum(1 << self.mul[x][a] for a in _bits(A))
-
     def abelian_extension(self, A, x):
         """Bitmask of <A, x> for an abelian subgroup A (a bitmask) and an
         element x centralizing it: the union of the cosets x^k A, up to the
@@ -237,7 +233,8 @@ _Z22xZ4 = ((1, 1), (2, 7), (4, 8))
 def maximal_abelian_Q83K():
     """Enumerate the maximal abelian subgroups of (Q_8)^3/K.
 
-    Asserts that every one is isomorphic to Z_2^2 x Z_4, that they fall into
+    Asserts that every one is its own centralizer (recomputed from the
+    commuting masks) and isomorphic to Z_2^2 x Z_4, that they fall into
     exactly three orbits under triples of Q_8-automorphisms plus coordinate
     permutations, and that the three reference subgroups -- <i>^3/K, the
     tied-diagonal {(x,x,y): y in <i>}K/K, and
@@ -247,9 +244,16 @@ def maximal_abelian_Q83K():
     maximal = G.maximal_abelian_subgroups()
     if len(G.center) != 2:
         raise GroupError("center of (Q_8)^3/K should have order 2")
-    for H in maximal:
-        if not G.center <= H:
-            raise GroupError("a maximal abelian subgroup misses the center")
+    for H in sorted(maximal, key=sorted):
+        # maximal abelian iff its own centralizer, recomputed from ``comm``
+        cent = (1 << len(G.elements)) - 1
+        for h in H:
+            cent &= G.comm[h]
+        if cent != sum(1 << h for h in H):
+            raise GroupError(
+                "maximal abelian subgroup on elements %s is not its own centralizer"
+                % sorted(H)
+            )
         if G.order_histogram(H) != _Z22xZ4:
             raise GroupError(
                 "maximal abelian subgroup of unexpected isomorphism type %s"

@@ -55,14 +55,17 @@ class Mat:
 
     The entries are kept as a tuple of row tuples, so indexing and equality
     are plain tuple operations.  Scalar arithmetic runs only over nonzero
-    entries (the zero tests still visit each entry once): a product costs one
-    multiply-add per pair of a nonzero ``A[i, k]`` and a nonzero ``B[k, j]``,
-    :meth:`apply` one per nonzero vector entry and nonzero row entry in its
-    column, and ``-`` copies the left entry where the right one is zero.  So
-    a product of two n x n signed permutations costs n multiplications.
+    entries: a product costs one multiply-add per pair of a nonzero
+    ``A[i, k]`` and a nonzero ``B[k, j]``, :meth:`apply` one per nonzero
+    vector entry and nonzero row entry in its column, ``-`` copies the left
+    entry where the right one is zero and :meth:`scale` skips zero entries.
+    So a product of two n x n signed permutations costs n multiplications.
+    Products read each factor's ``(column, entry)`` pairs of nonzero row
+    entries from a private slot filled on first use, so a matrix that enters
+    k products is scanned for zeros once, not k times.
     """
 
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("rows", "ncols", "_terms")
 
     def __init__(self, rows, ncols=None):
         data = tuple(tuple(scalar(x) for x in row) for row in rows)
@@ -77,6 +80,7 @@ class Mat:
             ncols = 0
         object.__setattr__(self, "rows", data)
         object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "_terms", None)
 
     @classmethod
     def _of(cls, rows, ncols):
@@ -85,7 +89,17 @@ class Mat:
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "ncols", ncols)
+        object.__setattr__(m, "_terms", None)
         return m
+
+    def _row_terms(self):
+        """The ``(column, entry)`` pairs of each row's nonzero entries,
+        computed on first use and kept (the matrix is immutable)."""
+        terms = self._terms
+        if terms is None:
+            terms = tuple(tuple((j, x) for j, x in enumerate(r) if x.num) for r in self.rows)
+            object.__setattr__(self, "_terms", terms)
+        return terms
 
     def __setattr__(self, *args):
         raise AttributeError("Mat is immutable")
@@ -146,7 +160,7 @@ class Mat:
             raise LinAlgError("shape mismatch in -")
         return Mat._of(
             tuple(
-                tuple(a if b.is_zero() else a - b for a, b in zip(r, s))
+                tuple(a - b if b.num else a for a, b in zip(r, s))
                 for r, s in zip(self.rows, other.rows)
             ),
             self.ncols,
@@ -159,7 +173,9 @@ class Mat:
         c = scalar(c)
         if c == ONE:
             return self
-        return Mat._of(tuple(tuple(c * a for a in r) for r in self.rows), self.ncols)
+        return Mat._of(
+            tuple(tuple(c * a if a.num else a for a in r) for r in self.rows), self.ncols
+        )
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -168,18 +184,13 @@ class Mat:
                     "cannot multiply %s by %s" % (self.shape, other.shape)
                 )
             ocols = other.ncols
-            # the nonzero (j, B[k, j]) of each row k of the right factor
-            terms = [
-                [(j, y) for j, y in enumerate(orow) if not y.is_zero()]
-                for orow in other.rows
-            ]
+            terms = other._row_terms()
             out = []
-            for r in self.rows:
+            for r in self._row_terms():
                 acc = [ZERO] * ocols
-                for a, row_terms in zip(r, terms):
-                    if row_terms and not a.is_zero():
-                        for j, y in row_terms:
-                            acc[j] = acc[j] + a * y
+                for k, a in r:
+                    for j, y in terms[k]:
+                        acc[j] = acc[j] + a * y
                 out.append(tuple(acc))
             return Mat._of(tuple(out), ocols)
         return self.scale(other)
@@ -192,13 +203,13 @@ class Mat:
         vec = tuple(scalar(x) for x in vec)
         if len(vec) != self.ncols:
             raise LinAlgError("vector length %d, expected %d" % (len(vec), self.ncols))
-        terms = [(j, x) for j, x in enumerate(vec) if not x.is_zero()]
+        terms = [(j, x) for j, x in enumerate(vec) if x.num]
         out = []
         for r in self.rows:
             acc = ZERO
             for j, x in terms:
                 a = r[j]
-                if not a.is_zero():
+                if a.num:
                     acc = acc + a * x
             out.append(acc)
         return tuple(out)
@@ -254,11 +265,11 @@ def _lincomb(coeffs, mats):
     ncols = mats[0].ncols
     acc = [[ZERO] * ncols for _ in range(mats[0].nrows)]
     for c, m in zip(coeffs, mats):
-        if c.is_zero():
+        if not c.num:
             continue
         for arow, mrow in zip(acc, m.rows):
             for j, x in enumerate(mrow):
-                if not x.is_zero():
+                if x.num:
                     arow[j] = arow[j] + c * x
     return Mat._of(tuple(map(tuple, acc)), ncols)
 
@@ -359,12 +370,12 @@ def span_solver(cols, dim):
         x = [ZERO] * k
         for p, combo in combos:
             f = vec[p]
-            if not f.is_zero():
+            if f.num:
                 for j, v in combo:
                     x[j] = x[j] + f * v
         image = [ZERO] * dim
         for xj, col in zip(x, sparse_cols):
-            if not xj.is_zero():
+            if xj.num:
                 for i, v in col:
                     image[i] = image[i] + xj * v
         if tuple(image) != vec:
@@ -384,7 +395,7 @@ def _accumulate(acc, f, terms):
         v = f * c
         if k in acc:
             v = acc[k] + v
-        if v.is_zero():
+        if not v.num:
             acc.pop(k, None)
         else:
             acc[k] = v
@@ -395,7 +406,7 @@ def _columns(mat):
     cols = [{} for _ in range(mat.ncols)]
     for i, r in enumerate(mat.rows):
         for j, x in enumerate(r):
-            if not x.is_zero():
+            if x.num:
                 cols[j][i] = x
     return cols
 
@@ -430,7 +441,7 @@ def sparse_row_reduce(rows, ncols):
     basis = {}
     neg_tails = {}
     for row in rows:
-        row = {c: v for c, v in row.items() if not v.is_zero()}
+        row = {c: v for c, v in row.items() if v.num}
         while row:
             p = min(row)
             if p in basis:

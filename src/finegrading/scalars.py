@@ -15,19 +15,27 @@ field, represented exactly:
   coefficients.  The canonical form has monic denominator and coprime
   numerator/denominator, so again ``==`` on the stored data is field equality.
 
-Fast path: a canonical constant has a one-term ``num == (c,)`` and ``den == (1,)``.
-``*``, ``+`` (so ``-``), unary ``-`` and ``inverse`` of constants read a table:
-one module-level ``lru_cache(maxsize=4096)`` per operation, keyed by the
-coordinates ``(c.n, c.d)`` of each operand, whose entries are canonical
-``Scalar`` results.  The tables are exact: a ``Cyc`` is gcd-reduced with
-``d > 0``, so equal keys are equal values, and a ``Scalar`` is immutable, so
-every caller may share one result.  A miss runs the ``Cyc`` operation once; the
-bound only evicts.  A zero operand of ``+`` returns the other and a zero
-operand of ``*`` returns zero without a lookup.  Only functions of ``a`` take
-the polynomial path.  There, when both denominators are 1, the sum or product
-of the numerators is already canonical (its gcd with 1 is 1 and the
-denominator is monic), so ``*`` and ``+`` build it directly and run no gcd; a
-sum that cancels returns ``ZERO``.
+Fast path: a canonical constant has a one-term ``num == (c,)`` and
+``den == (1,)``, and carries a positive integer code ``k``; zero and functions
+of ``a`` carry ``k == 0``.  Codes come from a registry ``{(c.n, c.d): code}``
+fed by a counter that never repeats, so a code names one value for the life of
+the process (a ``Cyc`` is gcd-reduced with ``d > 0``, so equal coordinates are
+equal values).  ``*``, ``+`` (so ``-``), unary ``-`` and ``inverse`` of two
+coded constants test ``self.k and other.k`` and read a dict keyed by the codes
+``(self.k, other.k)`` (by ``self.k`` for ``-`` and ``inverse``), whose entries
+are canonical ``Scalar`` results; a ``Scalar`` is immutable, so every caller
+may share one.  A miss runs the ``Cyc`` operation once.  Each table and the
+registry is cleared when it reaches ``_TABLE_BOUND`` entries.  Clearing is
+exact: codes are never reused, so an old entry can never answer for another
+value; after a clear an equal value may get a new code and miss once.  A zero
+operand of ``+`` returns the other and a zero operand of ``*`` returns zero
+without a lookup.  Only functions of ``a`` take the polynomial path.  There,
+when both denominators are 1, the sum or product of the numerators is already
+canonical (its gcd with 1 is 1 and the denominator is monic), so ``*`` and
+``+`` build it directly and run no gcd; a sum that cancels returns ``ZERO``.
+
+Invariant: a canonical ``num`` is empty if and only if the scalar is zero, so
+hot loops test ``x.num`` where others call ``x.is_zero()``.
 
 The text grammar accepted by :func:`parse_scalar` and produced by
 ``str(Scalar)`` uses integers, ``/`` for rationals, ``z``, ``a``, the
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd
 
 from .errors import ScalarError
@@ -371,7 +380,7 @@ def _p_eval(p, value):
 class Scalar:
     """An element of Q(zeta)(a) in canonical num/den form."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "k", "_hash")
 
     def __init__(self, num, den=_P_ONE):
         num = _p_trim(num)
@@ -393,6 +402,7 @@ class Scalar:
                 den = _p_scale(den, inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "k", _code(num[0]) if len(num) == 1 == len(den) else 0)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *args):
@@ -423,14 +433,17 @@ class Scalar:
     def __add__(self, other):
         if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
+        k = self.k
+        if k and other.k:
+            try:
+                return _ADD[k, other.k]
+            except KeyError:
+                return _constant_miss(_ADD, (k, other.k), self.num[0] + other.num[0])
         p, q = self.num, other.num
         if not q:
             return self
         if not p:
             return other
-        if len(p) == 1 and len(q) == 1 and len(self.den) == 1 and len(other.den) == 1:
-            a, b = p[0], q[0]
-            return _constant_add(a.n, a.d, b.n, b.d)
         if self.den == _P_ONE and other.den == _P_ONE:
             num = _p_add(p, q)
             return _canonical(num, _P_ONE) if num else ZERO
@@ -442,11 +455,13 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.num
-        if len(p) == 1 and len(self.den) == 1:
-            a = p[0]
-            return _constant_neg(a.n, a.d)
-        return _canonical(_p_neg(p), self.den)
+        k = self.k
+        if k:
+            try:
+                return _NEG[k]
+            except KeyError:
+                return _constant_miss(_NEG, k, -self.num[0])
+        return _canonical(_p_neg(self.num), self.den)
 
     def __sub__(self, other):
         # Through __add__, so that every addition or subtraction is one add.
@@ -463,12 +478,15 @@ class Scalar:
     def __mul__(self, other):
         if other.__class__ is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
+        k = self.k
+        if k and other.k:
+            try:
+                return _MUL[k, other.k]
+            except KeyError:
+                return _constant_miss(_MUL, (k, other.k), self.num[0] * other.num[0])
         p, q = self.num, other.num
         if not p or not q:
             return ZERO
-        if len(p) == 1 and len(q) == 1 and len(self.den) == 1 and len(other.den) == 1:
-            a, b = p[0], q[0]
-            return _constant_mul(a.n, a.d, b.n, b.d)
         if self.den == _P_ONE and other.den == _P_ONE:
             return _canonical(_p_mul(p, q), _P_ONE)
         return Scalar(_p_mul(p, q), _p_mul(self.den, other.den))
@@ -476,12 +494,15 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self):
+        k = self.k
+        if k:
+            try:
+                return _INVERSE[k]
+            except KeyError:
+                return _constant_miss(_INVERSE, k, self.num[0].inverse())
         p = self.num
         if not p:
             raise ScalarError("division by zero in Q(zeta)(a)")
-        if len(p) == 1 and len(self.den) == 1:
-            a = p[0]
-            return _constant_inverse(a.n, a.d)
         return Scalar(self.den, p)
 
     def __truediv__(self, other):
@@ -541,7 +562,29 @@ class Scalar:
 _N_ZERO = CYC_ZERO.n
 _set_num = Scalar.num.__set__
 _set_den = Scalar.den.__set__
+_set_k = Scalar.k.__set__
 _set_scalar_hash = Scalar._hash.__set__
+
+# The registry and the constant tables of the module docstring; each is
+# cleared when it reaches the bound.
+_TABLE_BOUND = 4096
+_CODES = {}  # (c.n, c.d) -> code of the constant c
+_next_code = count(1).__next__
+_MUL = {}  # (code, code) -> canonical product
+_ADD = {}  # (code, code) -> canonical sum
+_NEG = {}  # code -> canonical negation
+_INVERSE = {}  # code -> canonical inverse
+
+
+def _code(c):
+    """The code of the nonzero constant ``c``, a fresh one if it has none."""
+    key = (c.n, c.d)
+    k = _CODES.get(key)
+    if k is None:
+        if len(_CODES) >= _TABLE_BOUND:
+            _CODES.clear()
+        k = _CODES[key] = _next_code()
+    return k
 
 
 def _canonical(num, den):
@@ -549,33 +592,17 @@ def _canonical(num, den):
     s = _new(Scalar)
     _set_num(s, num)
     _set_den(s, den)
+    _set_k(s, _code(num[0]) if len(num) == 1 == len(den) else 0)
     _set_scalar_hash(s, None)
     return s
 
 
-# The constant tables of the module docstring: canonical operand coordinates
-# to the canonical Scalar result; a miss runs the ``Cyc`` operation.
-
-
-@lru_cache(maxsize=4096)
-def _constant_mul(an, ad, bn, bd):
-    return _canonical((_cyc(an, ad) * _cyc(bn, bd),), _P_ONE)
-
-
-@lru_cache(maxsize=4096)
-def _constant_add(an, ad, bn, bd):
-    c = _cyc(an, ad) + _cyc(bn, bd)
-    return ZERO if c.n == _N_ZERO else _canonical((c,), _P_ONE)
-
-
-@lru_cache(maxsize=4096)
-def _constant_neg(n, d):
-    return _canonical((-_cyc(n, d),), _P_ONE)
-
-
-@lru_cache(maxsize=4096)
-def _constant_inverse(n, d):
-    return _canonical((_cyc(n, d).inverse(),), _P_ONE)
+def _constant_miss(table, key, c):
+    """Store and return the canonical Scalar of the ``Cyc`` result ``c``."""
+    if len(table) >= _TABLE_BOUND:
+        table.clear()
+    r = table[key] = ZERO if c.n == _N_ZERO else _canonical((c,), _P_ONE)
+    return r
 
 
 ZERO = _canonical(_P_ZERO, _P_ONE)
@@ -593,6 +620,8 @@ def _coerce(x):
         return x
     if isinstance(x, Cyc):
         return Scalar.from_cyc(x)
+    if x.__class__ is int:
+        return _canonical((_cyc((x, 0, 0, 0), 1),), _P_ONE) if x else ZERO
     if isinstance(x, (int, Fraction)):
         return Scalar.from_rational(x)
     return NotImplemented

@@ -134,13 +134,13 @@ def _entry(terms):
     acc = {}
     for k, c in terms:
         c = scalar(c)
-        if not c.is_zero():
+        if c.num:
             acc[k] = acc[k] + c if k in acc else c
-    return tuple((k, v) for k, v in sorted(acc.items()) if not v.is_zero())
+    return tuple((k, v) for k, v in sorted(acc.items()) if v.num)
 
 
 def _sparse(vec):
-    return {i: c for i, c in enumerate(vec) if not c.is_zero()}
+    return {i: c for i, c in enumerate(vec) if c.num}
 
 
 class SuperAlgebra:
@@ -331,20 +331,17 @@ def check_lie_super(A):
                     % (A.names[i], A.names[j])
                 )
 
-    def nested(acc, negate, a, b, c):
-        # acc += (-1)^negate [e_a, [e_b, e_c]]
-        for t, x in tab.get((b, c), ()):
-            terms = tab.get((a, t))
-            if terms:
-                _accumulate(acc, -x if negate else x, terms)
-
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
+                # acc = sum over the cyclic (a, b, c) of (-1)^(|a||c|) [e_a, [e_b, e_c]]
                 acc = {}
-                nested(acc, par[i] & par[k], i, j, k)
-                nested(acc, par[j] & par[i], j, k, i)
-                nested(acc, par[k] & par[j], k, i, j)
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    negate = par[a] & par[c]
+                    for t, x in tab.get((b, c), ()):
+                        terms = tab.get((a, t))
+                        if terms:
+                            _accumulate(acc, -x if negate else x, terms)
                 if acc:
                     raise AlgebraError(
                         "super Jacobi fails at (%s, %s, %s)"
@@ -528,7 +525,7 @@ def _commutator_table(mats, parities, coords, shift=0):
                 raise AlgebraError(
                     "supercommutator of matrices %d and %d leaves the span" % (i, j)
                 )
-            terms = [(shift + k, c) for k, c in enumerate(cs) if not c.is_zero()]
+            terms = [(shift + k, c) for k, c in enumerate(cs) if c.num]
             if terms:
                 table[(shift + i, shift + j)] = terms
                 if i != j:

@@ -76,6 +76,37 @@ def test_verify_grading_flags_corrupted_degree(d21):
     assert {w["left"], w["right"], w["component"]} <= names
 
 
+def _verify_grading_reference(gr):
+    """verify_grading's report with one group addition per table entry."""
+    A, deg = gr.algebra, gr.degrees
+    violations, checked = [], 0
+    for (i, j), terms in sorted(A.table.items()):
+        dsum = deg[i] + deg[j]
+        for k, c in terms:
+            checked += 1
+            if deg[k] != dsum:
+                violations.append({
+                    "left": A.names[i],
+                    "right": A.names[j],
+                    "component": A.names[k],
+                    "degrees": (deg[i].literal(), deg[j].literal(), deg[k].literal()),
+                })
+    return {"ok": not violations, "violations": tuple(violations), "products_checked": checked}
+
+
+@pytest.mark.parametrize("shifts", [{}, {0: (2, 0, 0)}, {5: (1, 1, 0)},
+                                    {1: (0, 3, 0), 9: (1, 0, 0), 16: (0, 0, 5)}])
+def test_verify_grading_matches_one_sum_per_entry(d21, shifts):
+    gr = attached_grading(d21, "Z^3")
+    degs = list(gr.degrees)
+    for k, shift in shifts.items():
+        degs[k] = degs[k] + gr.group.element(shift, ())
+    bad = Grading(d21.algebra, gr.group, degs)
+    report = verify_grading(bad)
+    assert report == _verify_grading_reference(bad)
+    assert report["ok"] == (not shifts)
+
+
 def test_trivial_grading_passes(d21):
     gr = trivial_grading(d21.algebra)
     assert verify_grading(gr)["ok"]

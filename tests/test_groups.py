@@ -1,5 +1,7 @@
 """Tests for the finite-group propositions and the F_2-subspace lemmas."""
 
+import re
+
 import pytest
 
 from finegrading import groups
@@ -220,6 +222,20 @@ def test_maximal_abelian_subgroups_match_closure_oracle(q83k_oracle):
     G, (maximal, _) = q83k_oracle
     assert len(maximal) == 135
     assert G.maximal_abelian_subgroups() == maximal
+
+
+def test_maximal_abelian_check_rejects_a_subgroup_that_is_not_its_centralizer(monkeypatch):
+    # the centre is abelian but centralized by the whole group
+    search = Q83K.maximal_abelian_subgroups
+
+    def patched(self):
+        return search(self) | {frozenset(self.center)}
+
+    monkeypatch.setattr(Q83K, "maximal_abelian_subgroups", patched)
+    centre = sorted(Q83K().center)
+    with pytest.raises(GroupError, match=r"elements %s is not its own centralizer"
+                       % re.escape(str(centre))):
+        maximal_abelian_Q83K()
 
 
 def test_abelian_extension_equals_closure(q83k_oracle):

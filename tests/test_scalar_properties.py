@@ -131,7 +131,7 @@ def test_constant_tables_match_cyc_arithmetic(x, y):
 
 
 def test_constant_product_table_past_its_bound():
-    bound = scalars._constant_mul.cache_info().maxsize
+    bound = scalars._TABLE_BOUND
     xs = [Cyc((k, 1, 0, 0), 1 + k % 3) for k in range(-40, 40)]
     ys = [Cyc((1, 0, k, 0), 1 + k % 5) for k in range(1, 61)]
     assert len(xs) * len(ys) > bound
@@ -139,7 +139,68 @@ def test_constant_product_table_past_its_bound():
         for x in xs:
             for y in ys:
                 assert Scalar.from_cyc(x) * Scalar.from_cyc(y) == Scalar.from_cyc(x * y)
-    assert scalars._constant_mul.cache_info().currsize <= bound
+    assert len(scalars._MUL) <= bound
+
+
+def _constructed_constants(c):
+    """The constant c from every constructor that can make one."""
+    a, two = Scalar.from_cyc(c), Cyc((2, 0, 0, 0))
+    return [
+        a,
+        parse_scalar(format_scalar(a)),
+        Scalar((c,)),
+        Scalar((CYC_ZERO, c), (CYC_ZERO, CYC_ONE)),  # (c*a)/a
+        Scalar((c * two, c), (two, CYC_ONE)),  # c(a+2)/(a+2)
+        (ALPHA + a) - ALPHA,
+        (a * ALPHA) / ALPHA,
+    ]
+
+
+@fixed
+@given(table_cycs, table_cycs)
+def test_constants_from_every_constructor_carry_a_code(x, y):
+    for sx, sy in zip(_constructed_constants(x), _constructed_constants(y)):
+        for s, c in ((sx, x), (sy, y)):
+            assert s == Scalar.from_cyc(c)
+            assert (s.k != 0) == (not c.is_zero())
+        assert sx * sy == Scalar.from_cyc(x * y)
+        assert sx + sy == Scalar.from_cyc(x + y)
+        assert sx - sy == Scalar.from_cyc(x - y)
+        assert -sx == Scalar.from_cyc(-x)
+        if not x.is_zero():
+            assert sx.inverse() == Scalar.from_cyc(x.inverse())
+            assert (sx * sy).k != 0 or y.is_zero()
+
+
+@fixed
+@given(functions)
+def test_zero_and_functions_of_a_carry_no_code(f):
+    assert ZERO.k == 0 and (ONE - ONE).k == 0 and ALPHA.k == 0
+    if len(f.num) > 1 or len(f.den) > 1:
+        assert f.k == 0 and (-f).k == 0 and (f * ALPHA).k == 0
+
+
+def test_constant_tables_past_several_clears(monkeypatch):
+    bound = 7
+    monkeypatch.setattr(scalars, "_TABLE_BOUND", bound)
+    cs = [Cyc((k, 1, 0, -k), 1 + k % 4) for k in range(-6, 6)] + [CYC_ZERO, CYC_ONE]
+    first = Scalar.from_cyc(cs[0]).k
+    for _ in range(2):  # the second pass meets cleared codes and keys again
+        for x in cs:
+            sx = Scalar.from_cyc(x)
+            assert -sx == Scalar.from_cyc(-x)
+            if not x.is_zero():
+                assert sx.inverse() == Scalar.from_cyc(x.inverse())
+            for y in cs:
+                sy = Scalar.from_cyc(y)
+                assert sx * sy == Scalar.from_cyc(x * y)
+                assert sx + sy == Scalar.from_cyc(x + y)
+                assert sx - sy == Scalar.from_cyc(x - y)
+        for table in (scalars._CODES, scalars._MUL, scalars._ADD, scalars._NEG,
+                      scalars._INVERSE):
+            assert len(table) <= bound
+    # the registry was cleared, and codes are never reused
+    assert Scalar.from_cyc(cs[0]).k > first
 
 
 @fixed
