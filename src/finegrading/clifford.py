@@ -48,7 +48,6 @@ from .errors import CliffordError, LinAlgError
 from .linalg import (
     Mat,
     _accumulate,
-    _columns,
     _dense,
     flatten,
     inverse,
@@ -396,9 +395,8 @@ def normalize_quadratic_basis(group, degrees, gram=None):
             )
         )
         X = inverse(C)
-        for t, a in enumerate(plus):
-            v = {b: X[c, t] for c, b in enumerate(minus) if not X[c, t].is_zero()}
-            pairs.append(({a: ONE}, v, g))
+        for a, col in zip(plus, X.columns):
+            pairs.append(({a: ONE}, {minus[c]: x for c, x in col.items()}, g))
         trace.append(
             "degrees %s / %s: %d hyperbolic pair(s) by duality"
             % (g.literal(), (-g).literal(), len(plus))
@@ -453,7 +451,7 @@ def normalize_quadratic_basis(group, degrees, gram=None):
 
     cols = [c for (u, v, _) in pairs for c in (u, v)]
     cols += [w for (w, _) in units]
-    P = Mat.from_cols([_dense(c, n) for c in cols], nrows=n)
+    P = Mat._of(tuple(cols), n)
     space = GradedQuadraticSpace(
         group, pair_degs, unit_degs, basis=P, shift=s, trace=trace
     )
@@ -527,8 +525,8 @@ def build_even_clifford(space):
             acc = _product(tab, acc, gen[t])
         if len(w) % 2:
             acc = {k: -c for k, c in acc.items()}
-        cols.append(_dense(acc, full.dim))
-    bar = LinMap(full, full, Mat.from_cols(cols, nrows=full.dim))
+        cols.append(acc)
+    bar = LinMap(full, full, Mat._of(tuple(cols), full.dim))
 
     so_pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     so_span = []
@@ -574,7 +572,7 @@ def verify_even_clifford(built):
         raise CliffordError("z is not central")
 
     bar = built.extras["bar"]
-    cols = _columns(bar.matrix)
+    cols = bar.matrix.columns
 
     def bar_of(x):
         return _comb(*((c, cols[t]) for t, c in x.items()))
@@ -611,13 +609,13 @@ def verify_even_clifford(built):
         raise CliffordError("bracket span has the wrong dimension") from None
 
     def op_of(i, j):
-        cols = []
-        for k in range(n):
-            col = [ZERO] * n
-            col[i] = two * gram[(j, k)]
-            col[j] = -(two * gram[(i, k)])
-            cols.append(tuple(col))
-        return Mat.from_cols(cols, nrows=n)
+        return Mat._of(
+            tuple(
+                _comb((two * gram[j, k], {i: ONE}), (-(two * gram[i, k]), {j: ONE}))
+                for k in range(n)
+            ),
+            n,
+        )
 
     fail = _respects_product(
         so_span,
@@ -980,7 +978,7 @@ def check_uuv_factorization(space, built=None):
         s_dim = 4
     except LinAlgError:
         proj = None
-        s_dim = rank(Mat.from_cols(quad, nrows=alg.dim))
+        s_dim = rank(Mat._of(tuple(squad), alg.dim))
 
     report = {"m": space.m, "zsquare": eps, "s_dim": s_dim}
     ok = s_dim == 4
@@ -1011,8 +1009,8 @@ def check_uuv_factorization(space, built=None):
     report["dims_multiply"] = 4 * len(cent) == alg.dim
     ok = ok and len(cent) == want
 
-    prods = [_dense(mul(s, c), alg.dim) for s in squad for c in cent]
-    spans = rank(Mat.from_cols(prods, nrows=alg.dim)) == alg.dim
+    prods = tuple(mul(s, c) for s in squad for c in cent)
+    spans = rank(Mat._of(prods, alg.dim)) == alg.dim
     report["product_spans"] = spans
     ok = ok and spans
 

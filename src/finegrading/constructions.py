@@ -48,7 +48,6 @@ from .errors import AlgebraError
 from .linalg import (
     Mat,
     _accumulate,
-    _dense,
     _lincomb,
     diag,
     flatten,
@@ -147,8 +146,8 @@ def _action_table(mats, copies, first):
     table = {}
     for r, m in enumerate(mats):
         n = m.ncols
-        for c in range(n):
-            col = [(k, v) for k, v in enumerate(m.col(c)) if not v.is_zero()]
+        for c, col in enumerate(m.columns):
+            col = sorted(col.items())
             if col:
                 for slot in range(copies):
                     table[(first + r, slot * n + c)] = [(slot * n + k, v) for k, v in col]
@@ -1325,8 +1324,7 @@ def _straighten(word, polar, squares, out=None, coeff=1):
 def _right_mat(A, b):
     """Matrix of right multiplication x -> x e_b on the algebra A; column j
     is the table entry of e_j e_b."""
-    cols = [_dense(dict(A.product_basis(j, b)), A.dim) for j in range(A.dim)]
-    return Mat.from_cols(cols, nrows=A.dim)
+    return Mat._of(tuple(dict(A.product_basis(j, b)) for j in range(A.dim)), A.dim)
 
 
 def _cube_phi(Qa, a, b, c):

@@ -10,18 +10,21 @@ reduced forms, kernel bases and solutions do not depend on row order or on
 how the elimination proceeds.  :func:`span_solver` reduces a fixed set of
 columns once and then answers many coordinate queries against it.
 
-``_accumulate`` is the one sparse axpy: the elimination, and through
-:mod:`~finegrading.superalg` the product kernel and the verifiers, add
-scaled sparse rows with it.  :class:`Mat` keeps dense storage but does work
-only for nonzero entries; ``_lincomb`` forms a linear combination of
-matrices the same way.
+``_accumulate`` is the one sparse axpy: the elimination, :class:`Mat`
+arithmetic and, through :mod:`~finegrading.superalg`, the product kernel and
+the verifiers add scaled sparse vectors with it.  A :class:`Mat` stores only
+its nonzero entries, as sparse ``{row: entry}`` columns, the form the
+elimination, the eigenspace split and the verifiers read directly; dense
+rows and columns are views formed on request.  :func:`rank` reduces the
+stored columns, and :func:`kernel`, :func:`solve` and :func:`inverse` reduce
+those of the transpose.
 
 :func:`joint_eigenspaces` refines the ambient space under a family of
 commuting operators whose candidate eigenvalues are supplied by the caller;
 it never searches for eigenvalues.  The annihilator is its certificate: the
 operators must commute and each must be killed by the product of
 (op - lambda) over its candidates, which makes the blocks exhaust the space.
-It reads each operator once into sparse columns and pays per nonzero entry,
+It reads the stored columns of each operator and pays per nonzero entry,
 checking the certificate one basis vector and one factor at a time; it forms
 no dense matrix product.
 """
@@ -29,7 +32,7 @@ no dense matrix product.
 from __future__ import annotations
 
 from .errors import LinAlgError
-from .scalars import ONE, ZERO, scalar
+from .scalars import MINUS_ONE, ONE, ZERO, scalar
 
 __all__ = [
     "Mat",
@@ -42,8 +45,6 @@ __all__ = [
     "joint_eigenspaces",
     "sparse_row_reduce",
     "sparse_kernel",
-    "vec_scale",
-    "is_zero_vec",
     "diag",
     "kron",
     "flatten",
@@ -51,70 +52,70 @@ __all__ = [
 
 
 class Mat:
-    """Immutable matrix with Scalar entries, stored dense, costed sparse.
+    """Immutable matrix with Scalar entries, stored as sparse columns.
 
-    The entries are kept as a tuple of row tuples, so indexing and equality
-    are plain tuple operations.  Scalar arithmetic runs only over nonzero
-    entries: a product costs one multiply-add per pair of a nonzero
-    ``A[i, k]`` and a nonzero ``B[k, j]``, :meth:`apply` one per nonzero
-    vector entry and nonzero row entry in its column, ``-`` copies the left
-    entry where the right one is zero and :meth:`scale` skips zero entries.
-    So a product of two n x n signed permutations costs n multiplications.
-    Products read each factor's ``(column, entry)`` pairs of nonzero row
-    entries from a private slot filled on first use, so a matrix that enters
-    k products is scanned for zeros once, not k times.
+    ``columns`` holds one ``{row: entry}`` dict per column with the nonzero
+    entries only, and ``nrows`` the row count; that is all a Mat stores.
+    Every operation builds its result in this form and drops the entries
+    that cancel, so equal matrices have equal columns.  A product combines
+    the columns of the left factor through ``_apply_columns``, the sparse
+    axpy of the elimination, the eigenspace split and the verifiers: one
+    multiply-add per pair of a nonzero ``A[i, k]`` and a nonzero ``B[k, j]``,
+    so a product of two n x n signed permutations costs n multiplications.
+    ``rows``, :meth:`row`, :meth:`col` and ``m[i, j]`` are dense views formed
+    on request.  Callers that work on the storage read ``columns`` and must
+    not mutate it.
     """
 
-    __slots__ = ("rows", "ncols", "_terms")
+    __slots__ = ("columns", "nrows")
 
     def __init__(self, rows, ncols=None):
-        data = tuple(tuple(scalar(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
+        rows = [tuple(map(scalar, r)) for r in rows]
+        if rows:
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
                 raise LinAlgError("ragged rows")
             if ncols is not None and ncols != width:
                 raise LinAlgError("ncols mismatch")
             ncols = width
         elif ncols is None:
             ncols = 0
-        object.__setattr__(self, "rows", data)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "_terms", None)
+        cols = tuple({} for _ in range(ncols))
+        for i, r in enumerate(rows):
+            for col, x in zip(cols, r):
+                if x.num:
+                    col[i] = x
+        object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "nrows", len(rows))
 
     @classmethod
-    def _of(cls, rows, ncols):
-        """The Mat of ``rows``, a tuple of equal-length tuples of Scalars
-        (unchecked: results of Mat arithmetic need no coercion)."""
+    def _of(cls, cols, nrows):
+        """The Mat of ``cols``, a tuple of ``{row: Scalar}`` dicts of nonzero
+        entries (unchecked: the caller builds them and hands them over)."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "ncols", ncols)
-        object.__setattr__(m, "_terms", None)
+        object.__setattr__(m, "columns", cols)
+        object.__setattr__(m, "nrows", nrows)
         return m
-
-    def _row_terms(self):
-        """The ``(column, entry)`` pairs of each row's nonzero entries,
-        computed on first use and kept (the matrix is immutable)."""
-        terms = self._terms
-        if terms is None:
-            terms = tuple(tuple((j, x) for j, x in enumerate(r) if x.num) for r in self.rows)
-            object.__setattr__(self, "_terms", terms)
-        return terms
 
     def __setattr__(self, *args):
         raise AttributeError("Mat is immutable")
 
     @property
-    def nrows(self):
-        return len(self.rows)
+    def ncols(self):
+        return len(self.columns)
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
+    @property
+    def rows(self):
+        """The dense rows, a tuple of tuples of Scalars."""
+        return tuple(map(self.row, range(self.nrows)))
+
     @staticmethod
     def zeros(m, n):
-        return Mat._of(((ZERO,) * n,) * m, n)
+        return Mat._of(tuple({} for _ in range(n)), m)
 
     @staticmethod
     def identity(n):
@@ -122,60 +123,51 @@ class Mat:
 
     @staticmethod
     def from_cols(cols, nrows=None):
-        cols = [tuple(scalar(x) for x in c) for c in cols]
+        cols = [tuple(c) for c in cols]
         if cols:
             nrows = len(cols[0])
+            if any(len(c) != nrows for c in cols):
+                raise LinAlgError("ragged columns")
         elif nrows is None:
             nrows = 0
-        return Mat([[c[i] for c in cols] for i in range(nrows)], ncols=len(cols))
+        return Mat._of(
+            tuple({i: x for i, x in enumerate(map(scalar, c)) if x.num} for c in cols), nrows
+        )
 
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i][j]
+        return self.columns[j].get(range(self.nrows)[i], ZERO)
 
     def row(self, i):
-        return self.rows[i]
+        i = range(self.nrows)[i]
+        return tuple(c.get(i, ZERO) for c in self.columns)
 
     def col(self, j):
-        return tuple(r[j] for r in self.rows)
-
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
+        return _dense(self.columns[j], self.nrows)
 
     def transpose(self):
-        if not self.rows:
-            return Mat._of(((),) * self.ncols, 0)
-        return Mat._of(tuple(zip(*self.rows)), self.nrows)
+        rows = tuple({} for _ in range(self.nrows))
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                rows[i][j] = x
+        return Mat._of(rows, self.ncols)
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise LinAlgError("shape mismatch in +")
-        return Mat._of(
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)),
-            self.ncols,
-        )
+        return _lincomb((ONE, ONE), (self, other))
 
     def __sub__(self, other):
         if self.shape != other.shape:
             raise LinAlgError("shape mismatch in -")
-        return Mat._of(
-            tuple(
-                tuple(a - b if b.num else a for a, b in zip(r, s))
-                for r, s in zip(self.rows, other.rows)
-            ),
-            self.ncols,
-        )
+        return _lincomb((ONE, MINUS_ONE), (self, other))
 
     def __neg__(self):
-        return Mat._of(tuple(tuple(-a for a in r) for r in self.rows), self.ncols)
+        return _lincomb((MINUS_ONE,), (self,))
 
     def scale(self, c):
         c = scalar(c)
-        if c == ONE:
-            return self
-        return Mat._of(
-            tuple(tuple(c * a if a.num else a for a in r) for r in self.rows), self.ncols
-        )
+        return self if c == ONE else _lincomb((c,), (self,))
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -183,16 +175,8 @@ class Mat:
                 raise LinAlgError(
                     "cannot multiply %s by %s" % (self.shape, other.shape)
                 )
-            ocols = other.ncols
-            terms = other._row_terms()
-            out = []
-            for r in self._row_terms():
-                acc = [ZERO] * ocols
-                for k, a in r:
-                    for j, y in terms[k]:
-                        acc[j] = acc[j] + a * y
-                out.append(tuple(acc))
-            return Mat._of(tuple(out), ocols)
+            cols = self.columns
+            return Mat._of(tuple(_apply_columns(cols, c) for c in other.columns), self.nrows)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -203,54 +187,43 @@ class Mat:
         vec = tuple(scalar(x) for x in vec)
         if len(vec) != self.ncols:
             raise LinAlgError("vector length %d, expected %d" % (len(vec), self.ncols))
-        terms = [(j, x) for j, x in enumerate(vec) if x.num]
-        out = []
-        for r in self.rows:
-            acc = ZERO
-            for j, x in terms:
-                a = r[j]
-                if a.num:
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        terms = {j: x for j, x in enumerate(vec) if x.num}
+        return _dense(_apply_columns(self.columns, terms), self.nrows)
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.shape == other.shape and self.rows == other.rows
+        return (
+            isinstance(other, Mat)
+            and self.nrows == other.nrows
+            and self.columns == other.columns
+        )
 
     def __hash__(self):
-        return hash((self.ncols, self.rows))
+        return hash((self.nrows, tuple(frozenset(c.items()) for c in self.columns)))
 
     def is_zero(self):
-        return all(a.is_zero() for r in self.rows for a in r)
+        return not any(self.columns)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(a) for a in r) for r in self.rows)
         return "Mat[%s]" % body
 
 
-def vec_scale(c, u):
-    c = scalar(c)
-    return tuple(c * a for a in u)
-
-
-def is_zero_vec(u):
-    return all(a.is_zero() for a in u)
-
-
 def diag(entries):
     """Square matrix with the given diagonal."""
-    n = len(entries)
-    zeros = (ZERO,) * n
-    return Mat._of(
-        tuple(zeros[:i] + (scalar(e),) + zeros[i + 1:] for i, e in enumerate(entries)), n
-    )
+    entries = [scalar(e) for e in entries]
+    return Mat._of(tuple({i: e} if e.num else {} for i, e in enumerate(entries)), len(entries))
 
 
 def kron(A, B):
     """Kronecker product: entry ((i, k), (j, l)) is A[i, j] * B[k, l]."""
+    m = B.nrows
     return Mat._of(
-        tuple(tuple(a * b for a in ra for b in rb) for ra in A.rows for rb in B.rows),
-        A.ncols * B.ncols,
+        tuple(
+            {i * m + k: a * b for i, a in ca.items() for k, b in cb.items()}
+            for ca in A.columns
+            for cb in B.columns
+        ),
+        A.nrows * m,
     )
 
 
@@ -262,21 +235,14 @@ def flatten(m):
 def _lincomb(coeffs, mats):
     """The matrix sum_k coeffs[k] * mats[k] over the nonzero coefficients;
     ``mats`` is nonempty and of one shape."""
-    ncols = mats[0].ncols
-    acc = [[ZERO] * ncols for _ in range(mats[0].nrows)]
-    for c, m in zip(coeffs, mats):
-        if not c.num:
-            continue
-        for arow, mrow in zip(acc, m.rows):
-            for j, x in enumerate(mrow):
-                if x.num:
-                    arow[j] = arow[j] + c * x
-    return Mat._of(tuple(map(tuple, acc)), ncols)
-
-
-def _rows(mat):
-    """The rows of ``mat`` as ``{column: entry}`` dicts."""
-    return (dict(enumerate(r)) for r in mat.rows)
+    cols = []
+    for j in range(mats[0].ncols):
+        acc = {}
+        for c, m in zip(coeffs, mats):
+            if c.num:
+                _accumulate(acc, c, m.columns[j].items())
+        cols.append(acc)
+    return Mat._of(tuple(cols), mats[0].nrows)
 
 
 def rref(mat):
@@ -285,16 +251,14 @@ def rref(mat):
     A dense view of :func:`sparse_row_reduce`: the pivot rows in pivot order,
     then zero rows up to the row count of ``mat``.
     """
-    ncols = mat.ncols
-    basis = sparse_row_reduce(_rows(mat), ncols)
+    basis = sparse_row_reduce(mat.transpose().columns, mat.ncols)
     pivots = tuple(sorted(basis))
-    rows = [tuple(basis[p].get(c, ZERO) for c in range(ncols)) for p in pivots]
-    rows += [(ZERO,) * ncols] * (mat.nrows - len(pivots))
-    return Mat._of(tuple(rows), ncols), pivots
+    rows = tuple(basis[p] for p in pivots) + tuple({} for _ in range(mat.nrows - len(pivots)))
+    return Mat._of(rows, mat.ncols).transpose(), pivots
 
 
 def rank(mat):
-    return len(sparse_row_reduce(_rows(mat), mat.ncols))
+    return len(sparse_row_reduce(mat.columns, mat.nrows))
 
 
 def kernel(mat):
@@ -303,7 +267,7 @@ def kernel(mat):
     Deterministic: one basis vector per free column, ascending, with a 1 in
     that free coordinate.
     """
-    return sparse_kernel(_rows(mat), mat.ncols)
+    return sparse_kernel(mat.transpose().columns, mat.ncols)
 
 
 def solve(mat, rhs):
@@ -312,17 +276,15 @@ def solve(mat, rhs):
     rhs = tuple(scalar(x) for x in rhs)
     if len(rhs) != mat.nrows:
         raise LinAlgError("rhs length %d, expected %d" % (len(rhs), mat.nrows))
-    if not mat.rows:
-        if any(not b.is_zero() for b in rhs):
-            return None
-        return (ZERO,) * mat.ncols
-    aug = Mat._of(tuple(r + (b,) for r, b in zip(mat.rows, rhs)), mat.ncols + 1)
-    red, pivots = rref(aug)
-    if pivots and pivots[-1] == mat.ncols:
+    n = mat.ncols
+    # the rows [mat | rhs]; a pivot in column n makes the system inconsistent
+    rows = ({**r, n: b} if b.num else r for r, b in zip(mat.transpose().columns, rhs))
+    basis = sparse_row_reduce(rows, n + 1)
+    if n in basis:
         return None
-    x = [ZERO] * mat.ncols
-    for prow, pc in enumerate(pivots):
-        x[pc] = red[prow, mat.ncols]
+    x = [ZERO] * n
+    for p, row in basis.items():
+        x[p] = row.get(n, ZERO)
     return tuple(x)
 
 
@@ -330,11 +292,13 @@ def inverse(mat):
     n = mat.nrows
     if n != mat.ncols:
         raise LinAlgError("inverse of a non-square matrix")
-    aug = Mat._of(tuple(r + e for r, e in zip(mat.rows, Mat.identity(n).rows)), 2 * n)
-    red, pivots = rref(aug)
-    if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
+    # the rows [mat | I] reduce to [I | mat^-1] exactly when mat is invertible
+    rows = ({**r, n + i: ONE} for i, r in enumerate(mat.transpose().columns))
+    basis = sparse_row_reduce(rows, 2 * n)
+    if any(p not in basis for p in range(n)):
         raise LinAlgError("matrix is singular")
-    return Mat._of(tuple(r[n:] for r in red.rows), n)
+    inv_rows = tuple({c - n: v for c, v in basis[p].items() if c >= n} for p in range(n))
+    return Mat._of(inv_rows, n).transpose()
 
 
 def span_solver(cols, dim):
@@ -399,16 +363,6 @@ def _accumulate(acc, f, terms):
             acc.pop(k, None)
         else:
             acc[k] = v
-
-
-def _columns(mat):
-    """The columns of ``mat`` as ``{row: entry}`` dicts of its nonzero entries."""
-    cols = [{} for _ in range(mat.ncols)]
-    for i, r in enumerate(mat.rows):
-        for j, x in enumerate(r):
-            if x.num:
-                cols[j][i] = x
-    return cols
 
 
 def _apply_columns(cols, vec):
@@ -492,7 +446,7 @@ def joint_eigenspaces(ops, candidates, ambient=None):
     among its candidates on each joint eigenspace of the others (which it
     preserves), so the blocks always exhaust the space.
 
-    Each operator is read once into sparse columns, and all work is paid per
+    Each operator is read as its stored sparse columns, and all work is paid per
     nonzero entry: commutation is A(B e_j) = B(A e_j) on each basis vector,
     the certificate applies one factor (op - lam) at a time to each e_j, and
     a block spanned by v_1..v_m splits by the kernel of the columns
@@ -508,7 +462,7 @@ def joint_eigenspaces(ops, candidates, ambient=None):
     for op in ops:
         if op.shape != (ambient, ambient):
             raise LinAlgError("operator shape %s, ambient %d" % (op.shape, ambient))
-    cols = [_columns(op) for op in ops]
+    cols = [op.columns for op in ops]
     for a in range(len(ops)):
         for b in range(a + 1, len(ops)):
             ca, cb = cols[a], cols[b]

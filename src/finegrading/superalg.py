@@ -47,7 +47,6 @@ from .linalg import (
     Mat,
     _accumulate,
     _apply_columns,
-    _columns,
     _dense,
     _lincomb,
     flatten,
@@ -217,14 +216,17 @@ class SuperAlgebra:
     def ad_matrix(self, x):
         """Matrix of left multiplication (adjoint action for Lie brackets)."""
         xs = _sparse(x)
-        cols = [
-            _dense(_product(self.table, xs, {i: ONE}), self.dim) for i in range(self.dim)
-        ]
-        return Mat.from_cols(cols, nrows=self.dim)
+        return Mat._of(
+            tuple(_product(self.table, xs, {i: ONE}) for i in range(self.dim)), self.dim
+        )
 
     def parity_of(self, x):
         """Parity of a homogeneous element; AlgebraError when mixed."""
-        seen = {self.parity[i] for i, c in enumerate(x) if not c.is_zero()}
+        return self._support_parity(i for i, c in enumerate(x) if c.num)
+
+    def _support_parity(self, support):
+        """Parity of the basis indices of ``support``; AlgebraError when mixed."""
+        seen = {self.parity[i] for i in support}
         if len(seen) > 1:
             raise AlgebraError("element is not parity homogeneous")
         return seen.pop() if seen else 0
@@ -293,9 +295,9 @@ class LinMap:
         M^k e_j, one application of M per nonzero entry."""
         if self.source is not self.target:
             raise AlgebraError("order requires an endomorphism")
-        cols = _columns(self.matrix)
+        cols = self.matrix.columns
         ident = [{j: ONE} for j in range(self.source.dim)]
-        power = cols
+        power = list(cols)
         for k in range(1, bound + 1):
             if power == ident:
                 return k
@@ -361,7 +363,7 @@ def check_homomorphism(A, B, F, bijective=False):
         F = F.matrix
     if F.shape != (B.dim, A.dim):
         raise AlgebraError("map shape %s, expected (%d, %d)" % (F.shape, B.dim, A.dim))
-    cols = _columns(F)
+    cols = F.columns
     for j, col in enumerate(cols):
         for k in col:
             if B.parity[k] != A.parity[j]:
@@ -401,7 +403,7 @@ def is_derivation(A, D, parity=0):
     """
     n = A.dim
     tab = A.table
-    cols = _columns(D)
+    cols = D.columns
     for i in range(n):
         odd = (parity * A.parity[i]) % 2
         for j in range(n):
@@ -499,10 +501,10 @@ def derivations(A, parity=0):
     unknowns = [(k, i) for i in range(n) for k in targets[i]]
     mats = []
     for v in _keyed_kernel(unknowns, (leibniz(i, j) for i in range(n) for j in range(n))):
-        entries = [[ZERO] * n for _ in range(n)]
+        cols = tuple({} for _ in range(n))
         for (k, i), c in v.items():
-            entries[k][i] = c
-        mats.append(Mat(entries, ncols=n))
+            cols[i][k] = c
+        mats.append(Mat._of(cols, n))
     return mats
 
 
@@ -619,16 +621,18 @@ def _check_degrees(g0, action, degrees):
         )
     d0, dm = degrees[:n0], degrees[n0:]
     for (i, j), terms in g0.table.items():
+        d = d0[i] + d0[j]
         for k, _ in terms:
-            if d0[i] + d0[j] != d0[k]:
+            if d != d0[k]:
                 raise AlgebraError(
                     "degrees are not additive on g0 at (%s, %s): the product hits %s"
                     % (g0.names[i], g0.names[j], g0.names[k])
                 )
     mnames = action.module_names
     for (i, j), terms in action.table.items():
+        d = d0[i] + dm[j]
         for k, _ in terms:
-            if d0[i] + dm[j] != dm[k]:
+            if d != dm[k]:
                 raise AlgebraError(
                     "degrees are not additive on the action at (%s, %s): it hits %s"
                     % (g0.names[i], mnames[j], mnames[k])
@@ -789,18 +793,16 @@ def change_basis(A, P, names=None):
     n = A.dim
     if P.shape != (n, n):
         raise AlgebraError("basis matrix must be %d x %d" % (n, n))
-    Pinv = inverse(P)
-    cols = [P.col(j) for j in range(n)]
-    parity = [A.parity_of(c) for c in cols]
-    cols = [_sparse(c) for c in cols]
-    inv_cols = [tuple(col.items()) for col in _columns(Pinv)]
+    inv_cols = inverse(P).columns
+    cols = P.columns
+    parity = [A._support_parity(col) for col in cols]
     table = {}
     for i in range(n):
         for j in range(n):
             # P^-1 [P e_i, P e_j]
             entry = {}
             for k, c in _product(A.table, cols[i], cols[j]).items():
-                _accumulate(entry, c, inv_cols[k])
+                _accumulate(entry, c, inv_cols[k].items())
             if entry:
                 table[(i, j)] = list(entry.items())
     if names is None:

@@ -35,9 +35,14 @@ from finegrading.constructions import (
     build_quaternions,
 )
 from finegrading.errors import CliffordError
-from finegrading.linalg import Mat, vec_scale
+from finegrading.linalg import Mat
 from finegrading.scalars import ALPHA, IUNIT, OMEGA, ONE, ZERO, scalar
 from finegrading.superalg import LinMap, SuperAlgebra
+
+
+def vec_scale(c, u):
+    """The dense vector c * u."""
+    return tuple(c * a for a in u)
 
 # ---------------------------------------------------------------------------
 # the ten reference configurations

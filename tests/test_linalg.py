@@ -9,7 +9,6 @@ from finegrading.linalg import (
     diag,
     flatten,
     inverse,
-    is_zero_vec,
     joint_eigenspaces,
     kernel,
     kron,
@@ -54,6 +53,10 @@ def fraction_rank(entries):
     """Independent rank oracle using Fraction arithmetic."""
     rows = [list(map(Fraction, r)) for r in entries]
     return len(gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
+
+
+def is_zero_vec(u):
+    return all(a.is_zero() for a in u)
 
 
 def random_int_matrix(rng, m, n, lo=-4, hi=4):
@@ -188,6 +191,53 @@ if st is not None:
             got = A.apply(v)
             assert all(type(x) is Scalar for x in got)
             assert got == dense_apply(A.rows, v)
+
+        @fixed
+        @given(st.data(), dims, dims, dims)
+        def test_no_stored_zeros(self, data, m, k, n):
+            A, B = data.draw(zero_heavy(m, n)), data.draw(zero_heavy(m, n))
+            C = data.draw(zero_heavy(n, k))
+            # [A | A] times [C; -C] is a product whose terms all cancel
+            AA = Mat([r + r for r in A.rows], ncols=2 * n)
+            CC = Mat(C.rows + tuple(tuple(-x for x in r) for r in C.rows), ncols=k)
+            cancelled = AA * CC
+            assert cancelled == Mat.zeros(m, k) and not any(cancelled.columns)
+            for M in (A + B, A - B, -A, A.scale(ZERO), A * C, cancelled):
+                assert all(x.num for col in M.columns for x in col.values())
+            assert A.scale(ZERO) == Mat.zeros(m, n)
+
+        @fixed
+        @given(st.data(), dims, dims)
+        def test_difference_with_itself_is_zero(self, data, m, n):
+            A = data.draw(zero_heavy(m, n))
+            Z = Mat.zeros(m, n)
+            assert A - A == Z and hash(A - A) == hash(Z)
+            assert (A - A).is_zero() and (A.is_zero() == (A == Z))
+
+        @fixed
+        @given(st.data(), dims, dims)
+        def test_constructors_agree(self, data, m, n):
+            A = data.draw(zero_heavy(m, n))
+            by_cols = Mat.from_cols([A.col(j) for j in range(n)], nrows=m)
+            by_rows = Mat(A.rows, ncols=n)
+            assert by_cols == by_rows == A
+            assert hash(by_cols) == hash(by_rows) == hash(A)
+            d = data.draw(st.lists(sparse_entries, min_size=n, max_size=n))
+            for diagonal, M in ((d, diag(d)), ([ONE] * n, Mat.identity(n))):
+                entries = [[diagonal[i] if i == j else ZERO for j in range(n)] for i in range(n)]
+                rows, cols = Mat(entries, ncols=n), Mat.from_cols(zip(*entries), nrows=n)
+                assert M == rows == cols
+                assert hash(M) == hash(rows) == hash(cols)
+
+        @fixed
+        @given(st.data(), dims, dims, dims, dims)
+        def test_kron(self, data, m, n, p, q):
+            A, B = data.draw(zero_heavy(m, n)), data.draw(zero_heavy(p, q))
+            K = kron(A, B)
+            assert K.shape == (m * p, n * q)
+            assert entries_of(K) == [
+                [a * b for a in ra for b in rb] for ra in A.rows for rb in B.rows
+            ]
 
 
 class TestRankKernelSolve:

@@ -359,6 +359,22 @@ class TestPairingsAndCompletion:
         with pytest.raises(AlgebraError, match="4 entries, expected 3"):
             invariant_pairings(g, act, degrees=[0, 2, -2, 1])
 
+    def test_degrees_checked_on_every_term_of_an_entry(self):
+        # e_a e_b = e_b + e_c and e_a . u = u + v: the first term of each
+        # entry is additive, the second is not
+        g = SuperAlgebra(["a", "b", "c"], [0, 0, 0], {(0, 1): [(1, 1), (2, 1)]})
+        act = ModuleAction(g, ["u", "v"], {(0, 0): [(0, 1), (1, 1)]})
+        with pytest.raises(AlgebraError) as err:
+            invariant_pairings(g, act, degrees=[0, 1, 2, 1, 1])
+        assert str(err.value) == (
+            "degrees are not additive on g0 at (a, b): the product hits c"
+        )
+        with pytest.raises(AlgebraError) as err:
+            invariant_pairings(g, act, degrees=[0, 1, 1, 1, 5])
+        assert str(err.value) == (
+            "degrees are not additive on the action at (a, u): it hits v"
+        )
+
     def test_complete_to_osp12(self):
         g = sl2()
         act = standard_rep(g)
