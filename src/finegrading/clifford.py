@@ -22,11 +22,13 @@ representation.
 
 Every product is read off a structure table: ``superalg._product`` on sparse
 elements {index: Scalar}, or a single-term lookup where each product of two
-basis vectors is one signed basis vector (the split quaternions).  Dense
-coordinate tuples appear only where a value is handed out (extras, report
-values, ``DivisionClass.info``) or handed to ``linalg``.  The full Clifford
-table is written by ``constructions._straighten``, and one bilinear-form
-evaluation ``_form`` serves the normalization and the octonion model.
+basis vectors is one signed basis vector (the split quaternions).  The
+elements handed out (the ``z`` and ``so_span`` extras, the ``h_sample``
+report value, the idempotent of ``DivisionClass.info``) and those handed to
+``linalg`` are sparse as well; no dense coordinate tuple is formed.  The
+full Clifford table is written by ``constructions._straighten``, and one
+bilinear-form evaluation ``_form`` serves the normalization and the
+octonion model.
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ from .errors import CliffordError, LinAlgError
 from .linalg import (
     Mat,
     _accumulate,
-    _dense,
-    flatten,
+    _entries,
     inverse,
     kron,
     rank,
@@ -64,7 +65,6 @@ from .superalg import (
     _keyed_kernel,
     _product,
     _respects_product,
-    _sparse,
     _unit,
 )
 
@@ -532,7 +532,7 @@ def build_even_clifford(space):
     so_span = []
     for (i, j) in so_pairs:
         br = _commutator(tab, gen[i], gen[j])
-        so_span.append(tuple(br.get(k, ZERO) for k in even))
+        so_span.append({pos[k]: c for k, c in br.items()})
 
     built = BuiltAlgebra(
         alg,
@@ -543,7 +543,7 @@ def build_even_clifford(space):
             "words": words,
             "even_indices": even,
             "full_degrees": tuple(full_deg),
-            "z": _dense(z, full.dim),
+            "z": z,
             "zsquare": zsq,
             "bar": bar,
             "so_pairs": so_pairs,
@@ -566,7 +566,7 @@ def verify_even_clifford(built):
     n = space.dim
     gen = [{1 + t: ONE} for t in range(n)]
     gram = space.gram()
-    z = _sparse(built.extras["z"])
+    z = built.extras["z"]
 
     if any(_commutator(tab, z, g) for g in gen):
         raise CliffordError("z is not central")
@@ -717,7 +717,6 @@ def division_class(built, label=None):
     e = _unit(alg)
     if e is None:
         raise CliffordError("the algebra has no two-sided identity")
-    e = _sparse(e)
     tab = alg.table
     cuts = 0
 
@@ -738,11 +737,10 @@ def division_class(built, label=None):
                 continue
             sq = _product(tab, x, x)
             # x^2 = a x + b e gives p = (2x - a e)/sqrt(a^2 + 4b), p^2 = e
-            solve = span_solver([_dense(x, alg.dim), _dense(e, alg.dim)], alg.dim)
-            coeffs = solve(_dense(sq, alg.dim))
+            coeffs = span_solver([x, e], alg.dim)(sq)
             if coeffs is None:
                 continue
-            a, b = coeffs
+            a, b = coeffs.get(0, ZERO), coeffs.get(1, ZERO)
             disc = a * a + four * b
             if disc.is_zero():
                 continue
@@ -789,7 +787,7 @@ def division_class(built, label=None):
         support_size=supp,
         division_dim=ddim,
         cuts=cuts,
-        idempotent=_dense(e, alg.dim),
+        idempotent=e,
     )
 
 
@@ -957,7 +955,7 @@ def check_uuv_factorization(space, built=None):
     alg = built.algebra
     tab = built.extras["full"].table
     pos = {k: t for t, k in enumerate(built.extras["even_indices"])}
-    z = _sparse(built.extras["z"])
+    z = built.extras["z"]
     eps = built.extras["zsquare"]
     n = space.dim
 
@@ -972,9 +970,8 @@ def check_uuv_factorization(space, built=None):
     a = to_even(_product(tab, z, {1: ONE}))
     b = to_even(_product(tab, z, {2: ONE}))
     squad = [a, b, mul(a, b), mul(b, a)]
-    quad = [_dense(v, alg.dim) for v in squad]
     try:
-        proj = span_solver(quad, alg.dim)
+        proj = span_solver(squad, alg.dim)
         s_dim = 4
     except LinAlgError:
         proj = None
@@ -990,7 +987,7 @@ def check_uuv_factorization(space, built=None):
         Mat(((eps, ZERO), (ZERO, ZERO))),
         Mat(((ZERO, ZERO), (ZERO, eps))),
     ]
-    mat_ok = ok and _respects_product(quad, imgs, mul, lambda M, N: M * N, proj) is None
+    mat_ok = ok and _respects_product(squad, imgs, mul, lambda M, N: M * N, proj) is None
     report["s_is_2x2_matrices"] = mat_ok
     ok = ok and mat_ok
 
@@ -1060,7 +1057,7 @@ def verify_octonion_clifford_model():
     C = build_cayley()
     alg = C.algebra
     gram = C.extras["norm_gram"]
-    lmats = [alg.ad_matrix(alg.basis_vec(1 + t)) for t in range(7)]
+    lmats = [alg._ad({1 + t: ONE}) for t in range(7)]
     report = {}
 
     ok = True
@@ -1079,8 +1076,8 @@ def verify_octonion_clifford_model():
             m = Mat.identity(8)
             for t in w:
                 m = m * lmats[t]
-            even_cols.append(flatten(m))
-    report["span_dim"] = rank(Mat.from_cols(even_cols, nrows=64))
+            even_cols.append(_entries(m))
+    report["span_dim"] = rank(Mat._of(tuple(even_cols), 64))
     report["spans_end"] = report["span_dim"] == 64
 
     adjoint = True
@@ -1158,8 +1155,7 @@ def verify_quaternion_clifford_model():
                 hom = False
     report["homomorphism"] = hom
 
-    flat = [flatten(mats[t]) for t in triples]
-    report["independent"] = rank(Mat.from_cols(flat, nrows=256)) == 64
+    report["independent"] = rank(Mat._of(tuple(_entries(mats[t]) for t in triples), 256)) == 64
 
     right = [kron(Mat.identity(4), _right_mat(alg, i)) for i in (1, 2)]
     comm = all(
@@ -1253,11 +1249,9 @@ def verify_quaternion_clifford_model():
     def apply_phi(t, melem):
         # Phi_t applied to a sparse element of M, read off the columns of mats[t]
         out = {}
+        cols = mats[t].columns
         for (x, y), c in melem.items():
-            col = mats[t].col(4 * x + y)
-            _accumulate(
-                out, c, ((divmod(i, 4), v) for i, v in enumerate(col) if not v.is_zero())
-            )
+            _accumulate(out, c, ((divmod(i, 4), v) for i, v in cols[4 * x + y].items()))
         return out
 
     adj = True
@@ -1272,9 +1266,9 @@ def verify_quaternion_clifford_model():
     report["h_phi_adjoint"] = adj
 
     # frozen value: h(q1 (x) 1, q1 (x) q2) = N(q1, q1) * (1bar q2 q2) = -2
-    val = _dense(hform({(1, 0): ONE}, {(1, 2): ONE}), 4)
+    val = hform({(1, 0): ONE}, {(1, 2): ONE})
     report["h_sample"] = val
-    report["h_sample_ok"] = val == (scalar(-2), ZERO, ZERO, ZERO)
+    report["h_sample_ok"] = val == {0: scalar(-2)}
 
     report["ok"] = all(
         report[k]

@@ -48,9 +48,10 @@ from .errors import AlgebraError
 from .linalg import (
     Mat,
     _accumulate,
+    _apply_columns,
+    _entries,
     _lincomb,
     diag,
-    flatten,
     inverse,
     joint_eigenspaces,
     kron,
@@ -65,6 +66,7 @@ from .superalg import (
     _commutator_table,
     _product,
     _respects_product,
+    _sparse,
     _unit,
     change_basis,
     check_lie_super,
@@ -333,19 +335,19 @@ def _cayley_zero_part(C, wb):
     vecs = (v[2], v[3], v[4], c0, v[5], v[6], v[7])
     names = ("x1", "x2", "x3", "c0", "y1", "y2", "y3")
     weights = ((1, 0), (0, 1), (-1, -1), (0, 0), (-1, 0), (0, -1), (1, 1))
-    for w in vecs:
-        if not w[0].is_zero():
-            raise AlgebraError("trace-zero weight vector has a unit component")
-    coords = span_solver(vecs, 8)
+    svecs = [_sparse(w) for w in vecs]
+    if any(0 in w for w in svecs):
+        raise AlgebraError("trace-zero weight vector has a unit component")
+    coords = span_solver(svecs, 8)
 
     def restrict(D8):
         cols = []
-        for w in vecs:
-            c = coords(D8.apply(w))
+        for w in svecs:
+            c = coords(_apply_columns(D8.columns, w))
             if c is None:
                 raise AlgebraError("operator does not preserve the trace-zero part")
             cols.append(c)
-        return Mat.from_cols(cols, nrows=7)
+        return Mat._of(tuple(cols), 7)
 
     return {
         "names": names,
@@ -538,13 +540,13 @@ def build_tkk(J, der_basis=None):
                 raise AlgebraError("supplied matrix is not a superderivation")
     der_mats = [m for (m, _) in ders]
     der_parities = [p for (_, p) in ders]
-    der_coords = span_solver([flatten(m) for m in der_mats], n * n)
+    der_coords = span_solver([_entries(m) for m in der_mats], n * n)
 
     def dcoords(mat):
-        return der_coords(flatten(mat))
+        return der_coords(_entries(mat))
 
     # [L_x, L_y] of the left multiplications, in the derivation basis
-    L = [J.ad_matrix(J.basis_vec(i)) for i in range(n)]
+    L = [J._ad({i: ONE}) for i in range(n)]
     lcomm = _commutator_table(L, J.parity, dcoords)
 
     QB = build_quaternions()
@@ -644,16 +646,14 @@ def verify_tkk_iso_lemma(tkkb=None):
             G[3 + r][3 + s] = K3form[ar, as_] * K3form[br, bs]
     G = Mat(G)
 
-    # domain basis in tkk coordinates
+    # domain basis in tkk coordinates, as sparse elements
     def tensor_vec(a, jvec):
-        v = [ZERO] * A.dim
-        for k, c in enumerate(jvec):
-            v[a * n + k] = c
-        return tuple(v)
+        return {a * n + k: c for k, c in jvec.items()}
 
     dom = []
     images = []
     qbr = _quaternion_brackets(QB.algebra)
+    E2 = _sparse(E2)
     for a in range(3):
         dom.append(tensor_vec(a, E2))
         cols = [[ZERO] * 7 for _ in range(7)]
@@ -664,9 +664,7 @@ def verify_tkk_iso_lemma(tkkb=None):
     # p (x) w generators
     for a in range(3):
         for r, kr in enumerate(vv):
-            jvec = [ZERO] * n
-            jvec[kr] = ONE
-            dom.append(tensor_vec(a, tuple(jvec)))
+            dom.append(tensor_vec(a, {kr: ONE}))
             cols = []
             for xi in range(7):
                 col = [ZERO] * 7
@@ -682,27 +680,18 @@ def verify_tkk_iso_lemma(tkkb=None):
     for ridx, (D, p) in enumerate(ders):
         if p:
             continue
-        v = [ZERO] * A.dim
-        v[off + ridx] = ONE
-        dom.append(tuple(v))
+        dom.append({off + ridx: ONE})
         cols = []
-        for s, ks in enumerate(vv):
-            w = D.col(ks)
-            col = [ZERO] * 7
-            for t, kt in enumerate(vv):
-                col[3 + t] = w[kt]
-            for k in range(n):
-                if k not in vv and not w[k].is_zero():
-                    raise AlgebraError("even derivation leaks outside V (x) V")
-            cols.append(col)
-        images.append(
-            Mat.from_cols([(ZERO,) * 7] * 3 + cols, nrows=7)
-        )
+        for ks in vv:
+            w = D.columns[ks]
+            if any(k not in vv for k in w):
+                raise AlgebraError("even derivation leaks outside V (x) V")
+            cols.append({3 + t: w[kt] for t, kt in enumerate(vv) if kt in w})
+        images.append(Mat._of(({},) * 3 + tuple(cols), 7))
 
     if len(dom) != 21:
         raise AlgebraError("expected 21 generators, got %d" % len(dom))
-    flat = Mat.from_cols([flatten(m) for m in images], nrows=49)
-    if rank(flat) != 21:
+    if rank(Mat._of(tuple(_entries(m) for m in images), 49)) != 21:
         raise AlgebraError("the images do not span a 21-dimensional space")
     for m in images:
         if (m.transpose() * G + G * m) != Mat.zeros(7, 7):
@@ -960,12 +949,12 @@ def _sl2_tensor_model(group, g_names, g_table, g_degrees, w_names, w_mats, w_deg
 
 
 def _weight_split(alg, cartans, candidates):
-    """Joint eigenbasis of the adjoint of the given elements.
+    """Joint eigenbasis of the adjoint of the given sparse elements.
 
-    Returns (vectors, tags): coordinate vectors in the given basis and their
-    integer eigenvalue tuples, in deterministic order.
+    Returns (vectors, tags): sparse coordinate vectors in the given basis and
+    their integer eigenvalue tuples, in deterministic order.
     """
-    ops = [alg.ad_matrix(c) for c in cartans]
+    ops = [alg._ad(c) for c in cartans]
     blocks = joint_eigenspaces(ops, [list(candidates)] * len(ops), alg.dim)
     vectors = []
     tags = []
@@ -994,9 +983,9 @@ def build_G3():
         raise AlgebraError(
             "expected 14 Cayley derivations, found %d" % der_alg.dim
         )
-    der_coords = span_solver([flatten(m) for m in der_mats], 64)
-    t1c = der_coords(flatten(wb["t1"]))
-    t2c = der_coords(flatten(wb["t2"]))
+    der_coords = span_solver([_entries(m) for m in der_mats], 64)
+    t1c = der_coords(_entries(wb["t1"]))
+    t2c = der_coords(_entries(wb["t2"]))
     if t1c is None or t2c is None:
         raise AlgebraError("torus elements are not in the derivation span")
 
@@ -1007,9 +996,8 @@ def build_G3():
         seen[tag] = seen.get(tag, 0) + 1
         base = "g(%d,%d)" % tag
         g2_names.append(base if seen[tag] == 1 else "%s#%d" % (base, seen[tag]))
-    P2 = Mat.from_cols(g2_vecs, nrows=14)
-    g2w = change_basis(der_alg, P2, names=g2_names)
-    g2w_mats = [_lincomb(P2.col(col), der_mats) for col in range(14)]
+    g2w = change_basis(der_alg, Mat._of(tuple(g2_vecs), 14), names=g2_names)
+    g2w_mats = [_lincomb(v, der_mats) for v in g2_vecs]
 
     built = _sl2_tensor_model(
         GradingGroup(3), g2_names, g2w.table, g2_tags,
@@ -1061,17 +1049,20 @@ def _build_f4_cayley():
     Q21 = []
     for (r, s) in pairs:
         w, wp = v7(r), v7(s)
-        col = [ZERO] * 21
+        col = {}
         for (a, b), k in epair.items():
-            col[k] = w[a] * wp[b] - w[b] * wp[a]
+            x = w[a] * wp[b] - w[b] * wp[a]
+            if x.num:
+                col[k] = x
         Q21.append(col)
     pair_coords = span_solver(Q21, 21)
 
     def so7_coords(X):
-        raw = [ZERO] * 21
-        for (a, b), k in epair.items():
-            raw[k] = X[b, a] * HALF
-        return pair_coords(raw)
+        # the entries X[b, a] below the diagonal, halved
+        return pair_coords({
+            epair[a, b]: x * HALF
+            for a, col in enumerate(X.columns) for b, x in col.items() if b > a
+        })
 
     # spin action: rho(M_{w,w'}) = (l_w l_w' - l_w' l_w)/2 on the Cayley algebra
     P, Pinv = wb["P"], wb["Pinv"]
@@ -1146,10 +1137,10 @@ def _build_f4_tkk():
     odds3 = derivations(K3, 1)
     if len(evens3) != 3 or len(odds3) != 2:
         raise AlgebraError("unexpected Kaplansky derivation dimensions")
-    der3_coords = span_solver([flatten(m) for m in evens3 + odds3], 9)
+    der3_coords = span_solver([_entries(m) for m in evens3 + odds3], 9)
 
     def coords3(m):
-        c = der3_coords(flatten(m))
+        c = der3_coords(_entries(m))
         if c is None:
             raise AlgebraError("matrix is outside the derivation space")
         return c
@@ -1157,18 +1148,14 @@ def _build_f4_tkk():
     def adapt(mats, parities, cands):
         # simultaneous ad-delta eigenvectors within the span of mats
         n = len(mats)
-        sub = Mat.from_cols(
-            [coords3(delta * m - m * delta) for m in mats], nrows=5
-        )
-        # rewrite in the local coordinates of the given family
+        # ad delta in the local coordinates of the given family: only the
+        # coefficients over this family are relevant
+        offset = 0 if parities == 0 else 3
         local = []
-        for j in range(n):
-            col = sub.col(j)
-            # only the coefficients over this family are relevant
-            offset = 0 if parities == 0 else 3
-            local.append([col[offset + k] for k in range(n)])
-        admat = Mat.from_cols(local, nrows=n)
-        blocks = joint_eigenspaces([admat], [list(cands)], n)
+        for m in mats:
+            c = coords3(delta * m - m * delta)
+            local.append({k - offset: v for k, v in c.items() if 0 <= k - offset < n})
+        blocks = joint_eigenspaces([Mat._of(tuple(local), n)], [list(cands)], n)
         out = []
         for tag, vecs in blocks:
             wt = _int_of(tag[0])
@@ -1216,22 +1203,14 @@ def _build_f4_tkk():
     der_coords = tkkb.extras["der_coords"]
     cols = []
     for a in range(3):
-        for x in range(10):
-            col = [ZERO] * 40
-            tv = tau.col(x)
-            for k, c in enumerate(tv):
-                col[a * n + k] = c
-            cols.append(tuple(col))
+        for tv in tau.columns:
+            cols.append({a * n + k: c for k, c in tv.items()})
     for (D, p) in der10:
-        conj = tau * D * tau
-        c = der_coords(flatten(conj))
+        c = der_coords(_entries(tau * D * tau))
         if c is None:
             raise AlgebraError("swap does not normalize the derivations")
-        col = [ZERO] * 40
-        for k, v in enumerate(c):
-            col[off + k] = v
-        cols.append(tuple(col))
-    tau_hat = LinMap(alg, alg, Mat.from_cols(cols, nrows=40))
+        cols.append({off + k: v for k, v in c.items()})
+    tau_hat = LinMap(alg, alg, Mat._of(tuple(cols), 40))
 
     # conjugation by q1/q2 on the quaternion slot: diagonal signs
     QB = tkkb.extras["quaternions"]
@@ -1331,8 +1310,8 @@ def _cube_phi(Qa, a, b, c):
     """Phi(a (x) b (x) c) = kron(L_a R_bbar, L_c) on Q (x) Q, for indices into
     the quaternion basis (1, q1, q2, q3); the bar negates q1, q2, q3."""
     right = _right_mat(Qa, b)
-    left = Qa.ad_matrix(Qa.basis_vec(a)) * (right if b == 0 else -right)
-    return kron(left, Qa.ad_matrix(Qa.basis_vec(c)))
+    left = Qa._ad({a: ONE}) * (right if b == 0 else -right)
+    return kron(left, Qa._ad({c: ONE}))
 
 
 def _build_f4_quaternion():

@@ -20,7 +20,7 @@ from .constructions import (
     verify_tkk_iso_lemma,
 )
 from .errors import AlgebraError, GradingError
-from .linalg import Mat, diag, flatten, joint_eigenspaces, span_solver
+from .linalg import Mat, _entries, diag, joint_eigenspaces, span_solver
 from .scalars import IUNIT, MINUS_ONE, ONE, ZERO, root_of_unity, scalar
 from .superalg import LinMap, change_basis, check_homomorphism
 
@@ -291,7 +291,7 @@ def grading_from_diag(A, gens):
         for v in vecs:
             cols.append(v)
             degrees.append(deg)
-    P = Mat.from_cols(cols, nrows=n)
+    P = Mat._of(tuple(cols), n)
     newalg = change_basis(A, P)
     return Grading(newalg, group, degrees, source=A, basis=P)
 
@@ -320,7 +320,7 @@ def _lift_characters(built, der_images, odd_block):
     """Each Cayley sign character as the block matrix diag(I3, M, B, B).
 
     The identity on sl2; on the derivation part M has the columns
-    ``der_images(signs)``, the coordinates of each basis derivation
+    ``der_images(signs)``, the sparse coordinates of each basis derivation
     conjugated by the character (None when it leaves the derivation
     algebra); ``odd_block(signs)`` is the square block B on each of the two
     odd slots, which fill the end of the basis.
@@ -329,24 +329,18 @@ def _lift_characters(built, der_images, odd_block):
     n = A.dim
     autos = []
     for signs in cayley_sign_characters(built.extras["cayley"]):
-        cols = [tuple(ONE if t == k else ZERO for t in range(n)) for k in range(3)]
+        cols = [{k: ONE} for k in range(3)]
         for coords in der_images(signs):
             if coords is None:
                 raise GradingError(
                     "character does not normalize the derivation algebra"
                 )
-            col = [ZERO] * n
-            col[3:3 + len(coords)] = coords
-            cols.append(tuple(col))
+            cols.append({3 + k: c for k, c in coords.items()})
         B = odd_block(signs)
-        m = B.shape[0]
+        m = B.nrows
         for start in (n - 2 * m, n - m):
-            for j in range(m):
-                col = [ZERO] * n
-                for t in range(m):
-                    col[start + t] = B[t, j]
-                cols.append(tuple(col))
-        autos.append(LinMap(A, A, Mat.from_cols(cols, nrows=n)))
+            cols.extend({start + t: c for t, c in col.items()} for col in B.columns)
+        autos.append(LinMap(A, A, Mat._of(tuple(cols), n)))
     return autos
 
 
@@ -358,12 +352,12 @@ def g3_character_autos(built):
     two odd copies of the trace-zero part.
     """
     g2mats = built.extras["g2_matrices"]
-    g2_coords = span_solver([flatten(m) for m in g2mats], 64)
+    g2_coords = span_solver([_entries(m) for m in g2mats], 64)
     restrict = built.extras["zero_part"]["restrict"]
 
     def der_images(signs):
         chi = diag(signs)
-        return [g2_coords(flatten(chi * m * chi)) for m in g2mats]
+        return [g2_coords(_entries(chi * m * chi)) for m in g2mats]
 
     return _lift_characters(built, der_images, lambda signs: restrict(diag(signs)))
 

@@ -7,17 +7,26 @@ Gaussian elimination, :func:`sparse_row_reduce`, on rows stored as
 :func:`solve`, :func:`inverse` and :func:`span_solver` all run on it.  Its
 result is the reduced row echelon form of the row space, which is unique, so
 reduced forms, kernel bases and solutions do not depend on row order or on
-how the elimination proceeds.  :func:`span_solver` reduces a fixed set of
-columns once and then answers many coordinate queries against it.
+how the elimination proceeds.
+
+There is one vector format, the sparse dict ``{index: Scalar}`` of nonzero
+entries, from the elimination to the structure tables:
+:func:`sparse_kernel` returns its kernel vectors in it,
+:func:`span_solver` reduces a fixed set of sparse columns once and answers
+many coordinate queries on sparse vectors with sparse coordinates, and
+:func:`joint_eigenspaces` returns sparse eigenvectors.  A matrix enters
+:func:`span_solver` or :func:`rank` as a vector through ``_entries``, its
+stored entries keyed ``j * nrows + i``.  Dense tuples are views for users and
+tests: ``Mat(rows)``, :meth:`Mat.from_cols`, :meth:`Mat.col`,
+:meth:`Mat.row`, ``rows``, :meth:`Mat.apply` and :func:`kernel`.
 
 ``_accumulate`` is the one sparse axpy: the elimination, :class:`Mat`
 arithmetic and, through :mod:`~finegrading.superalg`, the product kernel and
 the verifiers add scaled sparse vectors with it.  A :class:`Mat` stores only
 its nonzero entries, as sparse ``{row: entry}`` columns, the form the
-elimination, the eigenspace split and the verifiers read directly; dense
-rows and columns are views formed on request.  :func:`rank` reduces the
-stored columns, and :func:`kernel`, :func:`solve` and :func:`inverse` reduce
-those of the transpose.
+elimination, the eigenspace split and the verifiers read directly.
+:func:`rank` reduces the stored columns, and :func:`kernel`, :func:`solve`
+and :func:`inverse` reduce those of the transpose.
 
 :func:`joint_eigenspaces` refines the ambient space under a family of
 commuting operators whose candidate eigenvalues are supplied by the caller;
@@ -47,7 +56,6 @@ __all__ = [
     "sparse_kernel",
     "diag",
     "kron",
-    "flatten",
 ]
 
 
@@ -125,9 +133,13 @@ class Mat:
     def from_cols(cols, nrows=None):
         cols = [tuple(c) for c in cols]
         if cols:
-            nrows = len(cols[0])
-            if any(len(c) != nrows for c in cols):
-                raise LinAlgError("ragged columns")
+            if nrows is None:
+                nrows = len(cols[0])
+            for j, c in enumerate(cols):
+                if len(c) != nrows:
+                    raise LinAlgError(
+                        "column %d has length %d, expected %d" % (j, len(c), nrows)
+                    )
         elif nrows is None:
             nrows = 0
         return Mat._of(
@@ -155,19 +167,19 @@ class Mat:
     def __add__(self, other):
         if self.shape != other.shape:
             raise LinAlgError("shape mismatch in +")
-        return _lincomb((ONE, ONE), (self, other))
+        return _lincomb({0: ONE, 1: ONE}, (self, other))
 
     def __sub__(self, other):
         if self.shape != other.shape:
             raise LinAlgError("shape mismatch in -")
-        return _lincomb((ONE, MINUS_ONE), (self, other))
+        return _lincomb({0: ONE, 1: MINUS_ONE}, (self, other))
 
     def __neg__(self):
-        return _lincomb((MINUS_ONE,), (self,))
+        return _lincomb({0: MINUS_ONE}, (self,))
 
     def scale(self, c):
         c = scalar(c)
-        return self if c == ONE else _lincomb((c,), (self,))
+        return self if c == ONE else _lincomb({0: c}, (self,))
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -227,20 +239,23 @@ def kron(A, B):
     )
 
 
-def flatten(m):
-    """The entries of ``m`` row by row, as a tuple."""
-    return tuple(x for r in m.rows for x in r)
+def _entries(m):
+    """The stored entries of ``m`` as one sparse vector of length
+    nrows * ncols, entry (i, j) keyed ``j * nrows + i``: the form in which a
+    matrix enters :func:`span_solver` or :func:`rank` as a vector."""
+    n = m.nrows
+    return {j * n + i: x for j, col in enumerate(m.columns) for i, x in col.items()}
 
 
 def _lincomb(coeffs, mats):
-    """The matrix sum_k coeffs[k] * mats[k] over the nonzero coefficients;
-    ``mats`` is nonempty and of one shape."""
+    """The matrix sum_k c * mats[k] over the (k, c) of the sparse ``coeffs``
+    ``{k: Scalar}``; ``mats`` is nonempty and of one shape."""
+    terms = [(c, mats[k].columns) for k, c in coeffs.items() if c.num]
     cols = []
     for j in range(mats[0].ncols):
         acc = {}
-        for c, m in zip(coeffs, mats):
-            if c.num:
-                _accumulate(acc, c, m.columns[j].items())
+        for c, m in terms:
+            _accumulate(acc, c, m[j].items())
         cols.append(acc)
     return Mat._of(tuple(cols), mats[0].nrows)
 
@@ -262,12 +277,14 @@ def rank(mat):
 
 
 def kernel(mat):
-    """Basis of the right null space, as a list of coordinate tuples.
+    """Basis of the right null space, as a list of coordinate tuples: the
+    dense view of :func:`sparse_kernel` on the rows of ``mat``.
 
     Deterministic: one basis vector per free column, ascending, with a 1 in
     that free coordinate.
     """
-    return sparse_kernel(mat.transpose().columns, mat.ncols)
+    n = mat.ncols
+    return [_dense(v, n) for v in sparse_kernel(mat.transpose().columns, n)]
 
 
 def solve(mat, rhs):
@@ -302,51 +319,47 @@ def inverse(mat):
 
 
 def span_solver(cols, dim):
-    """Coordinates over the span of fixed, independent columns.
+    """Coordinates over the span of fixed, independent sparse columns.
 
-    Reduces the rows ``[col_j | e_j]`` once; each reduced row pairs a vector
-    of the unique echelon basis of the span with the combination of columns
-    that gives it.  Returns ``coords(vec)``: the tuple x with
-    ``sum_j x_j cols[j] == vec``, or None when ``vec`` lies outside the span
+    ``cols`` are sparse vectors ``{index: Scalar}`` of nonzero entries with
+    indices in ``range(dim)``.  Reduces the rows ``[col_j | e_j]`` once; each
+    reduced row pairs a vector of the unique echelon basis of the span with
+    the combination of columns that gives it.  Returns ``coords(vec)``: for a
+    sparse ``vec`` of nonzero Scalar entries, the sparse x with
+    ``sum_j x[j] cols[j] == vec``, or None when ``vec`` lies outside the span
     (checked exactly on every query).  Raises LinAlgError when the columns
-    are linearly dependent.
+    are linearly dependent, or when a column or a query has an index outside
+    ``range(dim)``.
     """
-    k = len(cols)
-    sparse_cols = []
-    rows = []
-    for j, col in enumerate(cols):
-        entries = [(i, scalar(x)) for i, x in enumerate(col)]
-        entries = [(i, x) for i, x in entries if not x.is_zero()]
-        sparse_cols.append(entries)
-        rows.append(dict(entries + [(dim + j, ONE)]))
-    basis = sparse_row_reduce(rows, dim + k)
+    cols = list(cols)
+    for col in cols:
+        _check_indices(col, dim)
+    basis = sparse_row_reduce(
+        ({**col, dim + j: ONE} for j, col in enumerate(cols)), dim + len(cols)
+    )
     if any(p >= dim for p in basis):
         raise LinAlgError("span columns are linearly dependent")
-    combos = [
-        (p, [(c - dim, v) for c, v in row.items() if c >= dim])
-        for p, row in basis.items()
-    ]
+    # pivot -> the combination of columns giving its echelon basis vector
+    combos = {p: [(c - dim, v) for c, v in row.items() if c >= dim] for p, row in basis.items()}
 
     def coords(vec):
-        vec = tuple(scalar(x) for x in vec)
-        if len(vec) != dim:
-            raise LinAlgError("vector length %d, expected %d" % (len(vec), dim))
-        x = [ZERO] * k
-        for p, combo in combos:
-            f = vec[p]
-            if f.num:
-                for j, v in combo:
-                    x[j] = x[j] + f * v
-        image = [ZERO] * dim
-        for xj, col in zip(x, sparse_cols):
-            if xj.num:
-                for i, v in col:
-                    image[i] = image[i] + xj * v
-        if tuple(image) != vec:
-            return None
-        return tuple(x)
+        _check_indices(vec, dim)
+        x = {}
+        for p, f in vec.items():
+            combo = combos.get(p)
+            if combo is not None:
+                _accumulate(x, f, combo)
+        return x if _apply_columns(cols, x) == vec else None
 
     return coords
+
+
+def _check_indices(vec, dim):
+    """LinAlgError naming the first index of the sparse ``vec`` outside
+    ``range(dim)``."""
+    for i in vec:
+        if not 0 <= i < dim:
+            raise LinAlgError("index %r outside the vector length %d" % (i, dim))
 
 
 def _accumulate(acc, f, terms):
@@ -416,19 +429,17 @@ def sparse_row_reduce(rows, ncols):
 
 
 def sparse_kernel(rows, ncols):
-    """Kernel basis (dense tuples) of the linear system given by sparse rows."""
+    """Kernel basis of the linear system given by sparse rows, one sparse
+    vector ``{column: Scalar}`` per free column, ascending, with a 1 at that
+    column."""
     basis = sparse_row_reduce(rows, ncols)
     pivots = sorted(basis)
-    free = [c for c in range(ncols) if c not in basis]
     out = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for p in pivots:
-            w = basis[p].get(fc)
-            if w is not None:
-                v[p] = -w
-        out.append(tuple(v))
+    for fc in range(ncols):
+        if fc not in basis:
+            v = {p: -basis[p][fc] for p in pivots if fc in basis[p]}
+            v[fc] = ONE
+            out.append(v)
     return out
 
 
@@ -438,7 +449,8 @@ def joint_eigenspaces(ops, candidates, ambient=None):
     ``ops`` is a list of square matrices on the same n-dimensional space,
     ``candidates[i]`` the candidate eigenvalues for ``ops[i]`` (these are
     never searched for; the caller supplies them).  Returns a list of
-    ``(eigenvalue_tuple, [vectors])`` pairs with nonempty vector lists.
+    ``(eigenvalue_tuple, [vectors])`` pairs with nonempty vector lists; each
+    vector is sparse, ``{index: Scalar}`` of its nonzero entries.
 
     Raises LinAlgError unless the operators commute and each is killed by
     the product of (op - lam) over its distinct candidates.  That product is
@@ -503,7 +515,6 @@ def joint_eigenspaces(ops, candidates, ambient=None):
                 ker = sparse_kernel(rows.values(), len(vecs))
                 if ker:
                     # the kernel vector c is the vector sum_k c_k v_k
-                    coords = [{k: x for k, x in enumerate(c) if not x.is_zero()} for c in ker]
-                    new_blocks.append((tag + (lam,), [_apply_columns(vecs, c) for c in coords]))
+                    new_blocks.append((tag + (lam,), [_apply_columns(vecs, c) for c in ker]))
         blocks = new_blocks
-    return [(tag, [_dense(v, ambient) for v in vecs]) for tag, vecs in blocks]
+    return blocks

@@ -9,7 +9,9 @@ and :mod:`~finegrading.constructions`, work on that table through one private
 sparse product kernel ``_product``, built on the sparse axpy of
 :mod:`~finegrading.linalg`; none of them multiplies dense basis vectors.
 Dense coordinate tuples remain the element API (:meth:`SuperAlgebra.multiply`,
-:meth:`ModuleAction.act`), which wraps the same kernel.  ``_commutator`` forms
+:meth:`ModuleAction.act`, :func:`lie_closure`, :func:`ideal_generated_by`),
+which wraps the same kernel; kernels, pairings, the unit and span
+coordinates are sparse {index: Scalar} dicts.  ``_commutator`` forms
 x y - y x of sparse elements, and ``_respects_product`` checks that a span is
 closed under a product and that a map to matrices respects it (the so(U, q)
 and 2x2-matrix checks of the Clifford layer and the TKK lemma).
@@ -48,8 +50,8 @@ from .linalg import (
     _accumulate,
     _apply_columns,
     _dense,
+    _entries,
     _lincomb,
-    flatten,
     span_solver,
     sparse_kernel,
 )
@@ -107,19 +109,17 @@ def _commutator(table, x, y):
 def _respects_product(span, images, mul, image_mul, coords):
     """Where the linear map span[a] -> images[a] fails to respect a product.
 
-    ``span`` holds dense elements; ``mul`` multiplies two of them given as
-    sparse elements into a sparse element, ``image_mul`` two images, and
-    ``coords`` is the :func:`~finegrading.linalg.span_solver` of the span.
+    ``span`` holds sparse elements; ``mul`` multiplies two of them into a
+    sparse element, ``image_mul`` two images, and ``coords`` is the
+    :func:`~finegrading.linalg.span_solver` of the span.
     Returns None when the span is closed under ``mul`` and the map carries it
     to ``image_mul``; otherwise (a, b, closed) for the first pair that fails:
     closed is False when mul(span[a], span[b]) leaves the span, True when its
     image is not image_mul(images[a], images[b]).
     """
-    dim = len(span[0]) if span else 0
-    elems = [_sparse(v) for v in span]
-    for a, x in enumerate(elems):
-        for b, y in enumerate(elems):
-            c = coords(_dense(mul(x, y), dim))
+    for a, x in enumerate(span):
+        for b, y in enumerate(span):
+            c = coords(mul(x, y))
             if c is None:
                 return a, b, False
             if _lincomb(c, images) != image_mul(images[a], images[b]):
@@ -215,9 +215,12 @@ class SuperAlgebra:
 
     def ad_matrix(self, x):
         """Matrix of left multiplication (adjoint action for Lie brackets)."""
-        xs = _sparse(x)
+        return self._ad(_sparse(x))
+
+    def _ad(self, x):
+        """The ad_matrix of the sparse element ``x``."""
         return Mat._of(
-            tuple(_product(self.table, xs, {i: ONE}) for i in range(self.dim)), self.dim
+            tuple(_product(self.table, x, {i: ONE}) for i in range(self.dim)), self.dim
         )
 
     def parity_of(self, x):
@@ -442,14 +445,11 @@ def _keyed_kernel(unknowns, equations):
                 row[j] = row[j] + c if j in row else c
             yield from eq.values()
 
-    return [
-        {keys[j]: c for j, c in enumerate(v) if not c.is_zero()}
-        for v in sparse_kernel(rows(), len(keys))
-    ]
+    return [{keys[j]: c for j, c in v.items()} for v in sparse_kernel(rows(), len(keys))]
 
 
 def _unit(A):
-    """The two-sided unit of A as a coordinate tuple, or None if A has none.
+    """The two-sided unit of A as a sparse element, or None if A has none.
 
     Solves u e_j = lam e_j = e_j u for all j on the table, with lam the last
     unknown.  If A has a unit 1, then u - lam 1 kills A from both sides and
@@ -470,7 +470,7 @@ def _unit(A):
     ker = _keyed_kernel(range(n + 1), equations)
     if len(ker) != 1 or ker[0].pop(n, ZERO) != ONE:
         return None
-    return _dense(ker[0], n)
+    return ker[0]
 
 
 def derivations(A, parity=0):
@@ -510,7 +510,7 @@ def derivations(A, parity=0):
 
 def _commutator_table(mats, parities, coords, shift=0):
     """Table entries of the supercommutators [M_i, M_j] = M_i M_j -
-    (-1)^(|i||j|) M_j M_i, written in the coordinates ``coords(matrix)``.
+    (-1)^(|i||j|) M_j M_i, written in the sparse coordinates ``coords(matrix)``.
 
     Only i <= j is formed (i = j only for odd M_i, where it need not
     vanish); the entry at (j, i) follows by super-antisymmetry.  ``shift`` is
@@ -527,7 +527,7 @@ def _commutator_table(mats, parities, coords, shift=0):
                 raise AlgebraError(
                     "supercommutator of matrices %d and %d leaves the span" % (i, j)
                 )
-            terms = [(shift + k, c) for k, c in enumerate(cs) if c.num]
+            terms = [(shift + k, c) for k, c in cs.items()]
             if terms:
                 table[(shift + i, shift + j)] = terms
                 if i != j:
@@ -547,8 +547,8 @@ def derivation_superalgebra(A, names=None):
     mats = list(evens) + list(odds)
     parities = [0] * len(evens) + [1] * len(odds)
     # coordinates of a matrix over the derivation basis, reduced once
-    solver = span_solver([flatten(m) for m in mats], A.dim * A.dim)
-    table = _commutator_table(mats, parities, lambda m: solver(flatten(m)))
+    solver = span_solver([_entries(m) for m in mats], A.dim * A.dim)
+    table = _commutator_table(mats, parities, lambda m: solver(_entries(m)))
     if names is None:
         names = ["d%d" % i for i in range(len(mats))]
     der = SuperAlgebra(names, parities, table)
@@ -679,7 +679,8 @@ def invariant_pairings(g0, action, degrees=None, target=None):
     space is the full Hom into that span when the span is an ideal of g0,
     e.g. a simple summand.
 
-    Returns a list of pairings, each a dict {(i, j): g0-vector} for i <= j.
+    Returns a list of pairings, each a dict {(i, j): sparse g0-vector
+    {k: Scalar}} for i <= j.
     """
     md = action.module_dim
     n0 = g0.dim
@@ -714,8 +715,8 @@ def invariant_pairings(g0, action, degrees=None, target=None):
     for v in _keyed_kernel(unknowns, equations):
         pairing = {}
         for (i, j, k), c in v.items():
-            pairing.setdefault((i, j), [ZERO] * n0)[k] = c
-        out.append({ij: tuple(vec) for ij, vec in pairing.items()})
+            pairing.setdefault((i, j), {})[k] = c
+        out.append(pairing)
     return out
 
 
@@ -737,16 +738,12 @@ def complete_superalgebra(g0, action, pairings):
     if any(g0.parity):
         raise AlgebraError("g0 must be purely even")
 
-    sparse_pairings = [
-        {ij: tuple(_sparse(vec).items()) for ij, vec in b.items()} for b in pairings
-    ]
-
     def jacobi(i, j, k):
         # b_t(u_j, u_k).u_i + b_t(u_k, u_i).u_j + b_t(u_i, u_j).u_k for each
         # t, read off the action table
-        for t, b in enumerate(sparse_pairings):
+        for t, b in enumerate(pairings):
             for p, q, m in ((j, k, i), (k, i, j), (i, j, k)):
-                for l, c in b.get((p, q) if p <= q else (q, p), ()):
+                for l, c in b.get((p, q) if p <= q else (q, p), {}).items():
                     for o, f in action.table.get((l, m), ()):
                         yield o, t, c * f
 
@@ -774,9 +771,9 @@ def complete_superalgebra(g0, action, pairings):
     for i in range(md):
         for j in range(i, md):
             acc = {}
-            for ct, b in zip(coeffs, sparse_pairings):
+            for ct, b in zip(coeffs, pairings):
                 if not ct.is_zero():
-                    _accumulate(acc, ct, b.get((i, j), ()))
+                    _accumulate(acc, ct, b.get((i, j), {}).items())
             if acc:
                 entry = list(acc.items())
                 table[(n0 + i, n0 + j)] = entry

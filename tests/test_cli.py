@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import sys
 import time
 
 import pytest
@@ -84,6 +85,29 @@ def test_no_dense_matrix_products_in_theorem_check_d21a(monkeypatch, capsys):
     monkeypatch.setattr(Mat, "__mul__", refuse)
     monkeypatch.setattr(Mat, "scale", refuse)
     for argv, name in [
+        (["d21a"], "theorem-check-d21a"),
+        (["d21a", "--alpha=-(1/2)"], "theorem-check-d21a-alpha-minus-half"),
+    ]:
+        assert main(["theorem-check"] + argv + ["--format", "json"]) == 0
+        assert_matches_golden(capsys.readouterr().out, name)
+
+
+def test_no_dense_vectors_in_theorem_check_f4_or_d21a(monkeypatch, capsys):
+    # kernels, span coordinates and eigenvectors stay sparse from the
+    # elimination to the structure tables, so the sparse-to-dense conversion
+    # may be switched off in every module that binds it
+    def refuse(vec, dim):
+        raise AssertionError("sparse vector made dense")
+
+    binding = [
+        mod for name, mod in sorted(sys.modules.items())
+        if name.startswith("finegrading.") and hasattr(mod, "_dense")
+    ]
+    assert binding
+    for mod in binding:
+        monkeypatch.setattr(mod, "_dense", refuse)
+    for argv, name in [
+        (["f4"], "theorem-check-f4"),
         (["d21a"], "theorem-check-d21a"),
         (["d21a", "--alpha=-(1/2)"], "theorem-check-d21a-alpha-minus-half"),
     ]:

@@ -393,7 +393,7 @@ def test_tkk_dimensions(tkk10):
     assert len(A.even_indices()) == 24
     assert len(A.odd_indices()) == 16
     # the unit of the Kac superalgebra was found
-    unit = tkk10.extras["unit"]
+    unit = tuple(tkk10.extras["unit"].get(k, ZERO) for k in range(10))
     assert unit[0] == ONE and all(c.is_zero() for c in unit[1:])
 
 
@@ -732,7 +732,7 @@ def test_f4_quaternion_degree_zero_pairings_lose_nothing(f4_quaternion):
     keys = sorted({(ij, k) for b in graded + full for ij in b for k in range(g0.dim)})
 
     def flat(b):
-        return [b[ij][k] if ij in b else ZERO for ij, k in keys]
+        return [b[ij].get(k, ZERO) if ij in b else ZERO for ij, k in keys]
 
     vecs = [flat(b) for b in graded + full]
     assert len(graded) == len(full) == 2

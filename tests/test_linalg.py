@@ -6,8 +6,8 @@ import pytest
 from finegrading.errors import LinAlgError
 from finegrading.linalg import (
     Mat,
+    _entries,
     diag,
-    flatten,
     inverse,
     joint_eigenspaces,
     kernel,
@@ -59,6 +59,21 @@ def is_zero_vec(u):
     return all(a.is_zero() for a in u)
 
 
+def dense(vec, dim):
+    """The dense tuple of a sparse vector {index: Scalar}."""
+    return tuple(vec.get(k, ZERO) for k in range(dim))
+
+
+def sparse(vec):
+    """The sparse vector {index: Scalar} of the nonzero entries of ``vec``."""
+    return {i: x for i, x in enumerate(map(scalar, vec)) if x.num}
+
+
+def flatten(m):
+    """The entries of ``m`` row by row, as a tuple."""
+    return tuple(x for r in m.rows for x in r)
+
+
 def random_int_matrix(rng, m, n, lo=-4, hi=4):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 
@@ -96,10 +111,22 @@ class TestMat:
         assert diag([1, Fraction(1, 2)]) == Mat([[1, 0], [0, Fraction(1, 2)]])
         assert diag([]).shape == (0, 0)
         assert flatten(b) == tuple(scalar(v) for v in (0, 5, 1, 6, 7, -1))
+        # the stored entries, entry (i, j) keyed j * nrows + i
+        assert _entries(b) == {
+            1: scalar(6), 2: scalar(5), 3: scalar(7), 4: scalar(1), 5: scalar(-1)
+        }
 
     def test_ragged_rejected(self):
         with pytest.raises(LinAlgError):
             Mat([[1, 2], [3]])
+
+    def test_from_cols_honours_nrows(self):
+        assert Mat.from_cols([(1, 2, 3)], nrows=3).shape == (3, 1)
+        assert Mat.from_cols([], nrows=2).shape == (2, 0)
+        with pytest.raises(LinAlgError, match="column 0 has length 3, expected 2"):
+            Mat.from_cols([(1, 2, 3)], nrows=2)
+        with pytest.raises(LinAlgError, match="column 1 has length 1, expected 2"):
+            Mat.from_cols([(1, 2), (3,)])
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +255,27 @@ if st is not None:
                 rows, cols = Mat(entries, ncols=n), Mat.from_cols(zip(*entries), nrows=n)
                 assert M == rows == cols
                 assert hash(M) == hash(rows) == hash(cols)
+
+        @fixed
+        @given(st.data(), dims, dims)
+        def test_span_solver_agrees_with_solve(self, data, m, n):
+            A = data.draw(zero_heavy(m, n))
+            # the columns independent of those before them: full column rank
+            cols = []
+            for j in range(n):
+                if rank(Mat.from_cols(cols + [A.col(j)], nrows=m)) > len(cols):
+                    cols.append(A.col(j))
+            B, k = Mat.from_cols(cols, nrows=m), len(cols)
+            coords = span_solver(B.columns, m)
+            x = tuple(data.draw(st.lists(sparse_entries, min_size=k, max_size=k)))
+            v = tuple(data.draw(st.lists(sparse_entries, min_size=m, max_size=m)))
+            inside = B.apply(x)
+            assert dense(coords(sparse(inside)), k) == x
+            for vec in (inside, v, tuple(a + b for a, b in zip(inside, v))):
+                got, want = coords(sparse(vec)), solve(B, vec)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert dense(got, k) == want
 
         @fixed
         @given(st.data(), dims, dims, dims, dims)
@@ -421,33 +469,45 @@ class TestSpanSolver:
             cols = random_int_matrix(rng, k, dim)
             if fraction_rank(cols) < k:
                 continue
-            coords = span_solver(cols, dim)
+            coords = span_solver([sparse(c) for c in cols], dim)
             x = tuple(scalar(rng.randint(-3, 3)) for _ in range(k))
             vec = Mat.from_cols(cols, nrows=dim).apply(x)
-            assert coords(vec) == x
+            assert dense(coords(sparse(vec)), k) == x
             # a unit vector outside the span, added to a vector inside it
             for i in range(dim):
                 if fraction_rank(cols + [[int(j == i) for j in range(dim)]]) > k:
                     outside = tuple(v + (ONE if j == i else ZERO) for j, v in enumerate(vec))
-                    assert coords(outside) is None
+                    assert coords(sparse(outside)) is None
                     break
 
     def test_cyclotomic_span(self):
         cols = [(ONE, ZETA, ZERO), (OMEGA, ZERO, IUNIT)]
-        coords = span_solver(cols, 3)
+        coords = span_solver([sparse(c) for c in cols], 3)
         vec = tuple(IUNIT * a + ZETA * b for a, b in zip(*cols))
-        assert coords(vec) == (IUNIT, ZETA)
-        assert coords((ONE, ZERO, ZERO)) is None
+        assert dense(coords(sparse(vec)), 2) == (IUNIT, ZETA)
+        assert coords({0: ONE}) is None
 
     def test_dependent_columns_rejected(self):
         with pytest.raises(LinAlgError, match="dependent"):
-            span_solver([(1, 2, 3), (0, 1, 0), (2, 5, 6)], 3)
+            span_solver([sparse(c) for c in [(1, 2, 3), (0, 1, 0), (2, 5, 6)]], 3)
         with pytest.raises(LinAlgError, match="dependent"):
-            span_solver([(0, 0)], 2)
+            span_solver([{}], 2)
 
     def test_vector_length_checked(self):
         with pytest.raises(LinAlgError, match="length"):
-            span_solver([(1, 0)], 2)((1, 0, 0))
+            span_solver([{0: ONE}], 2)({0: ONE, 2: ONE})
+
+    def test_column_index_outside_dim_is_named(self):
+        with pytest.raises(LinAlgError, match="index 3 outside the vector length 3"):
+            span_solver([sparse((1, 0, 0, 1))], 3)
+        with pytest.raises(LinAlgError, match="index -1 outside"):
+            span_solver([{0: ONE}, {-1: ONE}], 3)
+
+    def test_query_index_outside_dim_is_named(self):
+        coords = span_solver([{0: ONE}], 3)
+        assert coords({0: scalar(2)}) == {0: scalar(2)}
+        with pytest.raises(LinAlgError, match="index 5 outside the vector length 3"):
+            coords({0: ONE, 5: ONE})
 
 
 class TestSparseKernel:
@@ -456,18 +516,17 @@ class TestSparseKernel:
         for _ in range(25):
             m, n = rng.randint(1, 6), rng.randint(1, 6)
             entries = random_int_matrix(rng, m, n, -3, 3)
-            dense = kernel(Mat(entries))
             rows = [
                 {j: scalar(x) for j, x in enumerate(r) if x} for r in entries
             ]
-            sparse = sparse_kernel(rows, n)
-            assert sparse == dense
+            assert [dense(v, n) for v in sparse_kernel(rows, n)] == kernel(Mat(entries))
 
     def test_streams_many_redundant_rows(self):
         rows = [{0: scalar(1), 2: scalar(k)} for k in [1] * 200]
         ker = sparse_kernel(rows, 3)
         assert len(ker) == 2
         for v in ker:
+            v = dense(v, 3)
             assert (v[0] + v[2]).is_zero()
 
 
@@ -487,7 +546,7 @@ class TestJointEigenspaces:
             ("1", 1),
         ]
         for (lam, mu), vecs in blocks:
-            for v in vecs:
+            for v in (dense(v, 2) for v in vecs):
                 assert a.apply(v) == tuple(lam * x for x in v)
                 assert b.apply(v) == tuple(mu * x for x in v)
 
@@ -582,5 +641,6 @@ def test_joint_eigenspaces_match_dense_oracle(seed):
     ]
     for ops, cands in families:
         blocks = joint_eigenspaces(ops, cands)
-        assert blocks == dense_joint_eigenspaces(ops, cands)
+        dense_blocks = [(tag, [dense(v, n) for v in vecs]) for tag, vecs in blocks]
+        assert dense_blocks == dense_joint_eigenspaces(ops, cands)
         assert sum(len(vecs) for _, vecs in blocks) == n
