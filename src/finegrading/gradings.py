@@ -73,13 +73,6 @@ class Grading:
         self.source = algebra if source is None else source
         self.basis = basis
 
-    def basis_columns(self):
-        """The designated basis, as coordinate columns over ``source``."""
-        n = self.algebra.dim
-        if self.basis is None:
-            return tuple(Mat.identity(n).col(j) for j in range(n))
-        return tuple(self.basis.col(j) for j in range(n))
-
     def components(self):
         """Map degree -> sorted tuple of basis indices."""
         out = {}
@@ -166,6 +159,15 @@ def grading_type(gr):
     return tuple(counts.get(i, 0) for i in range(1, r + 1))
 
 
+def _basis_keys(gr):
+    """The designated basis of ``gr`` as hashable keys: the stored sparse
+    columns over ``gr.source`` (unit columns when the basis is the
+    algebra's own), each as the frozenset of its nonzero entries."""
+    if gr.basis is None:
+        return tuple(frozenset({(j, ONE)}) for j in range(gr.algebra.dim))
+    return tuple(frozenset(col.items()) for col in gr.basis.columns)
+
+
 def is_refinement(fine, coarse):
     """Whether every component of ``fine`` sits inside a ``coarse`` component.
 
@@ -175,8 +177,8 @@ def is_refinement(fine, coarse):
     """
     if fine.source is not coarse.source:
         raise GradingError("gradings live on different algebras")
-    fcols = fine.basis_columns()
-    ccols = coarse.basis_columns()
+    fcols = _basis_keys(fine)
+    ccols = _basis_keys(coarse)
     if set(fcols) != set(ccols):
         raise GradingError("gradings use different designated bases")
     coarse_deg = dict(zip(ccols, coarse.degrees))

@@ -14,9 +14,17 @@ pair test on every pair, so that isotropy is tested on a basis.  The group
 route reads the multiplication table: an abelian subgroup A is a bitmask over
 the elements, and <A, x> for x centralizing A is the union of the x^k A.  Its
 search starts at the centre, which every maximal abelian subgroup contains.
+
+Both group records sort their maximal abelian subgroups into orbits by a
+breadth-first pass over index maps.  The pass runs on generators only: two
+automorphisms that generate Aut(Q_8), on one slot or block, and for
+(Q_8)^3/K the two coordinate permutations that generate S_3 and carry slot 0
+to the other slots.  Each generating claim is certified by closing the
+generators under composition, and each carrying claim by comparing index
+tables; a failure raises :class:`GroupError` naming the generators.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .errors import GroupError
 
@@ -73,6 +81,55 @@ def q8_automorphisms():
     return autos
 
 
+# q8_automorphisms() indices of a pair that generates Aut(Q_8) = S_4
+_AUT_GENERATORS = (2, 8)
+# the coordinate permutations of (Q_8)^3/K: they generate S_3, and
+# conjugating a slot-0 map by them gives the slot-1 and slot-2 maps
+_SLOT_PERMUTATIONS = ((1, 0, 2), (1, 2, 0))
+
+
+def _certify_generators(gens, group, what, name):
+    """Raise unless the index tables ``gens`` generate exactly ``group``: their
+    closure under composition (finite, so the inverses are powers)."""
+    generated = set(gens)
+    frontier = list(generated)
+    while frontier:
+        f = frontier.pop()
+        for g in gens:
+            h = tuple(g[x] for x in f)
+            if h not in generated:
+                generated.add(h)
+                frontier.append(h)
+    if generated != group:
+        raise GroupError(
+            "%s generate %d maps, not the %d of %s"
+            % (what, len(generated), len(group), name)
+        )
+
+
+def _q8_table(phi):
+    """A Q_8-automorphism as an index table on the elements 2 * axis + sign."""
+    return tuple(2 * b + t for b, t in (phi[(a, s)] for a in range(4) for s in range(2)))
+
+
+def _axis_table(phi):
+    """The map a Q_8-automorphism induces on the axes, that is on Q_8 modulo
+    its centre, F_2^2 with i, j, k = 1, 2, 3."""
+    return tuple(phi[(a, 0)][0] for a in range(4))
+
+
+def _aut_generators(autos):
+    """The automorphisms ``autos[k]`` for k in ``_AUT_GENERATORS``, certified
+    to generate all 24 of ``autos``; returns them with a label naming them."""
+    gens = [autos[k] for k in _AUT_GENERATORS]
+    label = "Q_8-automorphisms %s" % " and ".join(map(str, _AUT_GENERATORS))
+    _certify_generators(
+        [_q8_table(phi) for phi in gens], {_q8_table(phi) for phi in autos},
+        label, "Aut(Q_8)",
+    )
+    return gens, label
+
+
 def _orbits(subsets, maps):
     """Orbits of a set of frozensets under the group generated by index maps."""
     remaining = set(subsets)
@@ -109,16 +166,18 @@ class Q83K:
         self.index = {g: k for k, g in enumerate(elems)}
         self.identity = self.index[(0, 0, 0, 0)]
         n = len(elems)
-        # the axis and sign products of the three slots, read off the Q_8 table
-        index, ax, sg = self.index, _QAX, _QSG
-        self.mul = tuple(
-            tuple(
-                index[(ax[a1][b1], ax[a2][b2], ax[a3][b3],
-                       s ^ t ^ sg[a1][b1] ^ sg[a2][b2] ^ sg[a3][b3])]
+        # the axis and sign products of the three slots, read off the Q_8
+        # table; (a1, a2, a3, s) sits at index ((a1 * 4 + a2) * 4 + a3) * 2 + s
+        mul = []
+        for a1, a2, a3, s in elems:
+            x1, x2, x3 = _QAX[a1], _QAX[a2], _QAX[a3]
+            y1, y2, y3 = _QSG[a1], _QSG[a2], _QSG[a3]
+            mul.append(tuple(
+                ((x1[b1] * 4 + x2[b2]) * 4 + x3[b3]) * 2
+                + (s ^ t ^ y1[b1] ^ y2[b2] ^ y3[b3])
                 for b1, b2, b3, t in elems
-            )
-            for a1, a2, a3, s in elems
-        )
+            ))
+        self.mul = tuple(mul)
         comm = []
         for g in range(n):
             mask = 0
@@ -199,31 +258,56 @@ class Q83K:
             y = row[x]
         return out, out_elems
 
+    def slot_map(self, phi, slot):
+        """Index map of the Q_8-automorphism ``phi`` acting on one slot."""
+        table = []
+        for g in self.elements:
+            axes = list(g[:3])
+            b, t = phi[(axes[slot], 0)]
+            axes[slot] = b
+            table.append(self.index[(axes[0], axes[1], axes[2], g[3] ^ t)])
+        return tuple(table)
+
+    def permutation_map(self, perm):
+        """Index map of a permutation of the three coordinates."""
+        return tuple(
+            self.index[tuple(g[p] for p in perm) + (g[3],)] for g in self.elements
+        )
+
     def action_maps(self):
-        """Index maps for the triples of Q_8-automorphisms and coordinate
-        permutations acting on the group."""
-        maps = []
-        autos = q8_automorphisms()
-        for slot in range(3):
-            for phi in autos:
-                table = []
-                for g in self.elements:
-                    axes = list(g[:3])
-                    b, t = phi[(axes[slot], 0)]
-                    axes[slot] = b
-                    table.append(
-                        self.index[(axes[0], axes[1], axes[2], g[3] ^ t)]
+        """Certified generators of the group of triples of Q_8-automorphisms
+        and coordinate permutations, as four index maps.
+
+        Two automorphisms that generate Aut(Q_8) act on slot 0, and the two
+        permutations of ``_SLOT_PERMUTATIONS`` generate S_3.  Conjugating
+        each slot-0 map by them must give the slot-1 and slot-2 maps of the
+        same automorphism, so the four maps generate the group of all 24
+        automorphisms in each slot and all six permutations."""
+        gens = _aut_generators(q8_automorphisms())[0]
+        _certify_generators(
+            _SLOT_PERMUTATIONS, set(permutations(range(3))),
+            "coordinate permutations %s" % " and ".join(map(str, _SLOT_PERMUTATIONS)),
+            "S_3",
+        )
+        slot0 = [self.slot_map(phi, 0) for phi in gens]
+        perms = [self.permutation_map(perm) for perm in _SLOT_PERMUTATIONS]
+        for slot, perm, P in zip((1, 2), _SLOT_PERMUTATIONS, perms):
+            for k, phi, M in zip(_AUT_GENERATORS, gens, slot0):
+                # P M P^-1 sends P[g] to P[M[g]]
+                conj = [None] * len(M)
+                for g, h in enumerate(M):
+                    conj[P[g]] = P[h]
+                if tuple(conj) != self.slot_map(phi, slot):
+                    raise GroupError(
+                        "coordinate permutation %s does not carry the slot-0 map "
+                        "of Q_8-automorphism %d to slot %d" % (perm, k, slot)
                     )
-                maps.append(tuple(table))
-        for perm in ((1, 0, 2), (1, 2, 0)):
-            table = []
-            for g in self.elements:
-                axes = tuple(g[p] for p in perm)
-                table.append(self.index[axes + (g[3],)])
-            maps.append(tuple(table))
-        return maps
+        return slot0 + perms
 
     def orbits(self, subgroups):
+        """Orbits of ``subgroups`` under triples of Q_8-automorphisms and
+        coordinate permutations, computed on the certified generators of
+        :meth:`action_maps`."""
         return _orbits(subgroups, self.action_maps())
 
 
@@ -599,11 +683,18 @@ def maximal_abelian_FxQ82K():
             if all(_pair_commutes(p, q) for p in lift):
                 raise GroupError("the lift of a maximal subspace is not maximal")
 
-    # orbits under couples of Q_8-automorphisms (acting through GL_2(F_2)
-    # on each block)
-    induced = {tuple(phi[(a, 0)][0] for a in range(4)) for phi in q8_automorphisms()}
-    maps = [tuple(f[v & 3] | (v & 12) for v in range(16)) for f in induced]
-    maps += [tuple((v & 3) | (f[v >> 2] << 2) for v in range(16)) for f in induced]
+    # orbits under couples of Q_8-automorphisms, which act through GL_2(F_2)
+    # on each block: the images of the Aut(Q_8) generators, certified to
+    # generate GL_2(F_2), on either block
+    autos = q8_automorphisms()
+    gens, label = _aut_generators(autos)
+    gl2 = [_axis_table(phi) for phi in gens]
+    _certify_generators(
+        gl2, {_axis_table(phi) for phi in autos},
+        "the block maps of " + label, "GL_2(F_2)",
+    )
+    maps = [tuple(f[v & 3] | (v & 12) for v in range(16)) for f in gl2]
+    maps += [tuple((v & 3) | (f[v >> 2] << 2) for v in range(16)) for f in gl2]
     orbits = _orbits(maximal, maps)
     if len(orbits) != 2:
         raise GroupError("expected exactly two orbits, found %d" % len(orbits))

@@ -31,7 +31,7 @@ from finegrading.gradings import (
     trivial_grading,
     verify_grading,
 )
-from finegrading.linalg import Mat
+from finegrading.linalg import Mat, diag
 from finegrading.scalars import ALPHA, IUNIT, MINUS_ONE, OMEGA, ONE, ZERO, scalar
 from finegrading.superalg import LinMap
 
@@ -227,6 +227,19 @@ def test_refinement_requires_common_basis(f4_tkk):
         is_refinement(diag, attached)
 
 
+def test_refinement_names_different_designated_bases(d21):
+    # the same degrees on the designated basis with its first vector negated:
+    # the sparse columns differ in one entry, so the bases are not the same
+    cartan = attached_grading(d21, "Z^3")
+    flipped = diag([MINUS_ONE] + [ONE] * 16)
+    negated = Grading(cartan.algebra, cartan.group, cartan.degrees, basis=flipped)
+    assert is_refinement(negated, negated)
+    with pytest.raises(GradingError, match="different designated bases"):
+        is_refinement(cartan, negated)
+    with pytest.raises(GradingError, match="different designated bases"):
+        is_refinement(negated, cartan)
+
+
 def test_refinement_requires_same_algebra(d21):
     g3 = build_G3()
     with pytest.raises(GradingError):
@@ -279,8 +292,8 @@ def test_from_diag_generator_order_independent(d21):
 
     def partition(gr):
         comps = {}
-        for col, d in zip(gr.basis_columns(), gr.degrees):
-            comps.setdefault(d, set()).add(col)
+        for col, d in zip(gr.basis.columns, gr.degrees):
+            comps.setdefault(d, set()).add(frozenset(col.items()))
         return set(frozenset(s) for s in comps.values())
 
     gr1 = grading_from_diag(d21.algebra, DiagGenerators((), autos))

@@ -270,3 +270,84 @@ def test_reference_subgroup_matches_closure():
     I, J = (1, 0), (2, 0)
     gens = [G.coset(t) for t in ((I, I, I), (J, J, I), (I, J, J))]
     assert maximal_abelian_Q83K()["orbit_representatives"][2] == closure(G, gens)
+
+
+# ---------------------------------------------------------------------------
+# orbits on certified generators
+# ---------------------------------------------------------------------------
+
+
+def all_74_action_maps(G):
+    """Every Q_8-automorphism on every slot, plus the two coordinate
+    permutations: the full map list the generators replace."""
+    maps = []
+    for slot in range(3):
+        for phi in q8_automorphisms():
+            table = []
+            for g in G.elements:
+                axes = list(g[:3])
+                b, t = phi[(axes[slot], 0)]
+                axes[slot] = b
+                table.append(G.index[(axes[0], axes[1], axes[2], g[3] ^ t)])
+            maps.append(tuple(table))
+    for perm in ((1, 0, 2), (1, 2, 0)):
+        maps.append(tuple(
+            G.index[tuple(g[p] for p in perm) + (g[3],)] for g in G.elements
+        ))
+    return maps
+
+
+def orbit_set(orbits):
+    return {frozenset(orbit) for orbit in orbits}
+
+
+def test_q83k_generator_orbits_equal_orbits_under_all_74_maps(q83k_oracle):
+    G, (maximal, _) = q83k_oracle
+    full = all_74_action_maps(G)
+    assert len(full) == 74
+    maps = G.action_maps()
+    assert len(maps) == 4
+    assert set(maps) <= set(full)
+    assert orbit_set(G.orbits(maximal)) == orbit_set(groups._orbits(maximal, full))
+
+
+def test_fxq82k_generator_orbits_equal_orbits_under_all_12_maps(monkeypatch):
+    calls = []
+    orbits = groups._orbits
+
+    def spy(subsets, maps):
+        calls.append((subsets, maps))
+        return orbits(subsets, maps)
+
+    monkeypatch.setattr(groups, "_orbits", spy)
+    assert maximal_abelian_FxQ82K()["orbit_sizes"] == (6, 9)
+    [(maximal, maps)] = calls
+    induced = {tuple(phi[(a, 0)][0] for a in range(4)) for phi in q8_automorphisms()}
+    full = [tuple(f[v & 3] | (v & 12) for v in range(16)) for f in induced]
+    full += [tuple((v & 3) | (f[v >> 2] << 2) for v in range(16)) for f in induced]
+    assert len(full) == 12 and len(maps) == 4
+    assert set(maps) <= set(full)
+    assert orbit_set(orbits(maximal, maps)) == orbit_set(orbits(maximal, full))
+
+
+@pytest.mark.parametrize("record", [maximal_abelian_Q83K, maximal_abelian_FxQ82K])
+def test_non_generating_automorphism_pair_is_named(monkeypatch, record):
+    # autos[1] and autos[6] generate a cyclic group of order 4
+    monkeypatch.setattr(groups, "_AUT_GENERATORS", (1, 6))
+    with pytest.raises(GroupError, match=r"Q_8-automorphisms 1 and 6 generate 4 maps, "
+                                         r"not the 24 of Aut\(Q_8\)"):
+        record()
+
+
+def test_permutations_must_generate_s3(monkeypatch):
+    monkeypatch.setattr(groups, "_SLOT_PERMUTATIONS", ((1, 0, 2), (1, 0, 2)))
+    with pytest.raises(GroupError, match=r"generate 2 maps, not the 6 of S_3"):
+        maximal_abelian_Q83K()
+
+
+def test_permutation_must_carry_slot_0_to_the_named_slot(monkeypatch):
+    # (1, 2, 0) carries slot 0 to slot 2, so listed first it misses slot 1
+    monkeypatch.setattr(groups, "_SLOT_PERMUTATIONS", ((1, 2, 0), (1, 0, 2)))
+    with pytest.raises(GroupError, match=r"permutation \(1, 2, 0\) does not carry the "
+                                         r"slot-0 map of Q_8-automorphism 2 to slot 1"):
+        maximal_abelian_Q83K()
