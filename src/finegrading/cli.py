@@ -7,10 +7,13 @@ classification of a graded quadratic configuration file), and
 ``grading-report`` (catalog dump).  ``--alpha`` (the d21a parameter) is
 taken by ``build``, ``theorem-check`` and ``grading-report``; ``--model`` (the
 F(4) model) by ``build`` only, since ``theorem-check f4`` checks all three.
-Exit code 0 iff every check passes; usage problems exit 2.
+Exit code 0 iff every check passes; usage problems exit 2.  When stdout is
+closed before the report is written (``| head``), the run exits 1 without a
+traceback.
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -310,7 +313,17 @@ def main(argv=None):
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader went away: point stdout at os.devnull so that the
+            # flush at interpreter exit does not raise again (Python's
+            # ``signal`` docs, "Note on SIGPIPE")
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
     return 0 if report.all_pass(records) else 1
 
 

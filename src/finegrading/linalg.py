@@ -41,7 +41,7 @@ no dense matrix product.
 from __future__ import annotations
 
 from .errors import LinAlgError
-from .scalars import MINUS_ONE, ONE, ZERO, scalar
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar, scalar
 
 __all__ = [
     "Mat",
@@ -329,11 +329,11 @@ def span_solver(cols, dim):
     ``sum_j x[j] cols[j] == vec``, or None when ``vec`` lies outside the span
     (checked exactly on every query).  Raises LinAlgError when the columns
     are linearly dependent, or when a column or a query has an index outside
-    ``range(dim)``.
+    ``range(dim)`` or an entry that is not a Scalar.
     """
     cols = list(cols)
-    for col in cols:
-        _check_indices(col, dim)
+    for j, col in enumerate(cols):
+        _check_entries(col, dim, "span column %d" % j)
     basis = sparse_row_reduce(
         ({**col, dim + j: ONE} for j, col in enumerate(cols)), dim + len(cols)
     )
@@ -343,7 +343,7 @@ def span_solver(cols, dim):
     combos = {p: [(c - dim, v) for c, v in row.items() if c >= dim] for p, row in basis.items()}
 
     def coords(vec):
-        _check_indices(vec, dim)
+        _check_entries(vec, dim, "query vector")
         x = {}
         for p, f in vec.items():
             combo = combos.get(p)
@@ -354,12 +354,17 @@ def span_solver(cols, dim):
     return coords
 
 
-def _check_indices(vec, dim):
+def _check_entries(vec, dim, what):
     """LinAlgError naming the first index of the sparse ``vec`` outside
-    ``range(dim)``."""
-    for i in vec:
+    ``range(dim)``, or the first entry that is not a Scalar and ``what``
+    holds it."""
+    for i, x in vec.items():
         if not 0 <= i < dim:
             raise LinAlgError("index %r outside the vector length %d" % (i, dim))
+        if not isinstance(x, Scalar):
+            raise LinAlgError(
+                "%s entry at index %r is %s, not Scalar" % (what, i, type(x).__name__)
+            )
 
 
 def _accumulate(acc, f, terms):
@@ -398,34 +403,35 @@ def sparse_row_reduce(rows, ncols):
     """Reduced row basis of a (possibly huge) iterable of sparse rows.
 
     Rows are dicts ``{column: Scalar}``.  Returns ``{pivot_column: row_dict}``
-    with pivot entries 1 and full back-reduction, i.e. the rref of the row
-    space.  Only independent rows are retained, so memory stays proportional
-    to the rank even when millions of constraint rows are streamed through.
+    with pivot entries 1, every pivot column zero in the other rows: the rref
+    of the row space.  Only independent rows are retained, so memory stays
+    proportional to the rank even when millions of constraint rows are
+    streamed through.
+
+    The basis is kept fully reduced as rows arrive.  A basis row is zero at
+    every other pivot, so subtracting it creates no pivot entry: an incoming
+    row subtracts each basis row at whose pivot it has an entry exactly once,
+    and a redundant row costs one subtraction per pivot entry.  A row that
+    brings a new pivot p is normalized and p is eliminated from the basis
+    rows that hold column p.  The rref of a row space is unique, so the
+    result is the one any elimination order reaches.
     """
-    # Each reduction step subtracts f times a basis row from a row whose
-    # entry at the pivot is f: one multiply-add per off-pivot entry, against
-    # the off-pivot terms of the basis row, negated once per basis row.
-    basis = {}
+    # Each basis row is stored as its off-pivot terms, negated: subtracting
+    # f times it is one multiply-add per off-pivot entry with factor f.
     neg_tails = {}
     for row in rows:
         row = {c: v for c, v in row.items() if v.num}
-        while row:
+        for p in [c for c in row if c in neg_tails]:
+            _accumulate(row, row.pop(p), neg_tails[p].items())
+        if row:
             p = min(row)
-            if p in basis:
-                _accumulate(row, row.pop(p), neg_tails[p])
-            else:
-                inv = row[p].inverse()
-                row = {c: inv * v for c, v in row.items()}
-                basis[p] = row
-                neg_tails[p] = [(c, -v) for c, v in row.items() if c != p]
-                break
-    # back-reduce so every pivot column appears in exactly one row
-    for p in sorted(basis, reverse=True):
-        neg_tail = [(c, -v) for c, v in basis[p].items() if c != p]
-        for q, qrow in basis.items():
-            if q != p and p in qrow:
-                _accumulate(qrow, qrow.pop(p), neg_tail)
-    return basis
+            ninv = -row.pop(p).inverse()
+            tail = {c: ninv * v for c, v in row.items()}
+            for qtail in neg_tails.values():
+                if p in qtail:
+                    _accumulate(qtail, qtail.pop(p), tail.items())
+            neg_tails[p] = tail
+    return {p: {p: ONE, **{c: -v for c, v in tail.items()}} for p, tail in neg_tails.items()}
 
 
 def sparse_kernel(rows, ncols):

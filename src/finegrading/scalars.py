@@ -721,9 +721,11 @@ def format_scalar(s):
 
 # Hostile text fails fast: exponent literals and the degree in a of every value
 # formed before its gcd reduction are at most MAX_PARSE_DEGREE (models print
-# degree 1; a gcd takes ms at degree 16, s at 32), a power's bits at most MAX_PARSE_BITS.
+# degree 1; a gcd takes ms at degree 16, s at 32), a power's bits at most MAX_PARSE_BITS,
+# and parentheses nest at most MAX_PARSE_NESTING deep (the parser recurses once per level).
 MAX_PARSE_DEGREE = 16
 MAX_PARSE_BITS = 1 << 16
+MAX_PARSE_NESTING = 64
 
 
 class _Tokens:
@@ -753,6 +755,7 @@ class _Tokens:
                 continue
             raise ScalarError("unexpected character %r in scalar text %r" % (ch, text))
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
@@ -817,9 +820,10 @@ def _bits(s):
 
 
 def _parse_factor(toks):
-    if toks.peek() == "-":
+    negate = False
+    while toks.peek() == "-":
         toks.take()
-        return -_parse_factor(toks)
+        negate = not negate
     value = _parse_primary(toks)
     if toks.peek() == "^":
         toks.take()
@@ -832,7 +836,7 @@ def _parse_factor(toks):
         _limit(toks, "degree in a", _degree(value) * k, MAX_PARSE_DEGREE)
         _limit(toks, "coordinate bit length", _bits(value) * k, MAX_PARSE_BITS)
         value = value ** (-k if neg else k)
-    return value
+    return -value if negate else value
 
 
 def _parse_primary(toks):
@@ -844,7 +848,10 @@ def _parse_primary(toks):
     if kind == "a":
         return ALPHA
     if kind == "(":
+        toks.nesting += 1
+        _limit(toks, "parenthesis nesting", toks.nesting, MAX_PARSE_NESTING)
         value = _parse_expr(toks)
         toks.take(")")
+        toks.nesting -= 1
         return value
     raise ScalarError("unexpected token %r in scalar text" % text)

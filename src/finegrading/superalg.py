@@ -18,8 +18,12 @@ and 2x2-matrix checks of the Clifford layer and the TKK lemma).
 
 The heavy lifting lives in the verification and completion routines:
 
-* :func:`check_lie_super` — super anticommutativity plus the super Jacobi
-  identity, checked exactly on basis pairs/triples of the table.
+* :func:`check_lie_super` — super anticommutativity on all basis pairs,
+  then the super Jacobi identity on the sorted basis triples that contain an
+  index of ``_generating_indices``, a generating set it certifies itself;
+  the x with ad_x a superderivation form a subalgebra, so that is enough.
+  The same generators serve the equivariance rows of
+  :func:`invariant_pairings`.
 * :func:`derivations` — super-Leibniz kernel, per parity of the derivation.
 * :func:`invariant_pairings` — symmetric equivariant pairings S^2 m -> g0,
   optionally restricted to degree 0 for a supplied grading of g0 + m; the
@@ -317,9 +321,16 @@ def check_lie_super(A):
     """Verify super anticommutativity and the super Jacobi identity.
 
     Anticommutativity is checked on pairs i <= j; once it holds, the Jacobi
-    expression only changes sign under permutations, so triples i <= j <= k
-    suffice.  Both run on the table: [e_i, [e_j, e_k]] is the sum of
-    c * table[(i, t)] over the terms (t, c) of table[(j, k)].
+    expression J(a, b, c) only changes sign under permutations, so sorted
+    triples i <= j <= k suffice.  Jacobi is checked only on the sorted
+    triples that contain an index of :func:`_generating_indices`, which
+    certifies that its basis vectors generate A.  That is enough:
+    anticommutativity makes J(a, ., .) = 0 equivalent to ad_a being a
+    superderivation; if ad_x and ad_y are superderivations, then ad_[x, y]
+    is their supercommutator, again a superderivation; so the x with ad_x a
+    superderivation form a subalgebra, which holds the generators and is
+    therefore all of A.  Both checks run on the table: [e_i, [e_j, e_k]] is
+    the sum of c * table[(i, t)] over the terms (t, c) of table[(j, k)].
     """
     n = A.dim
     par = A.parity
@@ -336,9 +347,11 @@ def check_lie_super(A):
                     % (A.names[i], A.names[j])
                 )
 
+    gens = sorted(_generating_indices(A))
+    gen_set = set(gens)
     for i in range(n):
         for j in range(i, n):
-            for k in range(j, n):
+            for k in range(j, n) if i in gen_set or j in gen_set else [g for g in gens if g >= j]:
                 # acc = sum over the cyclic (a, b, c) of (-1)^(|a||c|) [e_a, [e_b, e_c]]
                 acc = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
@@ -555,38 +568,39 @@ def derivation_superalgebra(A, names=None):
     return der, mats
 
 
-def _closure(A, vectors, gens=None, basis=None):
+def _closure(A, vectors, gens=None):
     """Echelon rows (pivot, {index: Scalar}), pivot coefficient 1, of the
     smallest span holding ``vectors`` (sparse, reduced in place) and closed
-    under both products with ``gens`` (default: the span itself).  ``basis``,
-    the rows of such a closed span, is extended in place when given."""
-    basis = [] if basis is None else basis
-
-    def insert(v):
-        for piv, row in basis:
-            f = v.get(piv)
-            if f is not None:
-                _accumulate(v, -f, row.items())
-        if not v:
-            return None
-        piv = min(v)
-        inv = v[piv].inverse()
-        v = {k: inv * c for k, c in v.items()}
-        basis.append((piv, v))
-        return v
-
-    frontier = [v for v in map(insert, vectors) if v is not None]
+    under both products with ``gens`` (default: the span itself)."""
+    basis = []
+    frontier = [v for v in (_insert(basis, v) for v in vectors) if v is not None]
     while frontier:
         new = []
         current = [row for _, row in basis] if gens is None else gens
         for f in frontier:
             for b in current:
                 for w in (_product(A.table, b, f), _product(A.table, f, b)):
-                    r = insert(w)
+                    r = _insert(basis, w)
                     if r is not None:
                         new.append(r)
         frontier = new
     return basis
+
+
+def _insert(basis, v):
+    """Reduce the sparse ``v`` in place by the echelon rows ``basis``; append
+    and return the normalized remainder, or return None when it is zero."""
+    for piv, row in basis:
+        f = v.get(piv)
+        if f is not None:
+            _accumulate(v, -f, row.items())
+    if not v:
+        return None
+    piv = min(v)
+    inv = v[piv].inverse()
+    v = {k: inv * c for k, c in v.items()}
+    basis.append((piv, v))
+    return v
 
 
 def lie_closure(A, vectors):
@@ -640,18 +654,41 @@ def _check_degrees(g0, action, degrees):
     return d0, dm
 
 
-def _generating_indices(g0):
-    """Basis indices whose Lie closure is g0, chosen greedily: an index is
-    kept when e_idx is not in the closure of the indices kept before it, and
-    that one closure is then grown by e_idx."""
-    chosen, basis = [], []
-    for idx in range(g0.dim):
-        if len(basis) == g0.dim:
+def _generating_indices(A):
+    """Basis indices whose basis vectors generate A, chosen greedily and
+    certified without assuming any identity of the product.
+
+    The odd indices are tried first, then the even ones, ascending within
+    each parity.  L is the span of the kept e_g closed under the left
+    products e_g v with every kept g; an index is kept when e_idx is not in
+    L.  L is grown incrementally: when g is kept, e_g times every vector
+    already in L is added, and every new vector is multiplied by every kept
+    generator.  Every vector of L is a product of kept generators, so L lies
+    in the subalgebra they generate; and each index is either kept or in L,
+    so L is A at the end and the kept indices generate A.  In a Lie algebra
+    L is the subalgebra the kept vectors generate, so on a purely even Lie
+    algebra the greedy keeps the indices of ascending Lie closures.
+    """
+    tab = A.table
+    chosen, gens, basis = [], [], []
+    for idx in A.odd_indices() + A.even_indices():
+        if len(basis) == A.dim:
             break
-        before = len(basis)
-        _closure(g0, [{idx: ONE}], basis=basis)
-        if len(basis) > before:
-            chosen.append(idx)
+        e = {idx: ONE}
+        first = _insert(basis, dict(e))
+        if first is None:
+            continue
+        chosen.append(idx)
+        gens.append(e)
+        frontier = [first] + [
+            r for r in (_insert(basis, _product(tab, e, row)) for _, row in basis[:-1])
+            if r is not None
+        ]
+        while frontier:
+            frontier = [
+                r for r in (_insert(basis, _product(tab, g, f)) for f in frontier for g in gens)
+                if r is not None
+            ]
     return chosen
 
 

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import time
 
@@ -163,6 +165,51 @@ def test_hostile_alpha_exits_2_fast(capsys):
     assert err.value.code == 2
     assert time.perf_counter() - start < 1.0
     assert "exponent 100000 exceeds" in capsys.readouterr().err
+
+
+def test_deeply_nested_alpha_is_a_usage_error(capsys):
+    deep = "(" * 400 + "1" + ")" * 400
+    with pytest.raises(SystemExit) as err:
+        main(["theorem-check", "d21a", "--alpha=" + deep])
+    assert err.value.code == 2
+    assert "parenthesis nesting 65 exceeds 64" in capsys.readouterr().err
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is a file of the test's own."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, monkeypatch):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        assert main(["grading-report", "g3", "--format", "json"]) == 1
+
+
+def test_closed_pipe_of_a_real_process_leaves_no_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "finegrading.cli", "grading-report", "g3", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "BrokenPipe" not in proc.stderr
 
 
 def test_build_k10_roundtrip(tmp_path):

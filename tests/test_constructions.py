@@ -31,6 +31,7 @@ from finegrading.linalg import Mat, rank
 from finegrading.scalars import HALF, IUNIT, OMEGA, ONE, ZERO, scalar
 from finegrading.superalg import (
     LinMap,
+    _closure,
     _generating_indices,
     check_homomorphism,
     check_lie_super,
@@ -767,3 +768,21 @@ def test_generating_indices_match_the_from_scratch_closures(fixture, count, requ
             chosen, dim = chosen + [idx], d
     assert _generating_indices(g0) == chosen
     assert len(chosen) == count
+
+
+@pytest.mark.parametrize(
+    "fixture, count",
+    [("f4_cayley", 10), ("f4_tkk", 6), ("f4_quaternion", 4), ("tkk10", 6), ("g3", 9), ("d21", 7)],
+)
+def test_generating_indices_generate_each_model(fixture, count, request):
+    A = request.getfixturevalue(fixture).algebra
+    gens = _generating_indices(A)
+    assert len(gens) == count
+    assert len(_closure(A, [{g: ONE} for g in gens])) == A.dim
+
+
+@pytest.mark.parametrize("which", ["K10", "cayley"])
+def test_generating_indices_of_a_non_lie_model_span_by_full_closure(which, kac, cayley):
+    A = kac[1].algebra if which == "K10" else cayley.algebra
+    gens = _generating_indices(A)
+    assert len(_closure(A, [{g: ONE} for g in gens])) == A.dim

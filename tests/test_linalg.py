@@ -6,6 +6,7 @@ import pytest
 from finegrading.errors import LinAlgError
 from finegrading.linalg import (
     Mat,
+    _accumulate,
     _entries,
     diag,
     inverse,
@@ -17,6 +18,7 @@ from finegrading.linalg import (
     solve,
     span_solver,
     sparse_kernel,
+    sparse_row_reduce,
 )
 from finegrading.scalars import ALPHA, IUNIT, OMEGA, ONE, ZETA, ZERO, Cyc, Scalar, scalar
 
@@ -509,6 +511,13 @@ class TestSpanSolver:
         with pytest.raises(LinAlgError, match="index 5 outside the vector length 3"):
             coords({0: ONE, 5: ONE})
 
+    def test_entry_that_is_not_a_scalar_is_named(self):
+        with pytest.raises(LinAlgError, match="span column 1 entry at index 2 is int, not Scalar"):
+            span_solver([{0: ONE}, {1: ONE, 2: 1}], 3)
+        coords = span_solver([{0: ONE}], 3)
+        with pytest.raises(LinAlgError, match="query vector entry at index 0 is Fraction"):
+            coords({0: Fraction(1, 2)})
+
 
 class TestSparseKernel:
     def test_agrees_with_dense_kernel(self):
@@ -644,3 +653,66 @@ def test_joint_eigenspaces_match_dense_oracle(seed):
         dense_blocks = [(tag, [dense(v, n) for v in vecs]) for tag, vecs in blocks]
         assert dense_blocks == dense_joint_eigenspaces(ops, cands)
         assert sum(len(vecs) for _, vecs in blocks) == n
+
+
+def forward_then_back_reduce(rows, ncols):
+    """Oracle: the elimination as it was before its basis was kept fully
+    reduced.  A forward pass reduces each row on its smallest column while
+    that column is a pivot, then a back pass clears every pivot column from
+    the rows above it."""
+    basis = {}
+    neg_tails = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v.num}
+        while row:
+            p = min(row)
+            if p in basis:
+                _accumulate(row, row.pop(p), neg_tails[p])
+            else:
+                inv = row[p].inverse()
+                row = {c: inv * v for c, v in row.items()}
+                basis[p] = row
+                neg_tails[p] = [(c, -v) for c, v in row.items() if c != p]
+                break
+    for p in sorted(basis, reverse=True):
+        neg_tail = [(c, -v) for c, v in basis[p].items() if c != p]
+        for q, qrow in basis.items():
+            if q != p and p in qrow:
+                _accumulate(qrow, qrow.pop(p), neg_tail)
+    return basis
+
+
+def random_sparse_system(rng, pool, m, n):
+    """m sparse rows over n columns with entries from ``pool``, then a
+    repeated row, a zero row and combinations of earlier rows, shuffled."""
+    rows = [
+        {j: rng.choice(pool) for j in range(n) if rng.random() < 0.35} for _ in range(m)
+    ]
+    rows.append(dict(rng.choice(rows)))
+    rows.append({})
+    for _ in range(rng.randint(1, 3)):
+        acc = {}
+        for row in rng.sample(rows, min(len(rows), 2)):
+            _accumulate(acc, rng.choice(pool), row.items())
+        rows.append(acc)
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "field, seed",
+    [("rational", s) for s in range(3)] + [("cyclotomic-alpha", s) for s in range(3)],
+)
+def test_sparse_row_reduce_matches_forward_then_back_reduce(field, seed):
+    rng = random.Random(1000 * seed + len(field))
+    if field == "rational":
+        pool = [scalar(k) for k in (-3, -2, -1, 1, 2, 3)] + [scalar(Fraction(1, 2))]
+    else:
+        pool = [ONE, -ONE, ZETA, OMEGA, IUNIT, ZETA ** 5, ALPHA, ALPHA + ONE, ALPHA * ZETA]
+    for _ in range(12):
+        m, n = rng.randint(1, 9), rng.randint(1, 10)
+        rows = random_sparse_system(rng, pool, m, n)
+        basis = sparse_row_reduce([dict(r) for r in rows], n)
+        want = forward_then_back_reduce([dict(r) for r in rows], n)
+        assert basis == want
+        assert list(basis) == list(want)

@@ -26,6 +26,7 @@ from finegrading.scalars import (
     ZERO,
     ZETA,
     MAX_PARSE_DEGREE,
+    MAX_PARSE_NESTING,
     parse_scalar,
     root_of_unity,
     scalar,
@@ -272,6 +273,18 @@ class TestGrammar:
             with pytest.raises(ScalarError, match=what):
                 parse_scalar(bad)
             assert time.perf_counter() - start < 1.0, bad
+
+    def test_parenthesis_nesting_is_bounded(self):
+        deep = "(" * MAX_PARSE_NESTING + "a" + ")" * MAX_PARSE_NESTING
+        assert parse_scalar(deep) == ALPHA
+        for levels in (MAX_PARSE_NESTING + 1, 400):
+            with pytest.raises(ScalarError, match="parenthesis nesting %d exceeds %d"
+                               % (MAX_PARSE_NESTING + 1, MAX_PARSE_NESTING)):
+                parse_scalar("(" * levels + "1" + ")" * levels)
+
+    def test_long_runs_of_unary_minus_parse(self):
+        assert parse_scalar("-" * 3001 + "a^2") == -(ALPHA ** 2)
+        assert parse_scalar("--a") == ALPHA
 
     def test_bounds_admit_what_models_print(self):
         assert parse_scalar("(a+z)^16") == (ALPHA + ZETA) ** 16

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from finegrading.constructions import build_quaternions
+from finegrading.constructions import build_D21, build_quaternions
 from finegrading.errors import AlgebraError
 from finegrading.linalg import Mat, inverse, kernel, rank, solve, span_solver
 from finegrading.scalars import HALF, ONE, ZERO, scalar
@@ -10,7 +10,9 @@ from finegrading.superalg import (
     LinMap,
     ModuleAction,
     SuperAlgebra,
+    _closure,
     _commutator_table,
+    _generating_indices,
     _keyed_kernel,
     _product,
     _respects_product,
@@ -613,3 +615,66 @@ def test_order_of_a_signed_cycle_and_past_its_bound():
         f.order(bound=5)
     with pytest.raises(AlgebraError, match="endomorphism"):
         LinMap(A, SuperAlgebra(["x", "y", "z"], [0, 0, 0], {}), Mat.identity(3)).order()
+
+
+def jacobi_expression(A, i, j, k):
+    """Oracle: the sparse sum over the cyclic (a, b, c) of (i, j, k) of
+    (-1)^(|a||c|) [e_a, [e_b, e_c]], formed with dense products."""
+    e = A.basis_vec
+    total = A.zero()
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        term = A.multiply(e(a), A.multiply(e(b), e(c)))
+        sign = -1 if A.parity[a] & A.parity[c] else 1
+        total = tuple(x + sign * y for x, y in zip(total, term))
+    return {t: x for t, x in enumerate(total) if x.num}
+
+
+def test_jacobi_violation_planted_away_from_the_generators_is_detected():
+    # in D(2,1;2) the generating set is odd; doubling [H1, F1] keeps
+    # anticommutativity and breaks Jacobi at the even triple (E1, H1, F1),
+    # which meets no generator
+    A = build_D21(scalar(2)).algebra
+    check_lie_super(A)
+    e1, h1, f1 = (A.index(n) for n in ("E1", "H1", "F1"))
+    table = dict(A.table)
+    for ij in ((h1, f1), (f1, h1)):
+        table[ij] = [(k, scalar(2) * c) for k, c in table[ij]]
+    bad = SuperAlgebra(A.names, A.parity, table)
+    gens = _generating_indices(bad)
+    assert not {e1, h1, f1} & set(gens)
+    assert jacobi_expression(bad, e1, h1, f1)
+    with pytest.raises(AlgebraError, match="super Jacobi fails"):
+        check_lie_super(bad)
+
+
+def random_table(rng, parity):
+    """A product table with random integer coefficients that respects the
+    parities and satisfies no identity."""
+    n = len(parity)
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            want = (parity[i] + parity[j]) % 2
+            table[(i, j)] = [
+                (k, rng.randint(-2, 2)) for k in range(n)
+                if parity[k] == want and rng.random() < 0.2
+            ]
+    return table
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_generating_indices_of_a_non_lie_table_span_by_full_closure(seed):
+    rng = random.Random(seed)
+    parity = [rng.randint(0, 1) for _ in range(rng.randint(2, 7))]
+    A = SuperAlgebra(["e%d" % i for i in range(len(parity))], parity, random_table(rng, parity))
+    gens = _generating_indices(A)
+    odd = [g for g in gens if A.parity[g]]
+    assert gens == odd + sorted(set(gens) - set(odd)) and odd == sorted(odd)
+    assert len(_closure(A, [{g: ONE} for g in gens])) == A.dim
+
+
+def test_deeply_nested_table_scalar_raises_algebra_error():
+    scalar_text = "(" * 400 + "1" + ")" * 400
+    text = '{"names": ["h"], "parity": [0], "table": {"0,0": [[0, "%s"]]}}' % scalar_text
+    with pytest.raises(AlgebraError, match=r"key '0,0': parenthesis nesting 65 exceeds 64"):
+        loads_algebra(text)
