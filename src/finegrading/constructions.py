@@ -22,17 +22,25 @@ The constructions, bottom to top:
   times — Cayley/spin model, TKK over the Kac superalgebra, quaternionic
   model — because each model makes different fine gradings visible.
 
-Every builder assembles its tables along one path.  Brackets of matrices are
-written by :func:`~finegrading.superalg._commutator_table` (one supercommutator
-per unordered pair, the mirror entry by super-antisymmetry), actions by
-matrices by ``_action_table`` (one entry per nonzero column), the sl2 part of
-the models by ``_quaternion_brackets`` or ``_sl2_table``, both read off a
-table, the so7 part of the quaternion model by ``_straighten`` (the word
-straightening that also writes the Clifford tables of
+Every builder writes its literals sparse and assembles its tables along one
+path.  Vectors and distinguished elements (the Cayley weight basis, the
+idempotents of K10) are ``{index: Scalar}`` dicts and matrices are built from
+sparse columns; the dense element API of
+:class:`~finegrading.superalg.SuperAlgebra` is a view for users only.
+Brackets of matrices are written by
+:func:`~finegrading.superalg._commutator_table` (one supercommutator per
+unordered pair, the mirror entry by super-antisymmetry), actions by matrices
+by ``_action_table`` (one entry per nonzero column), the sl2 part of the
+models by ``_quaternion_brackets`` (commutators read off a table) or by the
+one ``_sl2_table`` and the one action ``_SL2_ON_V`` on V = (u, v), the so7
+part of the quaternion model by ``_straighten`` (the word straightening that
+also writes the Clifford tables of
 :func:`~finegrading.clifford.clifford_algebra`), and linear combinations of
-matrices by ``linalg._lincomb``.  G(3) and the Cayley model of F(4) are
-both sl2 + g' acting on V (x) W; the one routine ``_sl2_tensor_model`` builds
-that g0, its action and degrees, and solves for the odd bracket.
+matrices by ``linalg._lincomb``.  Derivations of K3 lift into K10 as
+kron(D, I3) and kron(diag(signs), D), and ``_weight_split`` splits commuting
+operators into weight vectors.  G(3) and the Cayley model of F(4) are both
+sl2 + g' acting on V (x) W; the one routine ``_sl2_tensor_model`` builds that
+g0, its action and degrees, and solves for the odd bracket.
 
 The builders check the data they are given (Leibniz rules, closure, unique
 odd bracket) but not the Lie superalgebra axioms of what they return; run
@@ -63,10 +71,10 @@ from .superalg import (
     LinMap,
     ModuleAction,
     SuperAlgebra,
+    _commutator,
     _commutator_table,
     _product,
     _respects_product,
-    _sparse,
     _unit,
     change_basis,
     check_lie_super,
@@ -224,9 +232,7 @@ def _quaternion_brackets(Qa):
     out = {}
     for a in range(1, 4):
         for b in range(1, 4):
-            acc = {}
-            _accumulate(acc, ONE, Qa.product_basis(a, b))
-            _accumulate(acc, MINUS_ONE, Qa.product_basis(b, a))
+            acc = _commutator(Qa.table, {a: ONE}, {b: ONE})
             if 0 in acc:
                 raise AlgebraError("quaternion commutator has a unit component")
             if acc:
@@ -289,27 +295,24 @@ def cayley_weight_basis(C):
     weight spaces (1,0), (0,1), (-1,-1) of the torus derivations t1, t2 and
     the y's the opposite ones.  Returns the basis vectors, the base-change
     matrix P (columns in the 1, e1..e7 coordinates), its inverse, t1, t2 as
-    matrices, and the weight list.
+    matrices, and the weight list.  The vectors are sparse {index: Scalar}
+    over 1, e1..e7 and are the columns of P.
     """
     A = C.algebra
-    i = IUNIT
-
-    def elt(items):
-        return A.element(items)
-
+    i, h = IUNIT, IUNIT * HALF
     vecs = (
-        elt({"1": HALF, "e1": i * HALF}),
-        elt({"1": HALF, "e1": -(i * HALF)}),
-        elt({"e2": ONE, "e4": i}),
-        elt({"e5": ONE, "e6": i}),
-        elt({"e3": ONE, "e7": i}),
-        elt({"e2": ONE, "e4": -i}),
-        elt({"e5": ONE, "e6": -i}),
-        elt({"e3": ONE, "e7": -i}),
+        {0: HALF, 1: h},
+        {0: HALF, 1: -h},
+        {2: ONE, 4: i},
+        {5: ONE, 6: i},
+        {3: ONE, 7: i},
+        {2: ONE, 4: -i},
+        {5: ONE, 6: -i},
+        {3: ONE, 7: -i},
     )
     names = ("E1", "E2", "x1", "x2", "x3", "y1", "y2", "y3")
     weights = ((0, 0), (0, 0), (1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
-    P = Mat.from_cols(vecs, nrows=8)
+    P = Mat._of(vecs, 8)
     Pinv = inverse(P)
     t1 = P * diag([scalar(v) for v in (0, 0, 1, 0, -1, -1, 0, 1)]) * Pinv
     t2 = P * diag([scalar(v) for v in (0, 0, 0, 1, -1, 0, -1, 1)]) * Pinv
@@ -327,22 +330,20 @@ def cayley_weight_basis(C):
     }
 
 
-def _cayley_zero_part(C, wb):
-    """Weight basis x1, x2, x3, c0 = i e1, y1, y2, y3 of the trace-zero part."""
-    A = C.algebra
+def _cayley_zero_part(wb):
+    """Weight basis x1, x2, x3, c0 = i e1, y1, y2, y3 of the trace-zero part,
+    as sparse vectors over 1, e1..e7."""
     v = wb["vectors"]
-    c0 = A.element({"e1": IUNIT})
-    vecs = (v[2], v[3], v[4], c0, v[5], v[6], v[7])
+    vecs = (v[2], v[3], v[4], {1: IUNIT}, v[5], v[6], v[7])
     names = ("x1", "x2", "x3", "c0", "y1", "y2", "y3")
     weights = ((1, 0), (0, 1), (-1, -1), (0, 0), (-1, 0), (0, -1), (1, 1))
-    svecs = [_sparse(w) for w in vecs]
-    if any(0 in w for w in svecs):
+    if any(0 in w for w in vecs):
         raise AlgebraError("trace-zero weight vector has a unit component")
-    coords = span_solver(svecs, 8)
+    coords = span_solver(vecs, 8)
 
     def restrict(D8):
         cols = []
-        for w in svecs:
+        for w in vecs:
             c = coords(_apply_columns(D8.columns, w))
             if c is None:
                 raise AlgebraError("operator does not preserve the trace-zero part")
@@ -424,7 +425,8 @@ def build_kac():
     Product: (a (x) b)(c (x) d) = (-1)^(|b||c|) ( ac (x) bd
     - 3/4 (a|c)(b|d) 1 ).  Returns (K3, K10) as built algebras.  K10 carries
     the Z^2 grading by the pair of K3 degrees; the extras hold the orthogonal
-    idempotents E1, E2, the factor-swap automorphism tau, and the degree data.
+    idempotents E1, E2 (sparse elements), the factor-swap automorphism tau,
+    and the degree data.
     """
     K3b = build_kaplansky()
     K3 = K3b.algebra
@@ -462,16 +464,15 @@ def build_kac():
     zdegrees = [(0, 0)] + [(zdeg3[a], zdeg3[b]) for a in range(3) for b in range(3)]
     degrees = tuple(group.element(z, ()) for z in zdegrees)
 
-    E1 = alg.element({"one": -HALF, "e.e": 2})
-    E2 = alg.element({"one": scalar(Fraction(3, 2)), "e.e": -2})
-    tau_cols = [alg.basis_vec(0)]
+    ee = idx(0, 0)
+    E1 = {0: -HALF, ee: scalar(2)}
+    E2 = {0: scalar(Fraction(3, 2)), ee: scalar(-2)}
+    tau_cols = [{0: ONE}]
     for a in range(3):
         for b in range(3):
             sign = MINUS_ONE if (K3.parity[a] * K3.parity[b]) % 2 else ONE
-            col = [ZERO] * 10
-            col[idx(b, a)] = sign
-            tau_cols.append(tuple(col))
-    tau = LinMap(alg, alg, Mat.from_cols(tau_cols, nrows=10))
+            tau_cols.append({idx(b, a): sign})
+    tau = LinMap(alg, alg, Mat._of(tuple(tau_cols), 10))
 
     extras = {
         "K3": K3b,
@@ -653,29 +654,19 @@ def verify_tkk_iso_lemma(tkkb=None):
     dom = []
     images = []
     qbr = _quaternion_brackets(QB.algebra)
-    E2 = _sparse(E2)
     for a in range(3):
         dom.append(tensor_vec(a, E2))
-        cols = [[ZERO] * 7 for _ in range(7)]
-        for b in range(3):
-            for c, v in qbr.get((a, b), ()):
-                cols[b][c] = v
-        images.append(Mat.from_cols(cols, nrows=7))
+        cols = tuple(dict(qbr.get((a, b), ())) for b in range(3))
+        images.append(Mat._of(cols + ({},) * 4, 7))
     # p (x) w generators
     for a in range(3):
         for r, kr in enumerate(vv):
             dom.append(tensor_vec(a, {kr: ONE}))
-            cols = []
-            for xi in range(7):
-                col = [ZERO] * 7
-                qp = G[xi, a]
-                if not qp.is_zero():
-                    col[3 + r] = col[3 + r] + qp
-                qw = G[xi, 3 + r]
-                if not qw.is_zero():
-                    col[a] = col[a] - qw
-                cols.append(col)
-            images.append(Mat.from_cols(cols, nrows=7))
+            cols = tuple(
+                {k: x for k, x in ((3 + r, G[xi, a]), (a, -G[xi, 3 + r])) if x.num}
+                for xi in range(7)
+            )
+            images.append(Mat._of(cols, 7))
     # even derivations
     for ridx, (D, p) in enumerate(ders):
         if p:
@@ -755,24 +746,11 @@ def build_D21(alpha=None):
     word_at = {w: 9 + k for k, w in enumerate(_WORDS)}
 
     table = {}
+    sl2 = _sl2_table()
     for l in range(3):
-        E, H, F = 3 * l, 3 * l + 1, 3 * l + 2
-        table[(E, F)] = [(H, scalar(4))]
-        table[(F, E)] = [(H, scalar(-4))]
-        table[(H, E)] = [(E, scalar(-2))]
-        table[(E, H)] = [(E, scalar(2))]
-        table[(H, F)] = [(F, scalar(2))]
-        table[(F, H)] = [(F, scalar(-2))]
-
-    # gamma action on a letter: symbol -> {letter: (letter', coeff)}
-    act = {
-        0: {"v": ("u", scalar(2))},             # E = gamma_uu
-        1: {"u": ("u", scalar(-1)), "v": ("v", ONE)},  # H = gamma_uv
-        2: {"u": ("v", scalar(-2))},            # F = gamma_vv
-    }
-    for l in range(3):
-        for g in range(3):
-            rules = act[g]
+        for (i, j), terms in sl2.items():
+            table[(3 * l + i, 3 * l + j)] = [(3 * l + k, c) for k, c in terms]
+        for g, rules in enumerate(_SL2_ON_V):
             gi = 3 * l + g
             for w in _WORDS:
                 rule = rules.get(w[l])
@@ -801,17 +779,12 @@ def build_D21(alpha=None):
     alg = SuperAlgebra(names, parity, table)
 
     group = GradingGroup(3)
-    degrees = []
-    for l in range(3):
-        base = [0, 0, 0]
-        for g, wt in ((0, -2), (1, 0), (2, 2)):
-            d = list(base)
-            d[l] = wt
-            degrees.append(group.element(d, ()))
-    for w in _WORDS:
-        degrees.append(
-            group.element([(-1 if c == "u" else 1) for c in w], ())
-        )
+    # E_l, H_l, F_l have weight -2, 0, 2 in slot l; a word has -1 per u, 1 per v
+    degrees = [
+        group.element([wt if m == l else 0 for m in range(3)], ())
+        for l in range(3) for wt in (-2, 0, 2)
+    ]
+    degrees += [group.element([(-1 if c == "u" else 1) for c in w], ()) for w in _WORDS]
     extras = {"alpha": avalue, "sigma": sigma, "words": _WORDS, "word_at": word_at}
     return BuiltAlgebra(alg, {group.literal(): (group, tuple(degrees))}, extras)
 
@@ -843,9 +816,10 @@ def d21_ideal_automorphism(built, perm=(0, 1, 2), fs=None):
     Even part: x in sp(V_l) goes to f_l x f_l^-1 in sp(V_perm[l]).  Odd part:
     the letter at word position l moves to position perm[l] through f_l, and
     the whole odd part is scaled by c = sigma[perm[0]], where
-    sigma = (1, a, -1-a) weights the odd bracket.  A missing ``fs``, or an
-    entry None in it, stands for the identity.  The map respects the bracket
-    exactly when sigma[l] = c^2 sigma[perm[l]] for every l; otherwise
+    sigma = (1, a, -1-a) weights the odd bracket.  Each f_l is a Mat or
+    nested rows; a missing ``fs``, or an entry None in it, stands for the
+    identity.  The map respects the bracket exactly when
+    sigma[l] = c^2 sigma[perm[l]] for every l; otherwise
     AlgebraError names the first ideal that fails.  Besides the identity this
     admits the transposition of the two ideals with equal sigma (a = -1/2, 1
     or -2) and both 3-cycles when a^2 + a + 1 = 0.
@@ -856,7 +830,9 @@ def d21_ideal_automorphism(built, perm=(0, 1, 2), fs=None):
     fs = (None,) * 3 if fs is None else tuple(fs)
     if len(fs) != 3:
         raise AlgebraError("expected one SL2 matrix per ideal, got %d" % len(fs))
-    fs = tuple(Mat.identity(2) if f is None else Mat(f) for f in fs)
+    fs = tuple(
+        Mat.identity(2) if f is None else f if isinstance(f, Mat) else Mat(f) for f in fs
+    )
     for l, f in enumerate(fs):
         _check_sl2(f, "f_%d" % (l + 1))
     sigma = built.extras["sigma"]
@@ -872,19 +848,18 @@ def d21_ideal_automorphism(built, perm=(0, 1, 2), fs=None):
     cols = []
     for l in range(3):
         for im in _gamma_images(fs[l]):
-            col = [ZERO] * 17
-            col[3 * perm[l]:3 * perm[l] + 3] = im
-            cols.append(tuple(col))
+            cols.append({3 * perm[l] + k: x for k, x in enumerate(im) if x.num})
     word_at = built.extras["word_at"]
     for w in _WORDS:
-        col = [ZERO] * 17
+        col = {}
         for w2 in _WORDS:
             coeff = c
             for l in range(3):
                 coeff = coeff * fs[l]["uv".index(w2[perm[l]]), "uv".index(w[l])]
-            col[word_at[w2]] = coeff
-        cols.append(tuple(col))
-    return LinMap(built.algebra, built.algebra, Mat.from_cols(cols, nrows=17))
+            if coeff.num:
+                col[word_at[w2]] = coeff
+        cols.append(col)
+    return LinMap(built.algebra, built.algebra, Mat._of(tuple(cols), 17))
 
 
 # ---------------------------------------------------------------------------
@@ -892,9 +867,19 @@ def d21_ideal_automorphism(built, perm=(0, 1, 2), fs=None):
 # ---------------------------------------------------------------------------
 
 
+# the action of (E, H, F) = (gamma_uu, gamma_uv, gamma_vv) on the natural
+# module V = (u, v): per basis element, {letter: (image letter, coeff)};
+# E: v -> 2u, H: u -> -u, v -> v, F: u -> -2v
+_SL2_ON_V = (
+    {"v": ("u", scalar(2))},
+    {"u": ("u", MINUS_ONE), "v": ("v", ONE)},
+    {"u": ("v", scalar(-2))},
+)
+
+
 def _sl2_table():
-    # basis (E, H, F) = (gamma_uu, gamma_uv, gamma_vv) acting on column
-    # vectors (u, v); brackets follow from the matrix commutators
+    # brackets of (E, H, F) acting on column vectors (u, v), from the matrix
+    # commutators
     return {
         (0, 2): [(1, scalar(4))],
         (2, 0): [(1, scalar(-4))],
@@ -923,12 +908,11 @@ def _sl2_tensor_model(group, g_names, g_table, g_degrees, w_names, w_mats, w_deg
 
     nw = len(w_names)
     mtab = {}
-    # sl2 on the first slot: E: v -> 2u, H: u -> -u, v -> v, F: u -> -2v
+    # sl2 on the first slot: letter x of V is the copy "uv".index(x) of W
     for c in range(nw):
-        mtab[(0, nw + c)] = [(c, scalar(2))]
-        mtab[(1, c)] = [(c, scalar(-1))]
-        mtab[(1, nw + c)] = [(nw + c, ONE)]
-        mtab[(2, c)] = [(nw + c, scalar(-2))]
+        for g, rules in enumerate(_SL2_ON_V):
+            for x, (y, coeff) in rules.items():
+                mtab[(g, "uv".index(x) * nw + c)] = [("uv".index(y) * nw + c, coeff)]
     mtab.update(_action_table(w_mats, 2, 3))
     m_names = ["%s.%s" % (v, nm) for v in "uv" for nm in w_names]
     action = ModuleAction(g0, m_names, mtab)
@@ -948,21 +932,18 @@ def _sl2_tensor_model(group, g_names, g_table, g_degrees, w_names, w_mats, w_deg
     return BuiltAlgebra(alg, {group.literal(): (group, tuple(degrees))}, extras)
 
 
-def _weight_split(alg, cartans, candidates):
-    """Joint eigenbasis of the adjoint of the given sparse elements.
+def _weight_split(ops, candidates):
+    """Joint eigenbasis of the commuting operators ``ops``, each with the
+    integer eigenvalue ``candidates``.
 
-    Returns (vectors, tags): sparse coordinate vectors in the given basis and
-    their integer eigenvalue tuples, in deterministic order.
+    Returns (vectors, tags): sparse coordinate vectors and their integer
+    eigenvalue tuples, in deterministic order.
     """
-    ops = [alg._ad(c) for c in cartans]
-    blocks = joint_eigenspaces(ops, [list(candidates)] * len(ops), alg.dim)
-    vectors = []
-    tags = []
+    blocks = joint_eigenspaces(ops, [list(candidates)] * len(ops), ops[0].nrows)
+    vectors, tags = [], []
     for tag, vecs in blocks:
-        itag = tuple(_int_of(t) for t in tag)
-        for v in vecs:
-            vectors.append(v)
-            tags.append(itag)
+        vectors += vecs
+        tags += [tuple(_int_of(t) for t in tag)] * len(vecs)
     return vectors, tags
 
 
@@ -977,7 +958,7 @@ def build_G3():
     """
     C = build_cayley()
     wb = cayley_weight_basis(C)
-    cz = _cayley_zero_part(C, wb)
+    cz = _cayley_zero_part(wb)
     der_alg, der_mats = derivation_superalgebra(C.algebra)
     if der_alg.dim != 14:
         raise AlgebraError(
@@ -989,7 +970,7 @@ def build_G3():
     if t1c is None or t2c is None:
         raise AlgebraError("torus elements are not in the derivation span")
 
-    g2_vecs, g2_tags = _weight_split(der_alg, [t1c, t2c], range(-2, 3))
+    g2_vecs, g2_tags = _weight_split([der_alg._ad(t1c), der_alg._ad(t2c)], range(-2, 3))
     seen = {}
     g2_names = []
     for tag in g2_tags:
@@ -1017,58 +998,49 @@ def build_G3():
 def _build_f4_cayley():
     C = build_cayley()
     wb = cayley_weight_basis(C)
-    cz = _cayley_zero_part(C, wb)
+    cz = _cayley_zero_part(wb)
     A = C.algebra
     cbv = cz["vectors"]
     # weights of the trace-zero basis for the orthogonal Cartan c1, c2, c3
     wt3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 0, -1))
 
-    def v7(k):
-        return tuple(cbv[k][1:])
-
+    # the trace-zero vectors in the e1..e7 coordinates
+    v7 = [{k - 1: c for k, c in w.items()} for w in cz["vectors"]]
     pairs = [(r, s) for r in range(7) for s in range(r + 1, 7)]
     so7_names = ["B(%s,%s)" % (cz["names"][r], cz["names"][s]) for (r, s) in pairs]
     so7_wt = [tuple(a + b for a, b in zip(wt3[r], wt3[s])) for (r, s) in pairs]
 
     # M_{w,w'}(e_j) = q(w', e_j) w - q(w, e_j) w' with q = -N, N(w, e_j) = 2 w_j
     def pair_mat(r, s):
-        w, wp = v7(r), v7(s)
-        cols = []
-        for j in range(7):
-            col = [
-                (-2 * wp[j]) * w[t] + (2 * w[j]) * wp[t] for t in range(7)
-            ]
-            cols.append(col)
-        return Mat.from_cols(cols, nrows=7)
+        w, wp = v7[r], v7[s]
+        cols = tuple({} for _ in range(7))
+        for j, x in wp.items():
+            _accumulate(cols[j], -2 * x, w.items())
+        for j, x in w.items():
+            _accumulate(cols[j], 2 * x, wp.items())
+        return Mat._of(cols, 7)
 
     so7_mats = [pair_mat(r, s) for (r, s) in pairs]
-    # coordinates in the pair basis: via the elementary skew basis
-    epair = {(a, b): k for k, (a, b) in enumerate(
-        [(a, b) for a in range(7) for b in range(a + 1, 7)]
-    )}
-    Q21 = []
-    for (r, s) in pairs:
-        w, wp = v7(r), v7(s)
-        col = {}
-        for (a, b), k in epair.items():
-            x = w[a] * wp[b] - w[b] * wp[a]
-            if x.num:
-                col[k] = x
-        Q21.append(col)
-    pair_coords = span_solver(Q21, 21)
+    # coordinates in the pair basis, through the elementary skew basis: the
+    # entries X[b, a] below the diagonal, halved (w_a w'_b - w_b w'_a for M)
+    epair = {p: k for k, p in enumerate(pairs)}
 
-    def so7_coords(X):
-        # the entries X[b, a] below the diagonal, halved
-        return pair_coords({
+    def lower(X):
+        return {
             epair[a, b]: x * HALF
             for a, col in enumerate(X.columns) for b, x in col.items() if b > a
-        })
+        }
+
+    pair_coords = span_solver([lower(m) for m in so7_mats], 21)
+
+    def so7_coords(X):
+        return pair_coords(lower(X))
 
     # spin action: rho(M_{w,w'}) = (l_w l_w' - l_w' l_w)/2 on the Cayley algebra
     P, Pinv = wb["P"], wb["Pinv"]
     rho_wb = []
     for (r, s) in pairs:
-        lw, lwp = A.ad_matrix(cbv[r]), A.ad_matrix(cbv[s])
+        lw, lwp = A._ad(cbv[r]), A._ad(cbv[s])
         rho = (lw * lwp - lwp * lw).scale(HALF)
         rho_wb.append(Pinv * rho * P)
 
@@ -1097,33 +1069,10 @@ def _build_f4_cayley():
     return built
 
 
-def _lift_left(D, parity):
-    """D (x) 1 on K10: acts on the first tensor slot, kills the unit."""
-    cols = [(ZERO,) * 10]
-    for a in range(3):
-        for b in range(3):
-            col = [ZERO] * 10
-            for s in range(3):
-                c = D[s, a]
-                if not c.is_zero():
-                    col[1 + 3 * s + b] = c
-            cols.append(tuple(col))
-    return Mat.from_cols(cols, nrows=10)
-
-
-def _lift_right(D, parity, k3_parity):
-    """1 (x) D on K10 with the sign (-1)^(|D||a|) jumping over the first slot."""
-    cols = [(ZERO,) * 10]
-    for a in range(3):
-        sign = MINUS_ONE if (parity * k3_parity[a]) % 2 else ONE
-        for b in range(3):
-            col = [ZERO] * 10
-            for t in range(3):
-                c = D[t, b]
-                if not c.is_zero():
-                    col[1 + 3 * a + t] = sign * c
-            cols.append(tuple(col))
-    return Mat.from_cols(cols, nrows=10)
+def _on_k10(M):
+    """The 9 x 9 matrix M on K3 (x) K3 as a map of K10 = F1 + K3 (x) K3 that
+    kills the unit."""
+    return Mat._of(({},) + tuple({1 + i: x for i, x in c.items()} for c in M.columns), 10)
 
 
 def _build_f4_tkk():
@@ -1145,42 +1094,28 @@ def _build_f4_tkk():
             raise AlgebraError("matrix is outside the derivation space")
         return c
 
-    def adapt(mats, parities, cands):
-        # simultaneous ad-delta eigenvectors within the span of mats
+    def adapt(mats, offset, cands):
+        # simultaneous ad-delta eigenvectors within the span of mats: ad delta
+        # in the local coordinates of the family, which starts at ``offset``
+        # in the derivation basis
         n = len(mats)
-        # ad delta in the local coordinates of the given family: only the
-        # coefficients over this family are relevant
-        offset = 0 if parities == 0 else 3
         local = []
         for m in mats:
             c = coords3(delta * m - m * delta)
             local.append({k - offset: v for k, v in c.items() if 0 <= k - offset < n})
-        blocks = joint_eigenspaces([Mat._of(tuple(local), n)], [list(cands)], n)
-        out = []
-        for tag, vecs in blocks:
-            wt = _int_of(tag[0])
-            for v in vecs:
-                out.append((wt, _lincomb(v, mats)))
-        return out
+        vecs, tags = _weight_split([Mat._of(tuple(local), n)], cands)
+        return [(wt, _lincomb(v, mats)) for v, (wt,) in zip(vecs, tags)]
 
-    evens_w = adapt(evens3, 0, (-2, 0, 2))
-    odds_w = adapt(odds3, 1, (-1, 1))
-    k3p = K3.parity
-
+    # D (x) 1 = kron(D, I3) and 1 (x) D = kron(diag(signs), D), the sign
+    # (-1)^(|D||a|) jumping over the first slot a
     der10 = []
     der_z = []
-    for wt, m in evens_w:
-        der10.append((_lift_left(m, 0), 0))
-        der_z.append((wt, 0))
-    for wt, m in evens_w:
-        der10.append((_lift_right(m, 0, k3p), 0))
-        der_z.append((0, wt))
-    for wt, m in odds_w:
-        der10.append((_lift_left(m, 1), 1))
-        der_z.append((wt, 0))
-    for wt, m in odds_w:
-        der10.append((_lift_right(m, 1, k3p), 1))
-        der_z.append((0, wt))
+    for p, mats, offset, cands in ((0, evens3, 0, (-2, 0, 2)), (1, odds3, 3, (-1, 1))):
+        family = adapt(mats, offset, cands)
+        signs = diag([MINUS_ONE if p & q else ONE for q in K3.parity])
+        der10 += [(_on_k10(kron(m, Mat.identity(3))), p) for _, m in family]
+        der10 += [(_on_k10(kron(signs, m)), p) for _, m in family]
+        der_z += [(wt, 0) for wt, _ in family] + [(0, wt) for wt, _ in family]
 
     tkkb = build_tkk(K10, der_basis=der10)
     alg = tkkb.algebra
@@ -1188,13 +1123,8 @@ def _build_f4_tkk():
     group = GradingGroup(2, (2, 2))
     qdeg = ((1, 0), (0, 1), (1, 1))
     zdegs = K10b.extras["zdegrees"]
-    degrees = []
-    for a in range(3):
-        for x in range(10):
-            degrees.append(group.element(zdegs[x], qdeg[a]))
-    for z in der_z:
-        degrees.append(group.element(z, (0, 0)))
-    degrees = tuple(degrees)
+    degrees = tuple(group.element(z, q) for q in qdeg for z in zdegs)
+    degrees += tuple(group.element(z, (0, 0)) for z in der_z)
 
     # factor-swap automorphism lifted to the whole algebra
     tau = K10b.extras["tau"].matrix
@@ -1226,12 +1156,7 @@ def _build_f4_tkk():
         signs += [ONE] * 10
         adq.append(LinMap(alg, alg, diag(signs)))
 
-    ztot = []
-    for a in range(3):
-        for x in range(10):
-            ztot.append(zdegs[x][0] + zdegs[x][1])
-    for z in der_z:
-        ztot.append(z[0] + z[1])
+    ztot = K10b.extras["zweight"] * 3 + tuple(z[0] + z[1] for z in der_z)
 
     tkkb.gradings[group.literal()] = (group, degrees)
     tkkb.extras.update(
@@ -1239,7 +1164,7 @@ def _build_f4_tkk():
             "kac": K10b,
             "tau_hat": tau_hat,
             "ad_q": adq,
-            "zweight_total": tuple(ztot),
+            "zweight_total": ztot,
         }
     )
     return tkkb

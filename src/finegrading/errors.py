@@ -2,8 +2,16 @@
 
 Every failure that a caller can usefully react to raises a subclass of
 :class:`FineGradingError` with a message naming the offending object; bare
-``AssertionError`` is reserved for internal consistency defects.
+``AssertionError`` is reserved for internal consistency defects.  A message
+that quotes input (scalar text, a table key) quotes at most its first
+characters, through :func:`_quote`, so hostile input is not echoed in full.
 """
+
+
+def _quote(obj, limit=40):
+    """repr(obj) cut to ``limit`` characters, "..." marking a cut."""
+    text = repr(obj)
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 class FineGradingError(Exception):

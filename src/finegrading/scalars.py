@@ -50,7 +50,7 @@ from functools import lru_cache
 from itertools import count
 from math import gcd
 
-from .errors import ScalarError
+from .errors import ScalarError, _quote
 
 __all__ = [
     "Cyc",
@@ -753,7 +753,7 @@ class _Tokens:
                 self.toks.append((ch, ch))
                 i += 1
                 continue
-            raise ScalarError("unexpected character %r in scalar text %r" % (ch, text))
+            raise ScalarError("unexpected character %r in scalar text %s" % (ch, _quote(text)))
         self.pos = 0
         self.nesting = 0
 
@@ -765,7 +765,7 @@ class _Tokens:
             raise ScalarError("unexpected end of scalar text")
         tok = self.toks[self.pos]
         if kind is not None and tok[0] != kind:
-            raise ScalarError("expected %r, found %r in scalar text" % (kind, tok[1]))
+            raise ScalarError("expected %r, found %s in scalar text" % (kind, _quote(tok[1])))
         self.pos += 1
         return tok
 
@@ -776,9 +776,11 @@ def parse_scalar(text):
     try:
         value = _parse_expr(toks)
     except ValueError as exc:  # an integer literal over the interpreter's digit limit
-        raise ScalarError("%s in scalar text %r" % (exc, text[:40])) from None
+        raise ScalarError("%s in scalar text %s" % (exc, _quote(text))) from None
     if toks.peek() is not None:
-        raise ScalarError("trailing input %r in scalar text %r" % (toks.take()[1], text))
+        raise ScalarError(
+            "trailing input %s in scalar text %s" % (_quote(toks.take()[1]), _quote(text))
+        )
     return value
 
 
@@ -788,7 +790,9 @@ def _degree(s):
 
 def _limit(toks, what, size, bound):
     if size > bound:
-        raise ScalarError("%s %d exceeds %d in scalar text %r" % (what, size, bound, toks.text))
+        raise ScalarError(
+            "%s %d exceeds %d in scalar text %s" % (what, size, bound, _quote(toks.text))
+        )
 
 
 def _parse_expr(toks):

@@ -8,13 +8,15 @@ The verifiers and basis changes, here and in :mod:`~finegrading.clifford`
 and :mod:`~finegrading.constructions`, work on that table through one private
 sparse product kernel ``_product``, built on the sparse axpy of
 :mod:`~finegrading.linalg`; none of them multiplies dense basis vectors.
-Dense coordinate tuples remain the element API (:meth:`SuperAlgebra.multiply`,
-:meth:`ModuleAction.act`, :func:`lie_closure`, :func:`ideal_generated_by`),
-which wraps the same kernel; kernels, pairings, the unit and span
-coordinates are sparse {index: Scalar} dicts.  ``_commutator`` forms
-x y - y x of sparse elements, and ``_respects_product`` checks that a span is
-closed under a product and that a map to matrices respects it (the so(U, q)
-and 2x2-matrix checks of the Clifford layer and the TKK lemma).
+Dense coordinate tuples remain the element API (:meth:`SuperAlgebra.element`,
+:meth:`SuperAlgebra.multiply`, :meth:`ModuleAction.act`, :func:`lie_closure`,
+:func:`ideal_generated_by`), which wraps the same kernel: a view for users
+and tests that no builder or verifier calls.  Kernels, pairings, the unit,
+span coordinates and the builders' elements are sparse {index: Scalar}
+dicts.  ``_commutator`` forms x y - y x of sparse elements, and
+``_respects_product`` checks that a span is closed under a product and that
+a map to matrices respects it (the so(U, q) and 2x2-matrix checks of the
+Clifford layer and the TKK lemma).
 
 The heavy lifting lives in the verification and completion routines:
 
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import AlgebraError, ScalarError
+from .errors import AlgebraError, ScalarError, _quote
 from .linalg import (
     Mat,
     _accumulate,
@@ -884,10 +886,10 @@ def loads_algebra(text):
             table[(i, j)] = entry = []
             for k, c in terms:
                 if not (isinstance(k, int) and 0 <= k < dim and isinstance(c, str)):
-                    raise ValueError("term %r is not [basis index, scalar text]" % ([k, c],))
+                    raise ValueError("term %s is not [basis index, scalar text]" % _quote([k, c]))
                 entry.append((k, parse_scalar(c)))
         except (TypeError, ValueError, ScalarError) as exc:
-            raise AlgebraError("algebra JSON table key %r: %s" % (key, exc)) from None
+            raise AlgebraError("algebra JSON table key %s: %s" % (_quote(key), exc)) from None
     return SuperAlgebra(payload["names"], payload["parity"], table)
 
 

@@ -7,7 +7,7 @@ under ``pytest -s`` or in captured output) and enforces its time budget.
 import time
 from fractions import Fraction
 
-from test_clifford import CONFIGS, space_of
+from test_clifford import CONFIGS, dense, space_of
 
 from finegrading.abgroup import GradingGroup, group_signature
 from finegrading.clifford import (
@@ -187,7 +187,8 @@ def test_criterion_8_kac_gradings_and_idempotents():
         assert grading_type(fine) == (7, 0, 1)
         assert group_signature(fine.group.literal()) == group_signature(
             "Z x Z_2")
-        E1, E2 = K10b.extras["E1"], K10b.extras["E2"]
+        # the idempotents are sparse elements; read them densely
+        E1, E2 = (dense(K10b.extras[k], A.dim) for k in ("E1", "E2"))
         assert all(c == ZERO for c in A.multiply(E1, E2))
         assert A.multiply(E1, E1) == E1
         assert A.multiply(E2, E2) == E2

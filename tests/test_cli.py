@@ -96,18 +96,23 @@ def test_no_dense_matrix_products_in_theorem_check_d21a(monkeypatch, capsys):
 
 def test_no_dense_vectors_in_theorem_check_f4_or_d21a(monkeypatch, capsys):
     # kernels, span coordinates and eigenvectors stay sparse from the
-    # elimination to the structure tables, so the sparse-to-dense conversion
-    # may be switched off in every module that binds it
-    def refuse(vec, dim):
-        raise AssertionError("sparse vector made dense")
+    # elimination to the structure tables, and the model builders write
+    # sparse literals, so the conversions between dense and sparse vectors
+    # and the dense element constructors may be switched off: in every
+    # module that binds a conversion, and on the classes
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense vector formed")
 
-    binding = [
-        mod for name, mod in sorted(sys.modules.items())
-        if name.startswith("finegrading.") and hasattr(mod, "_dense")
-    ]
-    assert binding
-    for mod in binding:
-        monkeypatch.setattr(mod, "_dense", refuse)
+    for conversion in ("_dense", "_sparse"):
+        binding = [
+            mod for name, mod in sorted(sys.modules.items())
+            if name.startswith("finegrading.") and hasattr(mod, conversion)
+        ]
+        assert binding
+        for mod in binding:
+            monkeypatch.setattr(mod, conversion, refuse)
+    monkeypatch.setattr(SuperAlgebra, "element", refuse)
+    monkeypatch.setattr(Mat, "from_cols", refuse)
     for argv, name in [
         (["f4"], "theorem-check-f4"),
         (["d21a"], "theorem-check-d21a"),
@@ -173,6 +178,20 @@ def test_deeply_nested_alpha_is_a_usage_error(capsys):
         main(["theorem-check", "d21a", "--alpha=" + deep])
     assert err.value.code == 2
     assert "parenthesis nesting 65 exceeds 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "1 " + "2" * 10 ** 6,
+    "2" * 10 ** 6 + "x",
+    "(a+z)^17" + " " * 10 ** 6,
+], ids=["trailing", "character", "limit"])
+def test_megabyte_alpha_is_a_short_usage_error(text, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["theorem-check", "d21a", "--alpha", text])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "--alpha" in stderr and "Traceback" not in stderr
+    assert len(stderr) < 400
 
 
 class ClosedPipe:

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 
+from test_clifford import dense
+
 from finegrading.constructions import (
     BuiltAlgebra,
     build_An,
@@ -27,6 +29,7 @@ from finegrading.constructions import (
     verify_tkk_iso_lemma,
 )
 from finegrading.errors import AlgebraError
+from finegrading.gradings import _A_SL2, _B_SL2
 from finegrading.linalg import Mat, rank
 from finegrading.scalars import HALF, IUNIT, OMEGA, ONE, ZERO, scalar
 from finegrading.superalg import (
@@ -252,20 +255,21 @@ def test_cayley_derivations_dim(cayley):
 def test_cayley_weight_basis(cayley):
     A = cayley.algebra
     wb = cayley_weight_basis(cayley)
-    E1, E2, x1 = wb["vectors"][0], wb["vectors"][1], wb["vectors"][2]
+    vecs = [dense(v, A.dim) for v in wb["vectors"]]
+    E1, E2, x1 = vecs[0], vecs[1], vecs[2]
     assert A.multiply(E1, E1) == E1
     assert A.multiply(E2, E2) == E2
     assert all(c.is_zero() for c in A.multiply(E1, E2))
     assert A.multiply(E1, x1) == x1
     assert all(c.is_zero() for c in A.multiply(x1, E1))
     # x1 x2 lands on the opposite weight line: -2 y3
-    y3 = wb["vectors"][7]
-    prod = A.multiply(wb["vectors"][2], wb["vectors"][3])
+    y3 = vecs[7]
+    prod = A.multiply(vecs[2], vecs[3])
     assert prod == tuple(scalar(-2) * c for c in y3)
     # torus weights
     t1 = wb["t1"]
     assert t1.apply(x1) == x1
-    assert t1.apply(wb["vectors"][4]) == tuple(-c for c in wb["vectors"][4])
+    assert t1.apply(vecs[4]) == tuple(-c for c in vecs[4])
 
 
 def test_cayley_grading(cayley):
@@ -341,7 +345,7 @@ def test_kac_frozen_square(kac):
 def test_kac_idempotents_and_unit(kac):
     _, K10b = kac
     K = K10b.algebra
-    E1, E2 = K10b.extras["E1"], K10b.extras["E2"]
+    E1, E2 = (dense(K10b.extras[k], K.dim) for k in ("E1", "E2"))
     one = K.basis_vec("one")
     assert K.multiply(E1, E1) == E1
     assert K.multiply(E2, E2) == E2
@@ -422,7 +426,7 @@ def test_tkk_even_part_ideals(tkk10, kac):
     evalg = SuperAlgebra(
         [A.names[i] for i in ev], [0] * len(ev), table
     )
-    E1, E2 = K10b.extras["E1"], K10b.extras["E2"]
+    E1, E2 = (dense(K10b.extras[k], 10) for k in ("E1", "E2"))
 
     def tensor_even(a, jvec):
         v = [ZERO] * len(ev)
@@ -524,6 +528,16 @@ def test_d21_triple_automorphism(d21):
     assert psi(A.basis_vec("H2")) == A.element({"H2": -1})
     # the default is the identity
     assert d21_ideal_automorphism(d21).matrix == Mat.identity(17)
+
+
+def test_d21_ideal_automorphism_takes_a_mat(d21):
+    # f_l may be a Mat or nested rows; both forms give one map
+    nested = d21_ideal_automorphism(d21, fs=(_A_SL2, _B_SL2, None))
+    as_mat = d21_ideal_automorphism(d21, fs=(Mat(_A_SL2), Mat(_B_SL2), None))
+    assert as_mat.matrix == nested.matrix
+    assert d21_ideal_automorphism(d21, fs=(Mat(_A_SL2),) * 3).matrix == (
+        d21_ideal_automorphism(d21, fs=(_A_SL2,) * 3).matrix
+    )
 
 
 @pytest.mark.parametrize("alpha,perm", D21_ADMISSIBLE, ids=D21_ADMISSIBLE_IDS)
@@ -677,7 +691,7 @@ def test_f4_cayley_spin_property(f4_cayley):
     for t in (0, 5, 11, 20):
         R8 = P * rho[t] * Pinv
         for c in range(7):
-            w = cz["vectors"][c]
+            w = dense(cz["vectors"][c], 8)
             lc = lmat(w)
             lhs = R8 * lc - lc * R8
             img7 = mats7[t].apply(tuple(w)[1:])

@@ -274,6 +274,27 @@ class TestGrammar:
                 parse_scalar(bad)
             assert time.perf_counter() - start < 1.0, bad
 
+    @pytest.mark.parametrize("bad,what", [
+        ("1 " + "2" * 10 ** 6, "trailing input '2222"),
+        ("2" * 10 ** 6 + "x", "unexpected character 'x'"),
+        ("(a+z)^17" + " " * 10 ** 6, "exponent 17 exceeds 16"),
+        ("a^" + "9" * 10 ** 6, "digits"),
+        ("(1 " + "1" * 10 ** 6, r"expected '\)', found '1111"),
+    ], ids=["trailing", "character", "limit", "digits", "token"])
+    def test_errors_quote_at_most_40_characters_of_the_text(self, bad, what):
+        # a megabyte of text: the message quotes 40 characters of it
+        with pytest.raises(ScalarError, match=what) as err:
+            parse_scalar(bad)
+        assert len(str(err.value)) < 250
+
+    def test_quoted_text_is_cut_at_40_characters(self):
+        with pytest.raises(ScalarError) as err:
+            parse_scalar("1 " + "2" * 50)
+        assert str(err.value) == "trailing input '%s... in scalar text '1 %s..." % (
+            "2" * 39, "2" * 37)
+        with pytest.raises(ScalarError, match="trailing input '2' in scalar text '1 2'$"):
+            parse_scalar("1 2")
+
     def test_parenthesis_nesting_is_bounded(self):
         deep = "(" * MAX_PARSE_NESTING + "a" + ")" * MAX_PARSE_NESTING
         assert parse_scalar(deep) == ALPHA

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -671,6 +672,19 @@ def test_generating_indices_of_a_non_lie_table_span_by_full_closure(seed):
     odd = [g for g in gens if A.parity[g]]
     assert gens == odd + sorted(set(gens) - set(odd)) and odd == sorted(odd)
     assert len(_closure(A, [{g: ONE} for g in gens])) == A.dim
+
+
+@pytest.mark.parametrize("table,what", [
+    ({"0," + "1" * 10 ** 6: [[0, "1"]]}, "key '0,111"),
+    ({"x" * 10 ** 6: [[0, "1"]]}, "key 'xxx"),
+    ({"0,0": [[0, "1 " + "2" * 10 ** 6]]}, "trailing input '222"),
+    ({"0,0": [[5, "2" * 10 ** 6]]}, r"term \[5, '222"),
+], ids=["long-key", "bad-key", "scalar-text", "term"])
+def test_megabyte_table_text_is_quoted_short(table, what):
+    text = json.dumps({"names": ["h"], "parity": [0], "table": table})
+    with pytest.raises(AlgebraError, match=what) as err:
+        loads_algebra(text)
+    assert len(str(err.value)) < 400
 
 
 def test_deeply_nested_table_scalar_raises_algebra_error():
