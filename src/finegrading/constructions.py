@@ -779,12 +779,17 @@ def build_D21(alpha=None):
     alg = SuperAlgebra(names, parity, table)
 
     group = GradingGroup(3)
-    # E_l, H_l, F_l have weight -2, 0, 2 in slot l; a word has -1 per u, 1 per v
-    degrees = [
-        group.element([wt if m == l else 0 for m in range(3)], ())
-        for l in range(3) for wt in (-2, 0, 2)
-    ]
-    degrees += [group.element([(-1 if c == "u" else 1) for c in w], ()) for w in _WORDS]
+    degrees = []
+    for l in range(3):
+        base = [0, 0, 0]
+        for g, wt in ((0, -2), (1, 0), (2, 2)):
+            d = list(base)
+            d[l] = wt
+            degrees.append(group.element(d, ()))
+    for w in _WORDS:
+        degrees.append(
+            group.element([(-1 if c == "u" else 1) for c in w], ())
+        )
     extras = {"alpha": avalue, "sigma": sigma, "words": _WORDS, "word_at": word_at}
     return BuiltAlgebra(alg, {group.literal(): (group, tuple(degrees))}, extras)
 
@@ -1123,8 +1128,13 @@ def _build_f4_tkk():
     group = GradingGroup(2, (2, 2))
     qdeg = ((1, 0), (0, 1), (1, 1))
     zdegs = K10b.extras["zdegrees"]
-    degrees = tuple(group.element(z, q) for q in qdeg for z in zdegs)
-    degrees += tuple(group.element(z, (0, 0)) for z in der_z)
+    degrees = []
+    for a in range(3):
+        for x in range(10):
+            degrees.append(group.element(zdegs[x], qdeg[a]))
+    for z in der_z:
+        degrees.append(group.element(z, (0, 0)))
+    degrees = tuple(degrees)
 
     # factor-swap automorphism lifted to the whole algebra
     tau = K10b.extras["tau"].matrix

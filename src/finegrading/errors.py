@@ -8,10 +8,10 @@ characters, through :func:`_quote`, so hostile input is not echoed in full.
 """
 
 
-def _quote(obj, limit=40):
-    """repr(obj) cut to ``limit`` characters, "..." marking a cut."""
+def _quote(obj):
+    """repr(obj) cut to 40 characters, "..." marking a cut."""
     text = repr(obj)
-    return text if len(text) <= limit else text[:limit] + "..."
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 class FineGradingError(Exception):
