@@ -71,6 +71,7 @@ from .superalg import (
     LinMap,
     ModuleAction,
     SuperAlgebra,
+    _asymmetric_pair,
     _commutator,
     _commutator_table,
     _product,
@@ -508,19 +509,9 @@ def build_tkk(J, der_basis=None):
     :func:`~finegrading.superalg.check_lie_super` checks them.
     """
     n = J.dim
-    for i in range(n):
-        for j in range(i, n):
-            # e_i e_j - (-1)^(|i||j|) e_j e_i must vanish
-            acc = {}
-            _accumulate(acc, ONE, J.product_basis(i, j))
-            _accumulate(
-                acc, ONE if J.parity[i] & J.parity[j] else MINUS_ONE, J.product_basis(j, i)
-            )
-            if acc:
-                raise AlgebraError(
-                    "input is not supercommutative at (%s, %s)"
-                    % (J.names[i], J.names[j])
-                )
+    bad = _asymmetric_pair(J, ONE)
+    if bad:
+        raise AlgebraError("input is not supercommutative at (%s, %s)" % bad)
     unit = _unit(J)
     if unit is None:
         raise AlgebraError("input algebra has no unit")

@@ -9,11 +9,14 @@ the three signs.
 
 Modulo their centres the groups are F_2^6 and F_2^4, one F_2^2 block per
 Q_8, and two elements commute iff the symplectic form sum_i det(x_i, y_i)
-vanishes.  The subspace lemmas read the form, certified first against the
-pair test on every pair, so that isotropy is tested on a basis.  The group
-route reads the multiplication table: an abelian subgroup A is a bitmask over
-the elements, and <A, x> for x centralizing A is the union of the x^k A.  Its
-search starts at the centre, which every maximal abelian subgroup contains.
+vanishes.  One search, ``_maximal_closed``, finds the maximal closed sets of
+both routes from a multiplication table, one commuting bitmask per element
+and a start set: a closed set A is a bitmask over the elements, and <A, x>
+for x commuting with A is the union of the x^k A.  The subspace lemmas run it
+on F_2^{2b} under XOR with the orthogonal masks of the form, certified first
+against the pair test on every pair, so that isotropy is tested on a basis.
+The group route runs it on the multiplication table and commuting masks of
+(Q_8)^3/K, from the centre, which every maximal abelian subgroup contains.
 
 Both group records sort their maximal abelian subgroups into orbits by a
 breadth-first pass over index maps.  The pass runs on generators only: two
@@ -157,6 +160,52 @@ def _bits(mask):
         mask ^= low
 
 
+def _extension(mul, A, elems, x):
+    """<A, x> for a closed set A (a bitmask with its element list ``elems``)
+    and an element x commuting with it, under the multiplication table
+    ``mul``: the union of the cosets x^k A, up to the first power of x that
+    is already inside.  Returns the bitmask and the element list."""
+    out, out_elems, y = A, list(elems), x
+    while not (out >> y) & 1:
+        row = mul[y]
+        for a in elems:
+            out |= 1 << row[a]
+            out_elems.append(row[a])
+        y = row[x]
+    return out, out_elems
+
+
+def _maximal_closed(mul, comm, start):
+    """The bitmasks of every closed set the search reaches from ``start``,
+    and the maximal ones as frozensets of element indices.
+
+    ``mul`` is a multiplication table on element indices, ``comm[x]`` the
+    bitmask of the elements that commute with x, and ``start`` lists a
+    closed set of elements that commute with every element.  A reached set
+    A, a bitmask with its element list, is grown into <A, x> by one element
+    x per coset xA of the elements outside A that commute with all of A; A
+    is maximal when there is none."""
+    first = sum(1 << a for a in start)
+    seen = {first}
+    maximal = set()
+    stack = [(first, list(start), (1 << len(mul)) - 1)]
+    while stack:
+        A, elems, cent = stack.pop()
+        ext = cent & ~A
+        if not ext:
+            maximal.add(frozenset(elems))
+        while ext:
+            x = (ext & -ext).bit_length() - 1
+            row = mul[x]
+            for a in elems:
+                ext &= ~(1 << row[a])
+            C, C_elems = _extension(mul, A, elems, x)
+            if C not in seen:
+                seen.add(C)
+                stack.append((C, C_elems, cent & comm[x]))
+    return seen, maximal
+
+
 class Q83K:
     """The order-128 group (Q_8)^3/K on canonical coset representatives."""
 
@@ -210,53 +259,16 @@ class Q83K:
         return self.index[(a1, a2, a3, s1 ^ s2 ^ s3)]
 
     def maximal_abelian_subgroups(self):
-        """The maximal abelian subgroups, as frozensets of element indices.
-
-        Abelian subgroups are bitmasks, extended by one element x of the
-        centralizer per coset xA; A is maximal when it is its centralizer.
-        Every maximal abelian subgroup contains the centre, so the search
-        starts there.  Each subgroup carries its element list, over which
-        the cosets xA are formed."""
-        mul, comm = self.mul, self.comm
-        centre = sorted(self.center)
-        seen = set()
-        maximal = set()
-        # the centre's centralizer is the whole group
-        stack = [(sum(1 << z for z in centre), centre, (1 << len(self.elements)) - 1)]
-        while stack:
-            A, elems, cent = stack.pop()
-            if A in seen:
-                continue
-            seen.add(A)
-            ext = cent & ~A
-            if not ext:
-                maximal.add(frozenset(elems))
-            while ext:
-                x = (ext & -ext).bit_length() - 1
-                row = mul[x]
-                for a in elems:
-                    ext &= ~(1 << row[a])
-                stack.append(self._extension(A, elems, x) + (cent & comm[x],))
-        return maximal
+        """The maximal abelian subgroups, as frozensets of element indices:
+        the maximal closed sets of :func:`_maximal_closed` on the
+        multiplication table and the commuting masks.  Every maximal abelian
+        subgroup contains the centre, so the search starts there."""
+        return _maximal_closed(self.mul, self.comm, sorted(self.center))[1]
 
     def abelian_extension(self, A, x):
-        """Bitmask of <A, x> for an abelian subgroup A (a bitmask) and an
-        element x centralizing it: the union of the cosets x^k A, up to the
-        first power of x that is already inside."""
-        return self._extension(A, list(_bits(A)), x)[0]
-
-    def _extension(self, A, elems, x):
-        """``abelian_extension`` on the bitmask A and its element list:
-        returns the bitmask and the element list of <A, x>."""
-        mul = self.mul
-        out, out_elems, y = A, list(elems), x
-        while not (out >> y) & 1:
-            row = mul[y]
-            for a in elems:
-                out |= 1 << row[a]
-                out_elems.append(row[a])
-            y = row[x]
-        return out, out_elems
+        """Bitmask of <A, x> (see :func:`_extension`) for an abelian subgroup
+        A, a bitmask, and an element x centralizing it."""
+        return _extension(self.mul, A, list(_bits(A)), x)[0]
 
     def slot_map(self, phi, slot):
         """Index map of the Q_8-automorphism ``phi`` acting on one slot."""
@@ -442,31 +454,13 @@ def _orthogonality(blocks):
 
 
 def _conditioned_subspaces(blocks):
-    """All conditioned subspaces and the maximal ones among them.
-
-    A subspace B is a bitmask over the vectors, grown together with its
-    orthogonal mask by one vector v of that mask per coset v + B outside B.
-    B is maximal exactly when every vector orthogonal to B lies in B."""
-    orth = _orthogonality(blocks)
-    seen = {1: [0]}
-    maximal = set()
-    stack = [(1, [0], orth[0])]
-    while stack:
-        B, vecs, perp = stack.pop()
-        ext = perp & ~B
-        if not ext:
-            maximal.add(frozenset(vecs))
-        while ext:
-            v = (ext & -ext).bit_length() - 1
-            coset = [x ^ v for x in vecs]
-            C = B
-            for y in coset:
-                C |= 1 << y
-            ext &= ~C
-            if C not in seen:
-                seen[C] = vecs + coset
-                stack.append((C, seen[C], perp & orth[v]))
-    return {frozenset(vecs) for vecs in seen.values()}, maximal
+    """All conditioned subspaces and the maximal ones among them: the closed
+    sets of :func:`_maximal_closed` under addition, with the orthogonal masks
+    of :func:`_orthogonality` as the commuting masks."""
+    size = 1 << (2 * blocks)
+    xor = [[x ^ y for y in range(size)] for x in range(size)]
+    closed, maximal = _maximal_closed(xor, _orthogonality(blocks), [0])
+    return {frozenset(_bits(B)) for B in closed}, maximal
 
 
 def _block_intersection_dim(B, keep, blocks):

@@ -729,44 +729,45 @@ MAX_PARSE_NESTING = 64
 
 
 class _Tokens:
+    """The tokens of scalar text, scanned one ahead of the parser, so that a
+    limit fires within the text read so far."""
+
     def __init__(self, text):
         self.text = text
-        self.toks = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", text[i:j]))
-                i = j
-                continue
-            if ch in "za":
-                self.toks.append((ch, ch))
-                i += 1
-                continue
-            if ch in "+-*/^()":
-                self.toks.append((ch, ch))
-                i += 1
-                continue
-            raise ScalarError("unexpected character %r in scalar text %s" % (ch, _quote(text)))
-        self.pos = 0
+        self.end = 0
         self.nesting = 0
+        self.tok = self._scan()
+
+    def _scan(self):
+        """The token after ``self.end``, or None at the end of the text."""
+        text, n = self.text, len(self.text)
+        i = self.end
+        while i < n and text[i].isspace():
+            i += 1
+        if i == n:
+            return None
+        ch, j = text[i], i + 1
+        if ch.isdigit():
+            while j < n and text[j].isdigit():
+                j += 1
+            kind = "int"
+        elif ch in "za+-*/^()":
+            kind = ch
+        else:
+            raise ScalarError("unexpected character %r in scalar text %s" % (ch, _quote(text)))
+        self.end = j
+        return kind, text[i:j]
 
     def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+        return self.tok[0] if self.tok else None
 
     def take(self, kind=None):
-        if self.pos >= len(self.toks):
+        tok = self.tok
+        if tok is None:
             raise ScalarError("unexpected end of scalar text")
-        tok = self.toks[self.pos]
         if kind is not None and tok[0] != kind:
             raise ScalarError("expected %r, found %s in scalar text" % (kind, _quote(tok[1])))
-        self.pos += 1
+        self.tok = self._scan()
         return tok
 
 

@@ -20,10 +20,12 @@ Clifford layer and the TKK lemma).
 
 The heavy lifting lives in the verification and completion routines:
 
-* :func:`check_lie_super` — super anticommutativity on all basis pairs,
-  then the super Jacobi identity on the sorted basis triples that contain an
-  index of ``_generating_indices``, a generating set it certifies itself;
-  the x with ad_x a superderivation form a subalgebra, so that is enough.
+* :func:`check_lie_super` — super anticommutativity on all basis pairs
+  (``_asymmetric_pair``, which ``constructions.build_tkk`` runs with the
+  other sign for supercommutativity), then the super Jacobi identity on the
+  sorted basis triples that contain an index of ``_generating_indices``, a
+  generating set it certifies itself; the x with ad_x a superderivation
+  form a subalgebra, so that is enough.
   The same generators serve the equivariance rows of
   :func:`invariant_pairings`.
 * :func:`derivations` — super-Leibniz kernel, per parity of the derivation.
@@ -34,6 +36,11 @@ The heavy lifting lives in the verification and completion routines:
   space by solving the (linear) odd Jacobi constraints, whose solution must
   be a line.  It does not re-check the axioms: callers that need them run
   :func:`check_lie_super` on the result.
+
+Degree additivity on a table is walked by one private generator,
+``_nonadditive``, which yields the terms whose degree is not the sum of the
+two factors' degrees: :func:`invariant_pairings` checks its degrees with it,
+and so do ``gradings.verify_grading`` and ``gradings.grading_from_diag``.
 
 Every linear condition read off a table is solved by one private routine,
 ``_keyed_kernel``: it numbers keyed unknowns in the caller's order, sums the
@@ -171,7 +178,7 @@ class SuperAlgebra:
                 if parity[k] != want:
                     raise AlgebraError(
                         "product %s * %s hits %s: parity %d, expected %d"
-                        % (names[i], names[j], names[k], parity[k], want)
+                        % (_quote(names[i]), _quote(names[j]), _quote(names[k]), parity[k], want)
                     )
             tab[(i, j)] = entry
         self.names = names
@@ -194,7 +201,7 @@ class SuperAlgebra:
             try:
                 return self._index[key]
             except KeyError:
-                raise AlgebraError("no basis element named %r" % key) from None
+                raise AlgebraError("no basis element named %s" % _quote(key)) from None
         i = int(key)
         if not 0 <= i < self.dim:
             raise AlgebraError(
@@ -319,6 +326,21 @@ class LinMap:
 # ---------------------------------------------------------------------------
 
 
+def _asymmetric_pair(A, s):
+    """The names of the first basis pair (i, j), i <= j, with
+    e_i e_j - s (-1)^(|i||j|) e_j e_i != 0, or None: s = 1 tests
+    supercommutativity, s = -1 super anticommutativity."""
+    par = A.parity
+    for i in range(A.dim):
+        for j in range(i, A.dim):
+            acc = {}
+            _accumulate(acc, ONE, A.table.get((i, j), ()))
+            _accumulate(acc, s if par[i] & par[j] else -s, A.table.get((j, i), ()))
+            if acc:
+                return A.names[i], A.names[j]
+    return None
+
+
 def check_lie_super(A):
     """Verify super anticommutativity and the super Jacobi identity.
 
@@ -334,21 +356,12 @@ def check_lie_super(A):
     therefore all of A.  Both checks run on the table: [e_i, [e_j, e_k]] is
     the sum of c * table[(i, t)] over the terms (t, c) of table[(j, k)].
     """
+    bad = _asymmetric_pair(A, MINUS_ONE)
+    if bad:
+        raise AlgebraError("super anticommutativity fails at (%s, %s)" % bad)
     n = A.dim
     par = A.parity
     tab = A.table
-    for i in range(n):
-        for j in range(i, n):
-            # [e_i, e_j] + (-1)^(|i||j|) [e_j, e_i] must vanish
-            acc = {}
-            _accumulate(acc, ONE, tab.get((i, j), ()))
-            _accumulate(acc, -ONE if par[i] & par[j] else ONE, tab.get((j, i), ()))
-            if acc:
-                raise AlgebraError(
-                    "super anticommutativity fails at (%s, %s)"
-                    % (A.names[i], A.names[j])
-                )
-
     gens = sorted(_generating_indices(A))
     gen_set = set(gens)
     for i in range(n):
@@ -625,6 +638,25 @@ def ideal_generated_by(A, vectors):
 # ---------------------------------------------------------------------------
 
 
+def _nonadditive(items, left, right, out):
+    """Yield (i, j, k) for each term k of each table entry ((i, j), terms) of
+    ``items`` with left[i] + right[j] != out[k].
+
+    Degrees are numbered by first occurrence, so each sum is formed once per
+    pair of distinct degrees."""
+    index = {}
+    il, ir, io = ([index.setdefault(d, len(index)) for d in ds] for ds in (left, right, out))
+    sums = {}
+    for (i, j), terms in items:
+        pair = (il[i], ir[j])
+        s = sums.get(pair)
+        if s is None:
+            s = sums[pair] = index.get(left[i] + right[j], -1)
+        for k, _ in terms:
+            if io[k] != s:
+                yield i, j, k
+
+
 def _check_degrees(g0, action, degrees):
     """Split ``degrees`` into the g0 and module parts after checking that
     they are additive on both tables; AlgebraError names the first pair."""
@@ -636,23 +668,17 @@ def _check_degrees(g0, action, degrees):
             % (len(degrees), n0, md)
         )
     d0, dm = degrees[:n0], degrees[n0:]
-    for (i, j), terms in g0.table.items():
-        d = d0[i] + d0[j]
-        for k, _ in terms:
-            if d != d0[k]:
-                raise AlgebraError(
-                    "degrees are not additive on g0 at (%s, %s): the product hits %s"
-                    % (g0.names[i], g0.names[j], g0.names[k])
-                )
+    for i, j, k in _nonadditive(g0.table.items(), d0, d0, d0):
+        raise AlgebraError(
+            "degrees are not additive on g0 at (%s, %s): the product hits %s"
+            % (g0.names[i], g0.names[j], g0.names[k])
+        )
     mnames = action.module_names
-    for (i, j), terms in action.table.items():
-        d = d0[i] + dm[j]
-        for k, _ in terms:
-            if d != dm[k]:
-                raise AlgebraError(
-                    "degrees are not additive on the action at (%s, %s): it hits %s"
-                    % (g0.names[i], mnames[j], mnames[k])
-                )
+    for i, j, k in _nonadditive(action.table.items(), d0, dm, dm):
+        raise AlgebraError(
+            "degrees are not additive on the action at (%s, %s): it hits %s"
+            % (g0.names[i], mnames[j], mnames[k])
+        )
     return d0, dm
 
 

@@ -402,6 +402,12 @@ def test_tkk_dimensions(tkk10):
     assert unit[0] == ONE and all(c.is_zero() for c in unit[1:])
 
 
+def test_tkk_rejects_a_non_supercommutative_input():
+    # the quaternions are associative but not commutative: q1 q2 = -q2 q1
+    with pytest.raises(AlgebraError, match=r"^input is not supercommutative at \(q1, q2\)$"):
+        build_tkk(build_quaternions().algebra)
+
+
 def test_tkk_rejects_a_non_derivation_in_der_basis(kac):
     _, K10b = kac
     K = K10b.algebra

@@ -303,7 +303,9 @@ def test_from_diag_generator_order_independent(d21):
 
 def test_from_diag_rejects_non_grading_weight(d21):
     bad = [1] + [0] * 16
-    with pytest.raises(GradingError):
+    with pytest.raises(
+        GradingError, match=r"^weight vector is not a Z-grading: \(E1, F1\) -> H1$"
+    ):
         grading_from_diag(d21.algebra, DiagGenerators([bad], ()))
 
 

@@ -6,6 +6,7 @@ every run exercises exactly the same elements.
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -302,6 +303,19 @@ class TestGrammar:
             with pytest.raises(ScalarError, match="parenthesis nesting %d exceeds %d"
                                % (MAX_PARSE_NESTING + 1, MAX_PARSE_NESTING)):
                 parse_scalar("(" * levels + "1" + ")" * levels)
+
+    def test_nesting_limit_fires_before_the_rest_of_the_text_is_read(self):
+        # tokens are scanned on demand: the 65th parenthesis fails the parse
+        # without a token list for the other 99,935 characters
+        text = "(" * 100000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScalarError, match="parenthesis nesting 65 exceeds 64"):
+                parse_scalar(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
 
     def test_long_runs_of_unary_minus_parse(self):
         assert parse_scalar("-" * 3001 + "a^2") == -(ALPHA ** 2)
