@@ -7,6 +7,9 @@ classification of a graded quadratic configuration file), and
 ``grading-report`` (catalog dump).  ``--alpha`` (the d21a parameter) is
 taken by ``build``, ``theorem-check`` and ``grading-report``; ``--model`` (the
 F(4) model) by ``build`` only, since ``theorem-check f4`` checks all three.
+``theorem-check f4`` and ``g3`` build each model once: inside
+:class:`~finegrading.constructions.shared_builds` the axiom records build the
+models and the catalog takes each one over; the records keep their order.
 Exit code 0 iff every check passes; usage problems exit 2.  When stdout is
 closed before the report is written (``| head``), the run exits 1 without a
 traceback.
@@ -32,6 +35,7 @@ from .constructions import (
     build_F4,
     build_G3,
     build_kac,
+    shared_builds,
     verify_tkk_iso_lemma,
 )
 from .errors import (
@@ -149,8 +153,8 @@ def _dict_record(name, expected, result):
 
 
 def _theorem_records(target, alpha):
-    recs = _catalog_records(target, alpha)
     if target == "d21a":
+        recs = _catalog_records(target, alpha)
         built = build_D21(ALPHA if alpha is None else alpha)
         recs.append(_axiom_record("axioms-d21a", built, 17, 9, 8))
         recs.append(_dict_record(
@@ -166,12 +170,16 @@ def _theorem_records(target, alpha):
         recs.append(_dict_record(
             "groups-torus-q8sq-mod-k", "two families of maximal abelian "
             "subgroups", torus))
-    elif target == "g3":
-        recs.append(_axiom_record("axioms-g3", build_G3(), 31, 17, 14))
-    else:
-        for model in _MODELS:
-            recs.append(_axiom_record("axioms-f4-%s" % model, build_F4(model),
-                                      40, 24, 16))
+        return recs
+    # the axiom records build each model and the catalog takes it over
+    with shared_builds():
+        if target == "g3":
+            axioms = [_axiom_record("axioms-g3", build_G3(), 31, 17, 14)]
+        else:
+            axioms = [_axiom_record("axioms-f4-%s" % model, build_F4(model),
+                                    40, 24, 16) for model in _MODELS]
+        recs = _catalog_records(target, alpha) + axioms
+    if target == "f4":
         recs.append(_dict_record(
             "octonion-clifford-model",
             "even Clifford algebra of the trace-zero octonions is End(C)",

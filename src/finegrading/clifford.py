@@ -155,11 +155,17 @@ def clifford_algebra(names, gram):
     words = [w for k in range(n + 1) for w in combinations(range(n), k)]
     index = {w: k for k, w in enumerate(words)}
     table = {}
+    coeffs = {}  # each distinct rational coefficient converted once
     for ia, wa in enumerate(words):
         for ib, wb in enumerate(words):
             acc = _straighten(wa + wb, B, squares)
             if acc:
-                table[(ia, ib)] = [(index[w], scalar(c)) for w, c in acc.items()]
+                entry = table[(ia, ib)] = []
+                for w, c in acc.items():
+                    s = coeffs.get(c)
+                    if s is None:
+                        s = coeffs[c] = scalar(c)
+                    entry.append((index[w], s))
     mono_names = tuple(_mono_name(names, w) for w in words)
     parities = tuple(len(w) % 2 for w in words)
     return SuperAlgebra(mono_names, parities, table), tuple(words)

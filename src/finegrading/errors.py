@@ -4,14 +4,34 @@ Every failure that a caller can usefully react to raises a subclass of
 :class:`FineGradingError` with a message naming the offending object; bare
 ``AssertionError`` is reserved for internal consistency defects.  A message
 that quotes input (scalar text, a table key) quotes at most its first
-characters, through :func:`_quote`, so hostile input is not echoed in full.
+characters, through :func:`_quote`, so hostile input is not echoed in full;
+of a long string or list it reads only the head.
 """
 
 
 def _quote(obj):
     """repr(obj) cut to 40 characters, "..." marking a cut."""
-    text = repr(obj)
+    text = _repr_head(obj, 41)
     return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _repr_head(obj, n):
+    """repr(obj)[:n], reading only the head of a long str or list."""
+    if type(obj) is str and len(obj) > n:
+        # a prefix holding the quote characters of the whole text makes
+        # repr choose the same quote as for the whole text
+        head = obj[:n] + "'" * ("'" in obj) + '"' * ('"' in obj)
+        return repr(head)[:n]
+    if type(obj) is list:
+        text = "["
+        for i, item in enumerate(obj):
+            if i:
+                text += ", "
+            if len(text) >= n:
+                return text[:n]
+            text += _repr_head(item, n - len(text))
+        return (text + "]")[:n]
+    return repr(obj)[:n]
 
 
 class FineGradingError(Exception):

@@ -11,9 +11,10 @@ import pytest
 
 from test_clifford import CONFIGS
 
-from finegrading import clifford
+from finegrading import cli, clifford, constructions, gradings
 from finegrading.abgroup import GradingGroup
 from finegrading.cli import main
+from finegrading.errors import GradingError
 from finegrading.linalg import Mat
 from finegrading.superalg import SuperAlgebra, load_algebra
 
@@ -76,6 +77,63 @@ def test_theorem_check_f4_builds_no_clifford_table(monkeypatch, capsys):
 def test_theorem_check_d21a_matches_golden_report(argv, name, capsys):
     assert main(["theorem-check"] + argv + ["--format", "json"]) == 0
     assert_matches_golden(capsys.readouterr().out, name)
+
+
+def count_calls(monkeypatch, module, name, counts):
+    """Replace module.name by a wrapper that adds its calls to counts[name]."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_theorem_check_f4_builds_each_model_once(monkeypatch, capsys):
+    counts = {}
+    for name in ("_build_f4_cayley", "_build_f4_tkk", "_build_f4_quaternion"):
+        count_calls(monkeypatch, constructions, name, counts)
+    # the axiom records call build_F4 through cli, the catalog through gradings
+    for module in (cli, gradings):
+        count_calls(monkeypatch, module, "build_F4", counts)
+    catalog_records = cli._catalog_records
+
+    def released(target, alpha):
+        # the catalog takes over every model the axiom records built
+        recs = catalog_records(target, alpha)
+        assert constructions._SHARED == {}
+        return recs
+
+    monkeypatch.setattr(cli, "_catalog_records", released)
+    assert main(["theorem-check", "f4", "--format", "json"]) == 0
+    assert counts == {"build_F4": 6, "_build_f4_cayley": 1, "_build_f4_tkk": 1,
+                      "_build_f4_quaternion": 1}
+    assert constructions._SHARED is None
+    assert_matches_golden(capsys.readouterr().out, "theorem-check-f4")
+
+
+def test_theorem_check_g3_builds_g3_once(monkeypatch, capsys):
+    counts = {}
+    count_calls(monkeypatch, constructions, "_build_g3", counts)
+    for module in (cli, gradings):
+        count_calls(monkeypatch, module, "build_G3", counts)
+    assert main(["theorem-check", "g3", "--format", "json"]) == 0
+    assert counts == {"build_G3": 2, "_build_g3": 1}
+    assert constructions._SHARED is None
+    assert_matches_golden(capsys.readouterr().out, "theorem-check-g3")
+
+
+def test_shared_builds_end_when_a_record_raises(monkeypatch, capsys):
+    def broken(target, alpha):
+        assert constructions._SHARED is not None
+        raise GradingError("catalog broke")
+
+    monkeypatch.setattr(cli, "_catalog_records", broken)
+    assert main(["theorem-check", "g3", "--format", "json"]) == 1
+    (rec,) = json.loads(capsys.readouterr().out)["records"]
+    assert (rec["status"], rec["witness"]) == ("error", "catalog broke")
+    assert constructions._SHARED is None
 
 
 def test_no_dense_matrix_products_in_theorem_check_d21a(monkeypatch, capsys):

@@ -36,7 +36,7 @@ from finegrading.constructions import (
 )
 from finegrading.errors import CliffordError
 from finegrading.linalg import Mat
-from finegrading.scalars import ALPHA, IUNIT, OMEGA, ONE, ZERO, scalar
+from finegrading.scalars import ALPHA, HALF, IUNIT, OMEGA, ONE, ZERO, scalar
 from finegrading.superalg import LinMap, SuperAlgebra
 
 
@@ -289,6 +289,25 @@ def test_clifford_orthogonal_relations():
     # the volume element squares to -1 here
     vol = alg.basis_vec(alg.dim - 1)
     assert alg.multiply(vol, vol) == tuple(-c for c in alg.basis_vec(0))
+
+
+def test_clifford_table_converts_each_coefficient_once(monkeypatch):
+    converted = []
+
+    def counting(x):
+        # the Gram entries below are ints; the table coefficients are Fractions
+        if isinstance(x, Fraction):
+            converted.append(x)
+        return scalar(x)
+
+    monkeypatch.setattr(clifford, "scalar", counting)
+    polar = [[2, 1, 0, 0], [1, -4, 0, 3], [0, 0, 6, 0], [0, 3, 0, 1]]
+    alg, words = clifford_algebra(tuple("abcd"), polar)
+    coeffs = {c for entry in alg.table.values() for _, c in entry}
+    assert len(converted) == len(set(converted)) == len(coeffs) > 2
+    # x_d x_b = -x_b x_d + B_bd, and x_d^2 = B_dd / 2
+    assert dict(alg.table[(4, 2)]) == {words.index((1, 3)): -ONE, 0: scalar(3)}
+    assert dict(alg.table[(4, 4)]) == {0: HALF}
 
 
 def test_clifford_rejects():

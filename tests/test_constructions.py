@@ -13,6 +13,7 @@ import pytest
 
 from test_clifford import dense
 
+from finegrading import constructions
 from finegrading.constructions import (
     BuiltAlgebra,
     build_An,
@@ -26,6 +27,7 @@ from finegrading.constructions import (
     build_tkk,
     cayley_weight_basis,
     d21_ideal_automorphism,
+    shared_builds,
     verify_tkk_iso_lemma,
 )
 from finegrading.errors import AlgebraError
@@ -667,6 +669,39 @@ def test_g3_cartan_grading(g3):
 def test_f4_rejects_unknown_model():
     with pytest.raises(AlgebraError):
         build_F4("bogus")
+
+
+def test_f4_unknown_model_raises_before_anything_is_built(monkeypatch):
+    def refuse():
+        raise AssertionError("a model was built")
+
+    for name in ("_build_f4_cayley", "_build_f4_tkk", "_build_f4_quaternion"):
+        monkeypatch.setattr(constructions, name, refuse)
+    with shared_builds():
+        with pytest.raises(AlgebraError, match="unknown model 'bogus'"):
+            build_F4("bogus")
+        assert constructions._SHARED == {}
+    assert constructions._SHARED is None
+
+
+def test_f4_builds_afresh_outside_shared_builds():
+    assert constructions._SHARED is None
+    assert build_F4("tkk") is not build_F4("tkk")
+
+
+def test_shared_builds_hands_each_model_on_once(monkeypatch):
+    # a fresh object per build stands in for the builders
+    monkeypatch.setattr(constructions, "_build_f4_tkk", object)
+    monkeypatch.setattr(constructions, "_build_f4_cayley", object)
+    monkeypatch.setattr(constructions, "_build_g3", object)
+    with shared_builds():
+        tkk, g3 = build_F4("tkk"), build_G3()
+        assert build_F4("cayley") is not tkk
+        assert build_F4("tkk") is tkk and build_G3() is g3
+        assert list(constructions._SHARED) == [("F4", "cayley")]
+        assert build_F4("tkk") is not tkk
+    assert constructions._SHARED is None
+    assert build_G3() is not build_G3()
 
 
 def test_f4_cayley_dimensions(f4_cayley):
