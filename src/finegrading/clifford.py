@@ -23,10 +23,11 @@ representation.
 Every product is read off a structure table: ``superalg._product`` on sparse
 elements {index: Scalar}, or a single-term lookup where each product of two
 basis vectors is one signed basis vector (the split quaternions).  The
-elements handed out (the ``z`` and ``so_span`` extras, the ``h_sample``
-report value, the idempotent of ``DivisionClass.info``) and those handed to
-``linalg`` are sparse as well; no dense coordinate tuple is formed.  The
-full Clifford table is written by ``constructions._straighten``, and one
+elements handed out (the ``z`` extra, the ``h_sample`` report value, the
+idempotent of ``DivisionClass.info``) and those handed to ``linalg`` are
+sparse as well; no dense coordinate tuple is formed.  The full Clifford
+table is written by ``constructions._straighten``; outside the even part
+only the check z^2 = (-1)^l in :func:`build_even_clifford` reads it.  One
 bilinear-form evaluation ``_form`` serves the normalization and the
 octonion model.
 """
@@ -46,7 +47,7 @@ from .constructions import (
     build_cayley,
     build_quaternions,
 )
-from .errors import CliffordError, LinAlgError
+from .errors import CliffordError
 from .linalg import (
     Mat,
     _accumulate,
@@ -59,12 +60,9 @@ from .linalg import (
 )
 from .scalars import HALF, IUNIT, MINUS_ONE, ONE, ZERO, scalar
 from .superalg import (
-    LinMap,
     SuperAlgebra,
     _commutator,
-    _keyed_kernel,
     _product,
-    _respects_product,
     _unit,
 )
 
@@ -75,10 +73,8 @@ __all__ = [
     "clifford_algebra",
     "normalize_quadratic_basis",
     "build_even_clifford",
-    "verify_even_clifford",
     "division_class",
     "dim7_case_classify",
-    "check_uuv_factorization",
     "verify_octonion_clifford_model",
     "verify_quaternion_clifford_model",
 ]
@@ -479,13 +475,11 @@ def build_even_clifford(space):
     """Even Clifford algebra of a normalized graded quadratic space.
 
     Returns a :class:`BuiltAlgebra` of dimension 2^(dim-1) with the induced
-    grading.  Extras: the full Clifford algebra and its monomial words, the
-    central element z = [u_1,v_1]...[u_m,v_m] w_1...w_{2l+1} with its square
-    (-1)^l, the bar anti-involution of the full algebra, which is minus the
-    identity on the space (the Clifford conjugation) and so reverses
-    monomials up to the sign (-1)^length, and the bracket span realizing
-    so(U, q) inside the even part.  :func:`verify_even_clifford` checks these
-    extras.  Every product is read off the table of the full algebra.
+    grading.  Extras: the space, the monomial words of the full Clifford
+    algebra with the indices of the even ones, and the central element
+    z = [u_1,v_1]...[u_m,v_m] w_1...w_{2l+1} of the full algebra with its
+    square, checked here to be (-1)^l.  Every product is read off the table
+    of the full algebra.
     """
     n = space.dim
     full, words = clifford_algebra(space.names, space.gram())
@@ -501,13 +495,13 @@ def build_even_clifford(space):
     )
 
     degs = space.degrees
-    full_deg = []
-    for w in words:
+    mono_deg = []
+    for k in even:
         d = space.group.zero()
-        for t in w:
+        for t in words[k]:
             d = d + degs[t]
-        full_deg.append(d)
-    mono_deg = tuple(full_deg[k] for k in even)
+        mono_deg.append(d)
+    mono_deg = tuple(mono_deg)
     gradings = {space.group.literal(): (space.group, mono_deg)}
 
     gen = [{1 + t: ONE} for t in range(n)]
@@ -524,116 +518,18 @@ def build_even_clifford(space):
     if zsq != want:
         raise CliffordError("z^2 = %s, expected (-1)^l" % zsq)
 
-    cols = []
-    for w in words:
-        acc = {0: ONE}
-        for t in reversed(w):
-            acc = _product(tab, acc, gen[t])
-        if len(w) % 2:
-            acc = {k: -c for k, c in acc.items()}
-        cols.append(acc)
-    bar = LinMap(full, full, Mat._of(tuple(cols), full.dim))
-
-    so_pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    so_span = []
-    for (i, j) in so_pairs:
-        br = _commutator(tab, gen[i], gen[j])
-        so_span.append({pos[k]: c for k, c in br.items()})
-
     built = BuiltAlgebra(
         alg,
         gradings,
         extras={
             "space": space,
-            "full": full,
             "words": words,
             "even_indices": even,
-            "full_degrees": tuple(full_deg),
             "z": z,
             "zsquare": zsq,
-            "bar": bar,
-            "so_pairs": so_pairs,
-            "so_span": tuple(so_span),
         },
     )
     return built
-
-
-def verify_even_clifford(built):
-    """Check the extras of :func:`build_even_clifford`: z is central, bar is
-    a degree-preserving anti-involution, [[u, v], w] acts on the space as in
-    so(U, q), and the bracket span is closed and matches those operators.
-    Every product is read off the tables.  Returns None; raises
-    CliffordError naming the first failure.
-    """
-    space = built.extras["space"]
-    full = built.extras["full"]
-    tab = full.table
-    n = space.dim
-    gen = [{1 + t: ONE} for t in range(n)]
-    gram = space.gram()
-    z = built.extras["z"]
-
-    if any(_commutator(tab, z, g) for g in gen):
-        raise CliffordError("z is not central")
-
-    bar = built.extras["bar"]
-    cols = bar.matrix.columns
-
-    def bar_of(x):
-        return _comb(*((c, cols[t]) for t, c in x.items()))
-
-    full_deg = built.extras["full_degrees"]
-    for k in range(full.dim):
-        if bar_of(cols[k]) != {k: ONE}:
-            raise CliffordError("bar is not an involution")
-        if any(full_deg[r] != full_deg[k] for r in cols[k]):
-            raise CliffordError("bar moves a homogeneous component")
-    for i in range(n):
-        for k in range(full.dim):
-            lhs = bar_of(dict(tab.get((1 + i, k), ())))
-            if lhs != _product(tab, cols[k], cols[1 + i]):
-                raise CliffordError("bar(xy) != bar(y)bar(x)")
-
-    two = scalar(2)
-    for i in range(n):
-        for j in range(n):
-            bij = _commutator(tab, gen[i], gen[j])
-            for k in range(n):
-                want = _comb((two * gram[j, k], gen[i]), (-(two * gram[i, k]), gen[j]))
-                if _commutator(tab, bij, gen[k]) != want:
-                    raise CliffordError("[[u,v],w] identity fails")
-
-    # the bracket span is so(U, q): right dimension, closed under commutator,
-    # and the commutators match the induced operators on U
-    so_pairs = built.extras["so_pairs"]
-    so_span = built.extras["so_span"]
-    alg = built.algebra
-    try:
-        proj = span_solver(so_span, alg.dim)
-    except LinAlgError:
-        raise CliffordError("bracket span has the wrong dimension") from None
-
-    def op_of(i, j):
-        return Mat._of(
-            tuple(
-                _comb((two * gram[j, k], {i: ONE}), (-(two * gram[i, k]), {j: ONE}))
-                for k in range(n)
-            ),
-            n,
-        )
-
-    fail = _respects_product(
-        so_span,
-        [op_of(*p) for p in so_pairs],
-        lambda x, y: _commutator(alg.table, x, y),
-        lambda M, N: M * N - N * M,
-        proj,
-    )
-    if fail is not None:
-        if not fail[2]:
-            raise CliffordError("bracket span is not closed under commutator")
-        raise CliffordError("so(U,q) embedding does not match operators")
 
 
 # ---------------------------------------------------------------------------
@@ -937,110 +833,6 @@ def dim7_case_classify(space):
     return DivisionClass(
         tag, case=case, m=m, l=space.l, rank=r, permutation=perm
     )
-
-
-# ---------------------------------------------------------------------------
-# factoring off a hyperbolic pair
-# ---------------------------------------------------------------------------
-
-
-def check_uuv_factorization(space, built=None):
-    """Report on splitting one hyperbolic pair off the even Clifford algebra.
-
-    With z the central element and (u_1, v_1) the first pair, the
-    subalgebra S generated by z u_1 and z v_1 is a full 2x2 matrix algebra
-    (via z u_1 -> E_12, z v_1 -> z^2 E_21); it commutes with the products
-    of the complementary generators, its centralizer has the dimension of
-    the even Clifford algebra on the complement, and S times the
-    centralizer spans everything.  u_1 v_1 is a degree-0 idempotent.
-    """
-    if space.m < 1:
-        raise CliffordError("no hyperbolic pair to factor off")
-    if built is None:
-        built = build_even_clifford(space)
-    alg = built.algebra
-    tab = built.extras["full"].table
-    pos = {k: t for t, k in enumerate(built.extras["even_indices"])}
-    z = built.extras["z"]
-    eps = built.extras["zsquare"]
-    n = space.dim
-
-    def to_even(vec):
-        if any(k not in pos for k in vec):
-            raise CliffordError("vector is not even")
-        return {pos[k]: c for k, c in vec.items()}
-
-    def mul(x, y):
-        return _product(alg.table, x, y)
-
-    a = to_even(_product(tab, z, {1: ONE}))
-    b = to_even(_product(tab, z, {2: ONE}))
-    squad = [a, b, mul(a, b), mul(b, a)]
-    try:
-        proj = span_solver(squad, alg.dim)
-        s_dim = 4
-    except LinAlgError:
-        proj = None
-        s_dim = rank(Mat._of(tuple(squad), alg.dim))
-
-    report = {"m": space.m, "zsquare": eps, "s_dim": s_dim}
-    ok = s_dim == 4
-
-    # S is 2x2 matrices: compare against E12, eps*E21, eps*E11, eps*E22
-    imgs = [
-        Mat(((ZERO, ONE), (ZERO, ZERO))),
-        Mat(((ZERO, ZERO), (eps, ZERO))),
-        Mat(((eps, ZERO), (ZERO, ZERO))),
-        Mat(((ZERO, ZERO), (ZERO, eps))),
-    ]
-    mat_ok = ok and _respects_product(squad, imgs, mul, lambda M, N: M * N, proj) is None
-    report["s_is_2x2_matrices"] = mat_ok
-    ok = ok and mat_ok
-
-    commutes = True
-    for p in range(2, n):
-        for q in range(p + 1, n):
-            y = to_even(dict(tab.get((1 + p, 1 + q), ())))
-            if _commutator(alg.table, y, a) or _commutator(alg.table, y, b):
-                commutes = False
-    report["complement_commutes"] = commutes
-    ok = ok and commutes
-
-    cent = _centralizer(alg, (a, b))
-    report["centralizer_dim"] = len(cent)
-    want = alg.dim // 4
-    report["dims_multiply"] = 4 * len(cent) == alg.dim
-    ok = ok and len(cent) == want
-
-    prods = tuple(mul(s, c) for s in squad for c in cent)
-    spans = rank(Mat._of(prods, alg.dim)) == alg.dim
-    report["product_spans"] = spans
-    ok = ok and spans
-
-    e = to_even(dict(tab.get((1, 2), ())))
-    _, mono_deg = built.grading(space.group.literal())
-    report["idempotent_ok"] = mul(e, e) == e and mono_deg[min(e)].is_zero()
-    ok = ok and report["idempotent_ok"]
-
-    report["ok"] = ok
-    return report
-
-
-def _centralizer(alg, elems):
-    """Basis of the centralizer of the given sparse elements: the x with
-    [s, x] = 0 for each s, read off the table, as sparse elements."""
-    n, tab = alg.dim, alg.table
-
-    def commutator(s):
-        # the terms of [s, x] = sum_t x_t (s e_t - e_t s)
-        for i, si in s.items():
-            for t in range(n):
-                for k, c in tab.get((i, t), ()):
-                    yield k, t, si * c
-                for k, c in tab.get((t, i), ()):
-                    yield k, t, -(si * c)
-
-    return _keyed_kernel(range(n), map(commutator, elems))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ The constructions, bottom to top:
 
 * split quaternions and the split Cayley algebra, with their sign gradings
   and a distinguished eigenbasis for the two-torus of Cayley derivations;
-* the graded division algebras generated by two anticommuting-up-to-a-root
-  units of order 2 or 4;
 * the three-dimensional Kaplansky superalgebra and the ten-dimensional Kac
   Jordan superalgebra built from two copies of it;
 * a Tits-Kantor-Koecher style functor  J  ->  (sl2 (x) J) + der(J);
@@ -94,7 +92,6 @@ __all__ = [
     "build_quaternions",
     "build_cayley",
     "cayley_weight_basis",
-    "build_An",
     "build_kaplansky",
     "build_kac",
     "build_tkk",
@@ -405,38 +402,6 @@ def _cayley_zero_part(wb):
         "weights": weights,
         "restrict": restrict,
     }
-
-
-# ---------------------------------------------------------------------------
-# graded division algebras on two unitary generators
-# ---------------------------------------------------------------------------
-
-
-def build_An(n):
-    """Graded division algebra with generators x, y, yx = eps^-1 xy.
-
-    ``eps`` is a primitive n-th root of unity; only n = 2 (the quaternion
-    case) and n = 4 are built.  Basis x^a y^b, graded by Z_n x Z_n via the
-    exponents; the product is (x^a y^b)(x^c y^d) = eps^(-bc) x^(a+c) y^(b+d).
-    """
-    if n == 2:
-        eps = MINUS_ONE
-    elif n == 4:
-        eps = IUNIT
-    else:
-        raise AlgebraError("only orders 2 and 4 are supported, got %r" % (n,))
-    pairs = [(a, b) for a in range(n) for b in range(n)]
-    index = {p: k for k, p in enumerate(pairs)}
-    names = tuple("x%dy%d" % p for p in pairs)
-    table = {}
-    for (a, b) in pairs:
-        for (c, d) in pairs:
-            k = index[((a + c) % n, (b + d) % n)]
-            table[(index[(a, b)], index[(c, d)])] = [(k, eps ** ((-b * c) % n))]
-    alg = SuperAlgebra(names, (0,) * len(names), table)
-    group = GradingGroup(0, (n, n))
-    degrees = tuple(group.element((), p) for p in pairs)
-    return BuiltAlgebra(alg, {group.literal(): (group, degrees)})
 
 
 # ---------------------------------------------------------------------------

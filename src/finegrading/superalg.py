@@ -15,8 +15,7 @@ and tests that no builder or verifier calls.  Kernels, pairings, the unit,
 span coordinates and the builders' elements are sparse {index: Scalar}
 dicts.  ``_commutator`` forms x y - y x of sparse elements, and
 ``_respects_product`` checks that a span is closed under a product and that
-a map to matrices respects it (the so(U, q) and 2x2-matrix checks of the
-Clifford layer and the TKK lemma).
+a map to matrices respects it (the so(U, q) check of the TKK lemma).
 
 The heavy lifting lives in the verification and completion routines:
 
@@ -48,9 +47,8 @@ Every linear condition read off a table is solved by one private routine,
 sparse row per output and returns the kernel of
 :func:`~finegrading.linalg.sparse_kernel` as {unknown: Scalar} dicts.  Its
 callers are :func:`derivations`, :func:`invariant_pairings`,
-:func:`complete_superalgebra`, ``_unit`` (the two-sided unit, used by
-``constructions.build_tkk`` and ``clifford.division_class``) and the
-centralizer in ``clifford.check_uuv_factorization``.
+:func:`complete_superalgebra` and ``_unit`` (the two-sided unit, used by
+``constructions.build_tkk`` and ``clifford.division_class``).
 """
 
 from __future__ import annotations
@@ -76,12 +74,10 @@ __all__ = [
     "LinMap",
     "check_lie_super",
     "check_homomorphism",
-    "is_homomorphism",
     "is_derivation",
     "derivations",
     "derivation_superalgebra",
     "lie_closure",
-    "lie_generates",
     "ideal_generated_by",
     "invariant_pairings",
     "complete_superalgebra",
@@ -236,10 +232,6 @@ class SuperAlgebra:
             tuple(_product(self.table, x, {i: ONE}) for i in range(self.dim)), self.dim
         )
 
-    def parity_of(self, x):
-        """Parity of a homogeneous element; AlgebraError when mixed."""
-        return self._support_parity(i for i, c in enumerate(x) if c.num)
-
     def _support_parity(self, support):
         """Parity of the basis indices of ``support``; AlgebraError when mixed."""
         seen = {self.parity[i] for i in support}
@@ -252,14 +244,6 @@ class SuperAlgebra:
 
     def odd_indices(self):
         return [i for i in range(self.dim) if self.parity[i] == 1]
-
-    def format_element(self, x):
-        parts = []
-        for i, c in enumerate(x):
-            if c.is_zero():
-                continue
-            parts.append("(%s)*%s" % (format_scalar(c), self.names[i]))
-        return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
         ev = len(self.even_indices())
@@ -417,14 +401,6 @@ def check_homomorphism(A, B, F, bijective=False):
         if rank(F) != A.dim or A.dim != B.dim:
             raise AlgebraError("map is not bijective")
     return True
-
-
-def is_homomorphism(A, B, F, bijective=False):
-    """Boolean form of check_homomorphism."""
-    try:
-        return check_homomorphism(A, B, F, bijective=bijective)
-    except AlgebraError:
-        return False
 
 
 def is_derivation(A, D, parity=0):
@@ -621,10 +597,6 @@ def _insert(basis, v):
 def lie_closure(A, vectors):
     """Basis of the subalgebra generated by the given elements."""
     return [_dense(row, A.dim) for _, row in _closure(A, map(_sparse, vectors))]
-
-
-def lie_generates(A, vectors):
-    return len(lie_closure(A, vectors)) == A.dim
 
 
 def ideal_generated_by(A, vectors):

@@ -29,7 +29,6 @@ from finegrading.superalg import (
     invariant_pairings,
     is_derivation,
     lie_closure,
-    lie_generates,
     loads_algebra,
 )
 
@@ -143,7 +142,6 @@ class TestSuperAlgebraBasics:
         assert g.multiply(h, e) == g.element({"e": 2})
         x = g.element({"e": 1, "f": -1})
         assert g.multiply(x, x) == g.zero()
-        assert g.format_element(x) == "(1)*e + (-1)*f"
 
     def test_parity_additivity_enforced(self):
         with pytest.raises(AlgebraError, match="parity"):
@@ -152,13 +150,6 @@ class TestSuperAlgebraBasics:
     def test_duplicate_names_rejected(self):
         with pytest.raises(AlgebraError):
             SuperAlgebra(["u", "u"], [0, 0], {})
-
-    def test_parity_of(self):
-        g = SuperAlgebra(["u", "v"], [0, 1], {})
-        assert g.parity_of(g.basis_vec("u")) == 0
-        assert g.parity_of(g.basis_vec("v")) == 1
-        with pytest.raises(AlgebraError):
-            g.parity_of(g.element({"u": 1, "v": 1}))
 
     def test_module_table_sums_repeated_indices(self):
         g = sl2()
@@ -307,8 +298,8 @@ class TestDerivations:
 class TestClosure:
     def test_lie_generates(self):
         g = sl2()
-        assert lie_generates(g, [g.basis_vec("e"), g.basis_vec("f")])
-        assert not lie_generates(g, [g.basis_vec("e")])
+        assert len(lie_closure(g, [g.basis_vec("e"), g.basis_vec("f")])) == g.dim
+        assert len(lie_closure(g, [g.basis_vec("e")])) != g.dim
         assert len(lie_closure(g, [g.basis_vec("e")])) == 1
 
     def test_ideal_in_direct_sum(self):
@@ -405,7 +396,7 @@ class TestPairingsAndCompletion:
         xy = osp.multiply(x, y)
         assert not xy[osp.index("h")].is_zero()
         # odd generators generate everything
-        assert lie_generates(osp, [x, y])
+        assert len(lie_closure(osp, [x, y])) == osp.dim
 
     def test_osp12_derivation_dimensions(self):
         g = sl2()
