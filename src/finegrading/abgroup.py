@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .errors import GroupError
+from .errors import GroupError, _quote
 
 __all__ = [
     "GradingGroup",
@@ -42,7 +42,7 @@ class GradingGroup:
         if free_rank < 0:
             raise GroupError("negative free rank")
         if any(m < 2 for m in moduli):
-            raise GroupError("torsion moduli must be >= 2, got %r" % (moduli,))
+            raise GroupError("torsion moduli must be >= 2, got %s" % _quote(moduli))
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "moduli", moduli)
 
@@ -196,19 +196,24 @@ def parse_group(text):
     for seg in text.split("x"):
         seg = seg.strip()
         if not seg:
-            raise GroupError("empty segment in group literal %r" % text)
+            raise GroupError("empty segment in group literal %s" % _quote(text))
         m = _GROUP_SEG.match(seg)
         if not m:
-            raise GroupError("bad segment %r in group literal %r" % (seg, text))
+            raise GroupError("bad segment %s in group literal %s"
+                             % (_quote(seg), _quote(text)))
+        try:
+            value = int(m.group(4) or m.group(3) or 1)
+        except ValueError:  # over the interpreter's limit on integer digits
+            raise GroupError("integer too long in group literal %s" % _quote(text)) from None
         if m.group(4) is not None:
-            moduli.append(int(m.group(4)))
+            moduli.append(value)
             seen_torsion = True
         else:
             if seen_torsion:
                 raise GroupError(
-                    "free factors must precede torsion factors in %r" % text
+                    "free factors must precede torsion factors in %s" % _quote(text)
                 )
-            free += int(m.group(3)) if m.group(3) else 1
+            free += value
     return GradingGroup(free, moduli)
 
 
@@ -219,7 +224,7 @@ def parse_element(group, text):
     """Parse an element literal ``([a1,...];[b1,...])`` for the given group."""
     m = _ELT.match(text.strip().replace(" ", ""))
     if not m:
-        raise GroupError("bad element literal %r" % text)
+        raise GroupError("bad element literal %s" % _quote(text))
 
     def ints(chunk):
         if not chunk:
@@ -227,7 +232,7 @@ def parse_element(group, text):
         try:
             return tuple(int(v) for v in chunk.split(","))
         except ValueError:
-            raise GroupError("bad integer list in element literal %r" % text) from None
+            raise GroupError("bad integer list in element literal %s" % _quote(text)) from None
 
     return GroupElement(group, ints(m.group(1)), ints(m.group(2)))
 

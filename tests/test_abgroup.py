@@ -68,6 +68,45 @@ class TestLiterals:
             with pytest.raises(GroupError):
                 parse_element(g, text)
 
+    @pytest.mark.parametrize("text", ["Z_" + "9" * 5000, "Z^" + "9" * 5000],
+                             ids=["modulus", "rank"])
+    def test_integer_over_the_digit_limit_is_a_group_error(self, text):
+        with pytest.raises(GroupError, match="^integer too long in group literal") as err:
+            parse_group(text)
+        assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_group, "x" * 100000),
+        (parse_group, "Z_2 x " + "Q" * 100000),
+        (parse_group, "Z_2 x Z" + " x Z" * 25000),
+        (parse_group, "Z_1 x " * 20000 + "Z_1"),
+        (lambda t: parse_element(parse_group("Z_2"), t), "a" * 100000),
+        (lambda t: parse_element(parse_group("Z_2"), t), "([];[" + "x" * 100000 + "])"),
+    ], ids=["empty-segment", "bad-segment", "free-after-torsion", "modulus-one",
+            "bad-element", "bad-integer-list"])
+    def test_long_literals_give_short_messages(self, parse, text):
+        with pytest.raises(GroupError) as err:
+            parse(text)
+        assert len(str(err.value)) < 200
+
+    def test_short_literals_keep_their_messages(self):
+        g = parse_group("Z x Z_2")
+        cases = [
+            (parse_group, "Z_2 x ", "empty segment in group literal %r" % "Z_2 x "),
+            (parse_group, "Z_2 & Z_2",
+             "bad segment %r in group literal %r" % ("Z_2 & Z_2", "Z_2 & Z_2")),
+            (parse_group, "Z_2 x Z", "free factors must precede torsion factors in %r"
+             % "Z_2 x Z"),
+            (parse_group, "Z_1", "torsion moduli must be >= 2, got %r" % ((1,),)),
+            (g.parse_element, "[1];[1]", "bad element literal %r" % "[1];[1]"),
+            (g.parse_element, "([x];[1])",
+             "bad integer list in element literal %r" % "([x];[1])"),
+        ]
+        for parse, text, message in cases:
+            with pytest.raises(GroupError) as err:
+                parse(text)
+            assert str(err.value) == message
+
 
 class TestArithmetic:
     def test_torsion_reduction(self):

@@ -252,6 +252,21 @@ def test_megabyte_alpha_is_a_short_usage_error(text, capsys):
     assert len(stderr) < 400
 
 
+@pytest.mark.parametrize("text", [
+    "Z_" + "9" * 5000 + "\n([];[1])\n",
+    "Z_2\n([];[" + "1" * 100000 + "])\n",
+], ids=["modulus-digits", "element-line"])
+def test_hostile_clifford_config_is_a_short_error(text, tmp_path, capsys):
+    cfg = tmp_path / "hostile.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main(["clifford-class", str(cfg)])
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    assert len(stderr) < 1000
+
+
 class ClosedPipe:
     """A stdout whose reader has gone: every write raises BrokenPipeError.
     Its file descriptor is a file of the test's own."""
