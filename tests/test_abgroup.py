@@ -68,23 +68,19 @@ class TestLiterals:
             with pytest.raises(GroupError):
                 parse_element(g, text)
 
-    @pytest.mark.parametrize("text", ["Z_" + "9" * 5000, "Z^" + "9" * 5000],
-                             ids=["modulus", "rank"])
-    def test_integer_over_the_digit_limit_is_a_group_error(self, text):
-        with pytest.raises(GroupError, match="^integer too long in group literal") as err:
-            parse_group(text)
-        assert len(str(err.value)) < 200
-
     @pytest.mark.parametrize("parse, text", [
+        (parse_group, "Z_" + "9" * 5000),
+        (parse_group, "Z^" + "9" * 5000),
         (parse_group, "x" * 100000),
         (parse_group, "Z_2 x " + "Q" * 100000),
         (parse_group, "Z_2 x Z" + " x Z" * 25000),
         (parse_group, "Z_1 x " * 20000 + "Z_1"),
         (lambda t: parse_element(parse_group("Z_2"), t), "a" * 100000),
         (lambda t: parse_element(parse_group("Z_2"), t), "([];[" + "x" * 100000 + "])"),
-    ], ids=["empty-segment", "bad-segment", "free-after-torsion", "modulus-one",
-            "bad-element", "bad-integer-list"])
+    ], ids=["modulus-digits", "rank-digits", "empty-segment", "bad-segment",
+            "free-after-torsion", "modulus-one", "bad-element", "bad-integer-list"])
     def test_long_literals_give_short_messages(self, parse, text):
+        # a GroupError, not the ValueError of int() past its digit limit
         with pytest.raises(GroupError) as err:
             parse(text)
         assert len(str(err.value)) < 200
