@@ -107,7 +107,7 @@ class GroupElement:
         if len(free) != group.free_rank or len(torsion) != len(group.moduli):
             raise GroupError(
                 "element arity (%d;%d) does not match group %s"
-                % (len(free), len(torsion), group.literal())
+                % (len(free), len(torsion), _quote(group.literal()))
             )
         torsion = tuple(v % m for v, m in zip(torsion, group.moduli))
         object.__setattr__(self, "group", group)

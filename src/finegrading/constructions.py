@@ -489,7 +489,6 @@ def build_kac():
     tau = LinMap(alg, alg, Mat._of(tuple(tau_cols), 10))
 
     extras = {
-        "K3": K3b,
         "E1": E1,
         "E2": E2,
         "tau": tau,
@@ -691,13 +690,7 @@ def verify_tkk_iso_lemma(tkkb=None):
     for m in images:
         if (m.transpose() * G + G * m) != Mat.zeros(7, 7):
             raise AlgebraError("an image is not skew for the quadratic form")
-    fail = _respects_product(
-        dom,
-        images,
-        lambda x, y: _product(A.table, x, y),
-        lambda M, N: M * N - N * M,
-        span_solver(dom, A.dim),
-    )
+    fail = _respects_product(A.table, dom, images, span_solver(dom, A.dim))
     if fail is not None:
         i, j, closed = fail
         if not closed:

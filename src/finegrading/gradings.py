@@ -139,33 +139,25 @@ def grading_type(gr):
     return tuple(counts.get(i, 0) for i in range(1, r + 1))
 
 
-def _basis_keys(gr):
-    """The designated basis of ``gr`` as hashable keys: the stored sparse
-    columns over ``gr.source`` (unit columns when the basis is the
-    algebra's own), each as the frozenset of its nonzero entries."""
-    if gr.basis is None:
-        return tuple(frozenset({(j, ONE)}) for j in range(gr.algebra.dim))
-    return tuple(frozenset(col.items()) for col in gr.basis.columns)
-
-
 def is_refinement(fine, coarse):
-    """Whether every component of ``fine`` sits inside a ``coarse`` component.
+    """Whether every component of ``fine`` lies in a component of ``coarse``.
 
-    Both gradings must be presented on the same designated basis of the same
-    algebra (the basis may be permuted); anything else raises, as comparing
-    gradings across a base change is out of scope.
+    A component is the span of its designated basis vectors as sparse columns
+    over ``source`` (``basis.columns``, or unit vectors when ``basis`` is
+    None), so the gradings may sit on different designated bases.  Each
+    coarse component gets one :func:`~finegrading.linalg.span_solver`, which
+    raises LinAlgError when its vectors are dependent.
     """
     if fine.source is not coarse.source:
         raise GradingError("gradings live on different algebras")
-    fcols = _basis_keys(fine)
-    ccols = _basis_keys(coarse)
-    if set(fcols) != set(ccols):
-        raise GradingError("gradings use different designated bases")
-    coarse_deg = dict(zip(ccols, coarse.degrees))
-    seen = {}
-    for col, d in zip(fcols, fine.degrees):
-        seen.setdefault(d, set()).add(coarse_deg[col])
-    return all(len(s) == 1 for s in seen.values())
+    dim = fine.source.dim
+    unit = [{j: ONE} for j in range(dim)]
+    fcols, ccols = (unit if gr.basis is None else gr.basis.columns for gr in (fine, coarse))
+    solvers = [span_solver([ccols[i] for i in idx], dim) for idx in coarse.components().values()]
+    return all(
+        any(all(coords(fcols[i]) is not None for i in idx) for coords in solvers)
+        for idx in fine.components().values()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ Gaussian elimination, :func:`sparse_row_reduce`, on rows stored as
 :func:`solve`, :func:`inverse` and :func:`span_solver` all run on it.  Its
 result is the reduced row echelon form of the row space, which is unique, so
 reduced forms, kernel bases and solutions do not depend on row order or on
-how the elimination proceeds.
+how the elimination proceeds.  Its loop body is the incremental step
+``_add_row``, which adds one row and returns the row's normalized remainder,
+or None when the row is in the span; ``superalg._closure`` and
+``superalg._generating_indices`` call it to test each vector as it arrives.
 
 There is one vector format, the sparse dict ``{index: Scalar}`` of nonzero
 entries, from the elimination to the structure tables:
@@ -408,30 +411,39 @@ def sparse_row_reduce(rows, ncols):
     proportional to the rank even when millions of constraint rows are
     streamed through.
 
-    The basis is kept fully reduced as rows arrive.  A basis row is zero at
-    every other pivot, so subtracting it creates no pivot entry: an incoming
-    row subtracts each basis row at whose pivot it has an entry exactly once,
-    and a redundant row costs one subtraction per pivot entry.  A row that
-    brings a new pivot p is normalized and p is eliminated from the basis
-    rows that hold column p.  The rref of a row space is unique, so the
-    result is the one any elimination order reaches.
+    The basis is kept fully reduced as rows arrive, one ``_add_row`` each.  A
+    basis row is zero at every other pivot, so subtracting it creates no
+    pivot entry: an incoming row subtracts each basis row at whose pivot it
+    has an entry exactly once, and a redundant row costs one subtraction per
+    pivot entry.  A row that brings a new pivot p is normalized and p is
+    eliminated from the basis rows that hold column p.  The rref of a row
+    space is unique, so the result is the one any elimination order reaches.
     """
-    # Each basis row is stored as its off-pivot terms, negated: subtracting
-    # f times it is one multiply-add per off-pivot entry with factor f.
     neg_tails = {}
     for row in rows:
-        row = {c: v for c, v in row.items() if v.num}
-        for p in [c for c in row if c in neg_tails]:
-            _accumulate(row, row.pop(p), neg_tails[p].items())
-        if row:
-            p = min(row)
-            ninv = -row.pop(p).inverse()
-            tail = {c: ninv * v for c, v in row.items()}
-            for qtail in neg_tails.values():
-                if p in qtail:
-                    _accumulate(qtail, qtail.pop(p), tail.items())
-            neg_tails[p] = tail
+        _add_row(neg_tails, row)
     return {p: {p: ONE, **{c: -v for c, v in tail.items()}} for p, tail in neg_tails.items()}
+
+
+def _add_row(neg_tails, row):
+    """Add the sparse ``row`` (left unchanged) to ``neg_tails``, which maps
+    each pivot to the off-pivot terms of its basis row, negated, so that
+    subtracting f times a row is one multiply-add per entry.  Returns the
+    remainder of ``row``, 1 at its pivot, as a new dict, or None when ``row``
+    lies in the span."""
+    row = {c: v for c, v in row.items() if v.num}
+    for p in [c for c in row if c in neg_tails]:
+        _accumulate(row, row.pop(p), neg_tails[p].items())
+    if not row:
+        return None
+    p = min(row)
+    ninv = -row.pop(p).inverse()
+    tail = {c: ninv * v for c, v in row.items()}
+    for qtail in neg_tails.values():
+        if p in qtail:
+            _accumulate(qtail, qtail.pop(p), tail.items())
+    neg_tails[p] = tail
+    return {p: ONE, **{c: -v for c, v in tail.items()}}
 
 
 def sparse_kernel(rows, ncols):

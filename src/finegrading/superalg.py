@@ -14,8 +14,9 @@ Dense coordinate tuples remain the element API (:meth:`SuperAlgebra.element`,
 and tests that no builder or verifier calls.  Kernels, pairings, the unit,
 span coordinates and the builders' elements are sparse {index: Scalar}
 dicts.  ``_commutator`` forms x y - y x of sparse elements, and
-``_respects_product`` checks that a span is closed under a product and that
-a map to matrices respects it (the so(U, q) check of the TKK lemma).
+``_respects_product`` checks that a span is closed under the bracket of a
+table and that a map to matrices carries it to the commutator (the so(U, q)
+check of the TKK lemma).
 
 The heavy lifting lives in the verification and completion routines:
 
@@ -35,6 +36,10 @@ The heavy lifting lives in the verification and completion routines:
   space by solving the (linear) odd Jacobi constraints, whose solution must
   be a line.  It does not re-check the axioms: callers that need them run
   :func:`check_lie_super` on the result.
+
+Closures test each vector for span membership as it arrives: ``_closure``
+and ``_generating_indices`` add it through ``linalg._add_row``, the step of
+the one elimination, and keep no echelon basis of their own.
 
 Degree additivity on a table is walked by one private generator,
 ``_nonadditive``, which yields the terms whose degree is not the sum of the
@@ -59,6 +64,7 @@ from .errors import AlgebraError, ScalarError, _quote
 from .linalg import (
     Mat,
     _accumulate,
+    _add_row,
     _apply_columns,
     _dense,
     _entries,
@@ -115,23 +121,24 @@ def _commutator(table, x, y):
     return _product(table, {k: -c for k, c in y.items()}, x, _product(table, x, y))
 
 
-def _respects_product(span, images, mul, image_mul, coords):
-    """Where the linear map span[a] -> images[a] fails to respect a product.
+def _respects_product(table, span, images, coords):
+    """Where the linear map span[a] -> images[a] fails to carry the bracket
+    read off ``table`` to the matrix commutator.
 
-    ``span`` holds sparse elements; ``mul`` multiplies two of them into a
-    sparse element, ``image_mul`` two images, and ``coords`` is the
-    :func:`~finegrading.linalg.span_solver` of the span.
-    Returns None when the span is closed under ``mul`` and the map carries it
-    to ``image_mul``; otherwise (a, b, closed) for the first pair that fails:
-    closed is False when mul(span[a], span[b]) leaves the span, True when its
-    image is not image_mul(images[a], images[b]).
+    ``span`` holds sparse elements, ``images`` matrices, and ``coords`` is
+    the :func:`~finegrading.linalg.span_solver` of the span.  Returns None
+    when the span is closed under the bracket and the map carries it to
+    M N - N M; otherwise (a, b, closed) for the first pair that fails: closed
+    is False when [span[a], span[b]] leaves the span, True when its image is
+    not the commutator of images[a] and images[b].
     """
     for a, x in enumerate(span):
         for b, y in enumerate(span):
-            c = coords(mul(x, y))
+            c = coords(_product(table, x, y))
             if c is None:
                 return a, b, False
-            if _lincomb(c, images) != image_mul(images[a], images[b]):
+            M, N = images[a], images[b]
+            if _lincomb(c, images) != M * N - N * M:
                 return a, b, True
     return None
 
@@ -253,13 +260,10 @@ class SuperAlgebra:
 class ModuleAction:
     """Bilinear action of an algebra on a based module, as a sparse tensor."""
 
-    def __init__(self, algebra, module_names, table, module_parity=None):
+    def __init__(self, algebra, module_names, table):
         self.algebra = algebra
         self.module_names = tuple(str(n) for n in module_names)
         self.module_dim = len(self.module_names)
-        if module_parity is None:
-            module_parity = (1,) * self.module_dim
-        self.module_parity = tuple(int(p) % 2 for p in module_parity)
         tab = {}
         for (i, j), terms in table.items():
             entry = _entry(terms)
@@ -274,7 +278,7 @@ class ModuleAction:
 class LinMap:
     """Linear map between based superalgebras, carried by a matrix."""
 
-    def __init__(self, source, target, matrix, parity=0):
+    def __init__(self, source, target, matrix):
         if matrix.shape != (target.dim, source.dim):
             raise AlgebraError(
                 "matrix shape %s does not map dim %d to dim %d"
@@ -283,7 +287,6 @@ class LinMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.parity = parity % 2
 
     def __call__(self, vec):
         return self.matrix.apply(vec)
@@ -539,7 +542,7 @@ def _commutator_table(mats, parities, coords, shift=0):
     return table
 
 
-def derivation_superalgebra(A, names=None):
+def derivation_superalgebra(A):
     """The Lie superalgebra der(A) of all superderivations.
 
     Returns (algebra, matrices): basis is even derivations followed by odd
@@ -553,56 +556,37 @@ def derivation_superalgebra(A, names=None):
     # coordinates of a matrix over the derivation basis, reduced once
     solver = span_solver([_entries(m) for m in mats], A.dim * A.dim)
     table = _commutator_table(mats, parities, lambda m: solver(_entries(m)))
-    if names is None:
-        names = ["d%d" % i for i in range(len(mats))]
-    der = SuperAlgebra(names, parities, table)
+    der = SuperAlgebra(["d%d" % i for i in range(len(mats))], parities, table)
     return der, mats
 
 
 def _closure(A, vectors, gens=None):
-    """Echelon rows (pivot, {index: Scalar}), pivot coefficient 1, of the
-    smallest span holding ``vectors`` (sparse, reduced in place) and closed
-    under both products with ``gens`` (default: the span itself)."""
-    basis = []
-    frontier = [v for v in (_insert(basis, v) for v in vectors) if v is not None]
-    while frontier:
-        new = []
-        current = [row for _, row in basis] if gens is None else gens
-        for f in frontier:
-            for b in current:
-                for w in (_product(A.table, b, f), _product(A.table, f, b)):
-                    r = _insert(basis, w)
-                    if r is not None:
-                        new.append(r)
-        frontier = new
-    return basis
-
-
-def _insert(basis, v):
-    """Reduce the sparse ``v`` in place by the echelon rows ``basis``; append
-    and return the normalized remainder, or return None when it is zero."""
-    for piv, row in basis:
-        f = v.get(piv)
-        if f is not None:
-            _accumulate(v, -f, row.items())
-    if not v:
-        return None
-    piv = min(v)
-    inv = v[piv].inverse()
-    v = {k: inv * c for k, c in v.items()}
-    basis.append((piv, v))
-    return v
+    """One spanning vector per dimension, sparse, of the smallest span
+    holding the sparse ``vectors`` and closed under both products with
+    ``gens`` (default: the span itself): the remainders that
+    :func:`~finegrading.linalg._add_row` returns, in order of arrival."""
+    basis, rows, new = {}, [], vectors
+    while True:
+        frontier = [r for r in (_add_row(basis, w) for w in new) if r is not None]
+        if not frontier:
+            return rows
+        rows += frontier
+        current = rows if gens is None else gens
+        new = (
+            w for f in frontier for b in current
+            for w in (_product(A.table, b, f), _product(A.table, f, b))
+        )
 
 
 def lie_closure(A, vectors):
     """Basis of the subalgebra generated by the given elements."""
-    return [_dense(row, A.dim) for _, row in _closure(A, map(_sparse, vectors))]
+    return [_dense(row, A.dim) for row in _closure(A, map(_sparse, vectors))]
 
 
 def ideal_generated_by(A, vectors):
     """Basis of the two-sided ideal generated by the given elements."""
     gens = [{i: ONE} for i in range(A.dim)]
-    return [_dense(row, A.dim) for _, row in _closure(A, map(_sparse, vectors), gens)]
+    return [_dense(row, A.dim) for row in _closure(A, map(_sparse, vectors), gens)]
 
 
 # ---------------------------------------------------------------------------
@@ -670,23 +654,24 @@ def _generating_indices(A):
     algebra the greedy keeps the indices of ascending Lie closures.
     """
     tab = A.table
-    chosen, gens, basis = [], [], []
+    chosen, gens, basis, rows = [], [], {}, []
     for idx in A.odd_indices() + A.even_indices():
         if len(basis) == A.dim:
             break
         e = {idx: ONE}
-        first = _insert(basis, dict(e))
+        first = _add_row(basis, e)
         if first is None:
             continue
         chosen.append(idx)
         gens.append(e)
         frontier = [first] + [
-            r for r in (_insert(basis, _product(tab, e, row)) for _, row in basis[:-1])
+            r for r in (_add_row(basis, _product(tab, e, row)) for row in rows)
             if r is not None
         ]
         while frontier:
+            rows += frontier
             frontier = [
-                r for r in (_insert(basis, _product(tab, g, f)) for f in frontier for g in gens)
+                r for r in (_add_row(basis, _product(tab, g, f)) for f in frontier for g in gens)
                 if r is not None
             ]
     return chosen
@@ -849,20 +834,12 @@ def change_basis(A, P, names=None):
 # ---------------------------------------------------------------------------
 
 
-def _algebra_payload(A):
-    return {
-        "names": list(A.names),
-        "parity": list(A.parity),
-        "table": {
-            "%d,%d" % ij: [[k, format_scalar(c)] for k, c in terms]
-            for ij, terms in sorted(A.table.items())
-        },
+def dumps_algebra(A):
+    table = {
+        "%d,%d" % ij: [[k, format_scalar(c)] for k, c in terms]
+        for ij, terms in sorted(A.table.items())
     }
-
-
-def dumps_algebra(A, **extra):
-    payload = _algebra_payload(A)
-    payload.update(extra)
+    payload = {"names": list(A.names), "parity": list(A.parity), "table": table}
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -891,9 +868,9 @@ def loads_algebra(text):
     return SuperAlgebra(payload["names"], payload["parity"], table)
 
 
-def save_algebra(A, path, **extra):
+def save_algebra(A, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_algebra(A, **extra))
+        fh.write(dumps_algebra(A))
         fh.write("\n")
 
 

@@ -77,8 +77,10 @@ class TestLiterals:
         (parse_group, "Z_1 x " * 20000 + "Z_1"),
         (lambda t: parse_element(parse_group("Z_2"), t), "a" * 100000),
         (lambda t: parse_element(parse_group("Z_2"), t), "([];[" + "x" * 100000 + "])"),
+        (lambda t: parse_element(parse_group(t), "([];[1])"), " x ".join(["Z_2"] * 20000)),
     ], ids=["modulus-digits", "rank-digits", "empty-segment", "bad-segment",
-            "free-after-torsion", "modulus-one", "bad-element", "bad-integer-list"])
+            "free-after-torsion", "modulus-one", "bad-element", "bad-integer-list",
+            "element-arity"])
     def test_long_literals_give_short_messages(self, parse, text):
         # a GroupError, not the ValueError of int() past its digit limit
         with pytest.raises(GroupError) as err:
@@ -97,6 +99,8 @@ class TestLiterals:
             (g.parse_element, "[1];[1]", "bad element literal %r" % "[1];[1]"),
             (g.parse_element, "([x];[1])",
              "bad integer list in element literal %r" % "([x];[1])"),
+            (g.parse_element, "([1,2];[1])",
+             "element arity (2;1) does not match group %r" % "Z x Z_2"),
         ]
         for parse, text, message in cases:
             with pytest.raises(GroupError) as err:

@@ -215,29 +215,28 @@ def test_incomparable_clifford_gradings():
     assert grading_type(grB) == (0, 0, 0, 0, 0, 0, 0, 8)
 
 
-def test_refinement_requires_common_basis(f4_tkk):
-    # the factor-swap eigenbasis mixes designated basis vectors, so the two
-    # gradings are not comparable on a shared basis
+def test_factor_swap_grading_and_attached_grading_are_incomparable(f4_tkk):
+    # the factor-swap eigenbasis mixes designated basis vectors, and the
+    # spans of the two gradings' components cross in both directions
     attached = attached_grading(f4_tkk, "Z^2 x Z_2 x Z_2")
     gens = DiagGenerators(
         [f4_tkk.extras["zweight_total"]], [(f4_tkk.extras["tau_hat"], 2)]
     )
     diag = grading_from_diag(f4_tkk.algebra, gens)
-    with pytest.raises(GradingError):
-        is_refinement(diag, attached)
+    assert diag.basis is not None
+    assert not is_refinement(diag, attached)
+    assert not is_refinement(attached, diag)
 
 
-def test_refinement_names_different_designated_bases(d21):
+def test_negated_basis_vector_refines_both_ways(d21):
     # the same degrees on the designated basis with its first vector negated:
-    # the sparse columns differ in one entry, so the bases are not the same
+    # every component spans the same space, so each grading refines the other
     cartan = attached_grading(d21, "Z^3")
     flipped = diag([MINUS_ONE] + [ONE] * 16)
     negated = Grading(cartan.algebra, cartan.group, cartan.degrees, basis=flipped)
     assert is_refinement(negated, negated)
-    with pytest.raises(GradingError, match="different designated bases"):
-        is_refinement(cartan, negated)
-    with pytest.raises(GradingError, match="different designated bases"):
-        is_refinement(negated, cartan)
+    assert is_refinement(cartan, negated)
+    assert is_refinement(negated, cartan)
 
 
 def test_refinement_requires_same_algebra(d21):
@@ -470,6 +469,31 @@ def test_catalog_d21_constant_on_alpha_orbit(orbit):
     first = signature(orbit[0])
     for alpha in orbit[1:]:
         assert signature(alpha) == first
+
+
+@pytest.mark.parametrize(
+    "alpha, refining",
+    [
+        (None, []),
+        (Fraction(-1, 2), [("d21a-z-z2^3", "d21a-z-z2^2-ideal1")]),
+        (1, [("d21a-z-z2^3", "d21a-z-z2^2-ideal3")]),
+        (-2, [("d21a-z-z2^3", "d21a-z-z2^2-ideal2")]),
+        (2, []),
+    ],
+    ids=["symbolic", "minus-half", "one", "minus-two", "two"],
+)
+def test_refinements_among_d21_catalog_entries(alpha, refining):
+    # the entries sit on different designated bases; at each osp(4|2)
+    # parameter the Z x Z_2^3 grading refines one Z x Z_2^2 entry, which is
+    # therefore not fine although the catalog lists it
+    records = catalog("d21a", alpha=None if alpha is None else scalar(alpha), strict=False)
+    pairs = [
+        (f["name"], c["name"])
+        for f in records
+        for c in records
+        if f is not c and is_refinement(f["grading"], c["grading"])
+    ]
+    assert pairs == refining
 
 
 def test_catalog_rejects_unknown_id():

@@ -12,10 +12,10 @@ from finegrading.superalg import (
     ModuleAction,
     SuperAlgebra,
     _closure,
+    _commutator,
     _commutator_table,
     _generating_indices,
     _keyed_kernel,
-    _product,
     _respects_product,
     _unit,
     change_basis,
@@ -563,37 +563,43 @@ class TestBasisAndSerialization:
 
 
 # ---------------------------------------------------------------------------
-# the shared check that a map from a span to matrices respects a product
+# the check that a map from a span to matrices respects the bracket
 # ---------------------------------------------------------------------------
 
 
-def quaternion_span_check(span, images):
-    """_respects_product for the product of the split quaternions and the
-    matrix product of the images."""
+def quaternion_bracket_check(span, images):
+    """_respects_product on the bracket x y - y x of the split quaternions,
+    whose basis 1, q1, q2, q3 maps to the matrices of build_quaternions."""
     Q = build_quaternions().algebra
+    units = [{i: ONE} for i in range(Q.dim)]
+    bracket = {
+        (i, j): list(_commutator(Q.table, x, y).items())
+        for i, x in enumerate(units)
+        for j, y in enumerate(units)
+    }
     span = [{i: c for i, c in enumerate(v) if c.num} for v in span]
-    return _respects_product(
-        span,
-        images,
-        lambda x, y: _product(Q.table, x, y),
-        lambda M, N: M * N,
-        span_solver(span, Q.dim),
-    )
+    return _respects_product(bracket, span, images, span_solver(span, Q.dim))
+
+
+Q1 = Mat([[1, 0], [0, -1]])
+Q2 = Mat([[0, 1], [1, 0]])
+Q3 = Mat([[0, 1], [-1, 0]])
 
 
 def test_respects_product_finds_a_span_that_is_not_closed():
-    # q1 q1 = 1 leaves the line through q1
-    q1 = build_quaternions().algebra.basis_vec(1)
-    assert quaternion_span_check([q1], [Mat([[1, 0], [0, -1]])]) == (0, 0, False)
+    # [q1, q2] = 2 q3 leaves the span of q1 and q2
+    Q = build_quaternions().algebra
+    span = [Q.basis_vec(1), Q.basis_vec(2)]
+    assert quaternion_bracket_check(span, [Q1, Q2]) == (0, 1, False)
 
 
 def test_respects_product_finds_a_wrong_image():
     Q = build_quaternions().algebra
-    span = [Q.basis_vec(0), Q.basis_vec(1)]
-    D = Mat([[1, 0], [0, -1]])
-    assert quaternion_span_check(span, [Mat.identity(2), D]) is None
-    # q1 q1 = 1 maps to the identity, but (2D)(2D) = 4 times it
-    assert quaternion_span_check(span, [Mat.identity(2), D.scale(2)]) == (1, 1, True)
+    span = [Q.basis_vec(1), Q.basis_vec(2), Q.basis_vec(3)]
+    assert quaternion_bracket_check(span, [Q1, Q2, Q3]) is None
+    # [q1, q2] = 2 q3 maps to 4 Q3, but [2 Q1, 2 Q2] = 8 Q3
+    doubled = [m.scale(2) for m in (Q1, Q2, Q3)]
+    assert quaternion_bracket_check(span, doubled) == (0, 1, True)
 
 
 def test_order_of_a_signed_cycle_and_past_its_bound():
