@@ -23,7 +23,9 @@ import time
 from . import report
 from .abgroup import parse_group
 from .clifford import (
+    MAX_DIM,
     build_even_clifford,
+    check_dimension,
     dim7_case_classify,
     division_class,
     normalize_quadratic_basis,
@@ -230,30 +232,43 @@ def _config_error(path, lineno, message):
 
 
 def _cmd_clifford_class(args):
+    # the group line and at most MAX_DIM element lines are kept and the
+    # rest only counted, so a long file is rejected before it is parsed;
+    # lines are numbered as str.splitlines numbers them in the whole text
+    rows = []
+    count = 0
+    lineno = 0
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+            for chunk in fh:
+                for line in chunk.splitlines():
+                    lineno += 1
+                    stripped = line.strip()
+                    if stripped and not stripped.startswith("#"):
+                        count += 1
+                        if count <= 1 + MAX_DIM:
+                            rows.append((lineno, stripped))
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         raise SystemExit(1)
-    rows = []
-    for lineno, line in enumerate(raw.splitlines(), 1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            rows.append((lineno, stripped))
+    except UnicodeDecodeError as exc:
+        print("error: %s: not UTF-8 text (%s)" % (args.config, exc.reason),
+              file=sys.stderr)
+        raise SystemExit(1)
     if not rows:
         _config_error(args.config, 1, "missing group literal line")
     try:
         group = parse_group(rows[0][1])
     except GroupError as exc:
         _config_error(args.config, rows[0][0], str(exc))
-    degrees = []
-    for lineno, text in rows[1:]:
-        try:
-            degrees.append(group.parse_element(text))
-        except GroupError as exc:
-            _config_error(args.config, lineno, str(exc))
     try:
+        check_dimension(count - 1)
+        degrees = []
+        for lineno, text in rows[1:]:
+            try:
+                degrees.append(group.parse_element(text))
+            except GroupError as exc:
+                _config_error(args.config, lineno, str(exc))
         space = normalize_quadratic_basis(group, degrees)
         built = build_even_clifford(space)
         table_answer = dim7_case_classify(space)

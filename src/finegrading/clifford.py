@@ -1,18 +1,22 @@
 """Graded quadratic spaces and even Clifford algebras, with classification.
 
-An odd-dimensional quadratic space carrying a compatible grading by an
-abelian group (the form pairs degree g only with degree -g) normalizes to
-hyperbolic pairs (u_i, v_i) of degrees (g_i, -g_i) with q(u_i, v_i) = 1 plus
-anisotropic vectors w_j with q(w_j) = 1 whose degrees h_j are 2-torsion,
-pairwise distinct, and sum to zero.  The even Clifford algebra inherits the
-grading, and its graded-division class -- F, Q, Q (x) Q or Q (x) Q (x) Q --
-is computed along two independent routes that must agree:
+A list of degrees in an abelian group, one per basis vector of an
+odd-dimensional space of dimension at most 7, determines a compatibly graded
+quadratic space: the canonical form pairs the k-th vector of degree g with
+the k-th vector of degree -g and gives each vector of 2-torsion degree
+q = 1.  It normalizes to hyperbolic pairs (u_i, v_i) of degrees (g_i, -g_i)
+with q(u_i, v_i) = 1 plus anisotropic vectors w_j with q(w_j) = 1 whose
+degrees h_j are 2-torsion, pairwise distinct, and sum to zero.  The even
+Clifford algebra inherits the grading, and its graded-division class -- F,
+Q, Q (x) Q or Q (x) Q (x) Q -- is computed along two independent routes
+that must agree:
 
 * ``division_class`` extracts a minimal graded left ideal, its degree-0
   idempotent e, and the coefficient algebra e R e, and reads the class off
   the size of the support;
-* ``dim7_case_classify`` pattern-matches the normalized degree data against
-  the ten-case table for dimension 7 without touching the algebra at all.
+* ``dim7_case_classify`` matches the normalized degree data against the
+  ten-case table ``_DIM7_CASES`` for dimension 7 without touching the
+  algebra at all.
 
 The module also houses the two concrete models used downstream: left
 multiplication identifying the even Clifford algebra of the split octonions
@@ -35,8 +39,10 @@ octonion model.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations, permutations
 from math import isqrt
+from operator import xor
 
 from .constructions import (
     BuiltAlgebra,
@@ -52,7 +58,6 @@ from .linalg import (
     Mat,
     _accumulate,
     _entries,
-    inverse,
     kron,
     rank,
     span_solver,
@@ -69,7 +74,9 @@ from .superalg import (
 __all__ = [
     "DivisionClass",
     "GradedQuadraticSpace",
+    "MAX_DIM",
     "scalar_sqrt",
+    "check_dimension",
     "clifford_algebra",
     "normalize_quadratic_basis",
     "build_even_clifford",
@@ -84,8 +91,9 @@ def scalar_sqrt(c):
     """A square root of a constant scalar of the form +-(rational square).
 
     Positive squares get their rational root, negated squares i times it;
-    anything else raises :class:`CliffordError`.  This is all the
-    root-taking the normalization steps are entitled to.
+    anything else raises :class:`CliffordError`.  Only
+    :func:`division_class` takes roots: the normalization starts from the
+    canonical form, whose unit vectors already have q = 1.
     """
     s = scalar(c)
     if not s.is_constant():
@@ -120,6 +128,17 @@ def _as_fraction(x):
 # ---------------------------------------------------------------------------
 
 
+# the largest quadratic space in scope: its Clifford table has 4^7 products
+MAX_DIM = 7
+
+
+def check_dimension(n):
+    """Raise :class:`CliffordError` for a quadratic space of dimension n
+    above ``MAX_DIM``."""
+    if n > MAX_DIM:
+        raise CliffordError("dimension %d quadratic space is out of scope" % n)
+
+
 def _mono_name(names, word):
     return "*".join(names[t] for t in word) if word else "1"
 
@@ -134,8 +153,7 @@ def clifford_algebra(names, gram):
     monomial k.  Gram entries must be rational.
     """
     n = len(names)
-    if n > 7:
-        raise CliffordError("dimension %d quadratic space is out of scope" % n)
+    check_dimension(n)
     if isinstance(gram, Mat):
         rows = [[gram[(i, j)] for j in range(n)] for i in range(n)]
     else:
@@ -178,9 +196,10 @@ class GradedQuadraticSpace:
     Basis order u_1, v_1, ..., u_m, v_m, w_1, ..., w_{2l+1}: hyperbolic
     pairs with degrees (g_i, -g_i) and q(u_i, v_i) = 1, then anisotropic
     vectors with q(w_j) = 1 and 2-torsion degrees h_j that are pairwise
-    distinct and sum to zero.  ``basis`` (optional) holds the normalized
-    basis as columns over the original coordinates, ``shift`` the global
-    degree shift that was applied, and ``trace`` the normalization log.
+    distinct and sum to zero; ``names`` are u1, v1, ..., w1, ... in that
+    order.  ``basis`` (optional) holds the normalized basis as columns over
+    the original coordinates, ``shift`` the global degree shift that was
+    applied, and ``trace`` the normalization log.
     """
 
     def __init__(
@@ -188,7 +207,6 @@ class GradedQuadraticSpace:
         group,
         pair_degrees,
         unit_degrees,
-        names=None,
         basis=None,
         shift=None,
         trace=(),
@@ -214,14 +232,11 @@ class GradedQuadraticSpace:
         self.unit_degrees = unit_degrees
         self.m = len(pair_degrees)
         self.l = (len(unit_degrees) - 1) // 2
-        if names is None:
-            names = []
-            for i in range(self.m):
-                names += ["u%d" % (i + 1), "v%d" % (i + 1)]
-            names += ["w%d" % (j + 1) for j in range(len(unit_degrees))]
+        names = []
+        for i in range(self.m):
+            names += ["u%d" % (i + 1), "v%d" % (i + 1)]
+        names += ["w%d" % (j + 1) for j in range(len(unit_degrees))]
         self.names = tuple(names)
-        if len(self.names) != self.dim:
-            raise CliffordError("name count does not match the dimension")
         self.basis = basis
         self.shift = shift
         self.trace = tuple(trace)
@@ -260,33 +275,6 @@ class GradedQuadraticSpace:
         )
 
 
-def _default_gram(degrees):
-    """Canonical Gram data: q = 1 on 2-torsion vectors, successive opposite
-    non-2-torsion degrees paired with q(x, y) = 1."""
-    n = len(degrees)
-    rows = [[ZERO] * n for _ in range(n)]
-    two = scalar(2)
-    open_slots = {}
-    for i, d in enumerate(degrees):
-        if (d + d).is_zero():
-            rows[i][i] = two
-            continue
-        waiting = open_slots.get(-d)
-        if waiting:
-            j = waiting.pop(0)
-            rows[i][j] = ONE
-            rows[j][i] = ONE
-        else:
-            open_slots.setdefault(d, []).append(i)
-    leftovers = [i for lst in open_slots.values() for i in lst]
-    if leftovers:
-        raise CliffordError(
-            "no partner of opposite degree for basis vector(s) %s"
-            % ", ".join(str(i + 1) for i in sorted(leftovers))
-        )
-    return rows
-
-
 def _form(gram, x, y):
     """The bilinear form with Gram matrix ``gram`` on sparse elements x, y."""
     acc = ZERO
@@ -306,68 +294,22 @@ def _comb(*terms):
     return acc
 
 
-def _gram_schmidt(vecs, gram):
-    """Orthogonal basis of the span of sparse elements for a nondegenerate
-    symmetric form."""
-    rest = list(vecs)
-    out = []
-    while rest:
-        k = next((i for i, v in enumerate(rest) if not _form(gram, v, v).is_zero()), None)
-        if k is None:
-            v0 = rest[0]
-            j = next(
-                (j for j in range(1, len(rest)) if not _form(gram, v0, rest[j]).is_zero()),
-                None,
-            )
-            if j is None:
-                raise CliffordError("degenerate 2-torsion component")
-            rest[0] = _comb((ONE, v0), (ONE, rest[j]))
-            continue
-        z = rest.pop(k)
-        qz = _form(gram, z, z)
-        out.append(z)
-        rest = [_comb((ONE, v), (-(_form(gram, z, v) * qz.inverse()), z)) for v in rest]
-    return out
-
-
-def normalize_quadratic_basis(group, degrees, gram=None):
+def normalize_quadratic_basis(group, degrees):
     """Normal form of a compatibly graded odd-dimensional quadratic space.
 
-    ``degrees`` holds one group element per basis vector; ``gram`` is the
-    polar Gram matrix (a Mat or nested sequence, scalar entries), defaulting
-    to the canonical one.  Components of non-2-torsion degree dualize into
-    hyperbolic pairs; 2-torsion components are orthogonalized and rescaled
-    to q = 1 (each length must be a rational square up to sign), equal
-    degrees merge pairwise into further hyperbolic pairs, and a final global
-    2-torsion shift makes the anisotropic degrees sum to zero.
+    ``degrees`` holds one group element per basis vector, and the form is
+    the canonical one of the degree list: q = 1 on each vector of 2-torsion
+    degree, and the k-th vector of each other degree g pairs with the k-th
+    vector of degree -g with q(x, y) = 1.  Those pairs are the hyperbolic
+    pairs; the 2-torsion vectors are orthogonal unit vectors already, equal
+    degrees among them merge pairwise into further hyperbolic pairs, and a
+    final global 2-torsion shift makes the anisotropic degrees sum to zero.
     """
     degrees = tuple(degrees)
     n = len(degrees)
-    if n > 7:
-        raise CliffordError("dimension %d quadratic space is out of scope" % n)
+    check_dimension(n)
     if n % 2 == 0:
         raise CliffordError("even-dimensional spaces are unsupported")
-    if gram is None:
-        rows = _default_gram(degrees)
-    elif isinstance(gram, Mat):
-        rows = [[scalar(gram[(i, j)]) for j in range(n)] for i in range(n)]
-    else:
-        rows = [[scalar(x) for x in r] for r in gram]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise CliffordError("Gram matrix shape does not match the degree list")
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] != rows[j][i]:
-                raise CliffordError("Gram matrix is not symmetric")
-            if not rows[i][j].is_zero() and not (degrees[i] + degrees[j]).is_zero():
-                raise CliffordError(
-                    "Gram pairs degree %s with %s (entry %d,%d); the grading "
-                    "is not compatible"
-                    % (degrees[i].literal(), degrees[j].literal(), i + 1, j + 1)
-                )
-    gmat = Mat(tuple(tuple(r) for r in rows))
-    if rank(gmat) != n:
-        raise CliffordError("the quadratic form is degenerate")
 
     comp_order = []
     comps = {}
@@ -376,55 +318,45 @@ def normalize_quadratic_basis(group, degrees, gram=None):
             comp_order.append(d)
         comps.setdefault(d, []).append(i)
 
+    rows = [[ZERO] * n for _ in range(n)]  # the polar Gram matrix
     trace = []
     pairs = []
+    unpaired = []
     handled = set()
     for g in comp_order:
         if g in handled or (g + g).is_zero():
             continue
         handled.add(g)
         handled.add(-g)
-        plus = comps.get(g, [])
+        plus = comps[g]
         minus = comps.get(-g, [])
-        if len(plus) != len(minus):
-            raise CliffordError(
-                "degrees %s and %s pair off with unequal dimensions"
-                % (g.literal(), (-g).literal())
-            )
-        C = Mat(
-            tuple(
-                tuple(rows[a][b] for b in minus) for a in plus
-            )
-        )
-        X = inverse(C)
-        for a, col in zip(plus, X.columns):
-            pairs.append(({a: ONE}, {minus[c]: x for c, x in col.items()}, g))
+        unpaired += plus[len(minus):] + minus[len(plus):]
+        for a, b in zip(plus, minus):
+            rows[a][b] = rows[b][a] = ONE
+            pairs.append(({a: ONE}, {b: ONE}, g))
         trace.append(
             "degrees %s / %s: %d hyperbolic pair(s) by duality"
             % (g.literal(), (-g).literal(), len(plus))
         )
+    if unpaired:
+        raise CliffordError(
+            "no partner of opposite degree for basis vector(s) %s"
+            % ", ".join(str(i + 1) for i in sorted(unpaired))
+        )
 
+    two = scalar(2)
     unit_groups = []
     for g in comp_order:
         if not (g + g).is_zero():
             continue
-        vecs = [{i: ONE} for i in comps[g]]
-        ortho = _gram_schmidt(vecs, gmat)
-        ws = []
-        rescaled = 0
-        for z in ortho:
-            c = _form(gmat, z, z) * HALF
-            r = scalar_sqrt(c)
-            if r != ONE:
-                rescaled += 1
-            ws.append(_comb((r.inverse(), z)))
-        note = "degree %s: %d unit vector(s)" % (g.literal(), len(ws))
-        if len(vecs) > 1:
+        for i in comps[g]:
+            rows[i][i] = two
+        note = "degree %s: %d unit vector(s)" % (g.literal(), len(comps[g]))
+        if len(comps[g]) > 1:
             note += ", orthogonalized"
-        if rescaled:
-            note += ", %d rescaled" % rescaled
         trace.append(note)
-        unit_groups.append((g, ws))
+        unit_groups.append((g, [{i: ONE} for i in comps[g]]))
+    gmat = Mat(rows)
 
     units = []
     for g, ws in unit_groups:
@@ -562,13 +494,13 @@ class DivisionClass:
         return "DivisionClass(%s)" % self.tag
 
 
-def _reduce_by_degree(rows_by_degree, ncols):
+def _reduce_by_degree(rows_by_degree):
     """Per-degree rref of sparse rows; returns ({degree: [sparse rows by
     pivot]}, total dimension)."""
     out = {}
     total = 0
     for d, rows in rows_by_degree.items():
-        red = sparse_row_reduce(rows, ncols)
+        red = sparse_row_reduce(rows)
         if red:
             out[d] = [red[p] for p in sorted(red)]
             total += len(red)
@@ -593,10 +525,10 @@ def _corner_components(alg, degrees, e):
         w = _product(alg.table, _product(alg.table, e, {i: ONE}), e)
         if w:
             rows.setdefault(degrees[i], []).append(w)
-    return _reduce_by_degree(rows, alg.dim)
+    return _reduce_by_degree(rows)
 
 
-def division_class(built, label=None):
+def division_class(built):
     """Graded-division class of a graded-simple associative algebra.
 
     Refines the identity down to an idempotent e whose corner algebra
@@ -606,15 +538,13 @@ def division_class(built, label=None):
     or of e yields a proper sub-idempotent (i lies in the base field, so
     x^2 = lambda e rescales to a square root of e).  Works entirely inside
     the algebra -- no appeal to the degree-pattern case table -- so it can
-    serve as an independent cross-check of it.  Graded simplicity is
-    assumed, not checked.
+    serve as an independent cross-check of it.  ``built`` carries exactly
+    one grading.  Graded simplicity is assumed, not checked.
     """
     alg = built.algebra
-    if label is None:
-        if len(built.gradings) != 1:
-            raise CliffordError("several gradings attached; pass a label")
-        label = next(iter(built.gradings))
-    group, degrees = built.grading(label)
+    if len(built.gradings) != 1:
+        raise CliffordError("%d gradings attached, expected one" % len(built.gradings))
+    ((group, degrees),) = built.gradings.values()
     zero_deg = group.zero()
     e = _unit(alg)
     if e is None:
@@ -722,105 +652,57 @@ def _f2_rank(bits):
     return len(pivots)
 
 
+# The ten cases of dimension 7, as rows (m, F2-rank, tag, case, relations).
+# A case holds when some ordering h of the anisotropic degree bits meets each
+# relation (p, qs): h[p] is the XOR of the h[q], q in qs.  The relations
+# write every h[p] with p >= rank through h[:rank], so h[:rank] is a basis.
+# "m=0 r=3" needs none: seven distinct bits of rank 3 summing to zero are
+# all of F2^3 minus zero.
+_DIM7_CASES = (
+    (3, 0, "F", "m=3", ((0, ()),)),
+    (2, 2, "Q", "m=2", ((2, (0, 1)),)),
+    (1, 3, "Q", "m=1 r=3", ((3, (0, 1, 2)), (4, ()))),
+    (1, 4, "QQ", "m=1 r=4", ((4, (0, 1, 2, 3)),)),
+    (0, 6, "QQQ", "m=0 r=6", ((6, (0, 1, 2, 3, 4, 5)),)),
+    (0, 5, "QQ", "m=0 r=5 (i)", ((5, (0, 1, 2, 3, 4)), (6, ()))),
+    (0, 5, "QQ", "m=0 r=5 (ii)", ((5, (0, 1)), (6, (2, 3, 4)))),
+    (0, 4, "QQ", "m=0 r=4 (i)", ((4, (0, 1)), (5, (2, 3)), (6, ()))),
+    (0, 4, "Q", "m=0 r=4 (ii)", ((4, (0, 1)), (5, (0, 2)), (6, (0, 3)))),
+    (0, 3, "F", "m=0 r=3", ()),
+)
+
+
 def dim7_case_classify(space):
     """Division class read off the normalized degree data alone.
 
-    Pattern-matches (m; the F2-rank and relation pattern of the anisotropic
-    degrees) against the ten-case table for dimension 7.  Entirely
+    Matches (m; the F2-rank and relation pattern of the anisotropic degrees)
+    against the ten-case table ``_DIM7_CASES`` for dimension 7.  Entirely
     independent of the Clifford computation in :func:`division_class`, and
     must agree with it.  The matching permutation of the anisotropic degrees
-    is recorded, since the table is stated up to reordering.
+    (the first one in lexicographic order) is recorded, since the table is
+    stated up to reordering.
     """
     if space.dim != 7:
         raise CliffordError("the case table covers dimension 7 only")
     m = space.m
-    hs = space.unit_degrees
-    bits = [_torsion_bits(space.group, h) for h in hs]
+    bits = [_torsion_bits(space.group, h) for h in space.unit_degrees]
     r = _f2_rank(bits)
 
-    def find(k, pattern):
-        for perm in permutations(range(k)):
-            h = [bits[p] for p in perm]
-            if pattern(h):
-                return perm
-        return None
+    def holds(perm, relations):
+        return all(
+            bits[perm[p]] == reduce(xor, (bits[perm[q]] for q in qs), 0)
+            for p, qs in relations
+        )
 
     matches = []
-    if m == 3:
-        if bits == [0]:
-            matches.append(("F", "m=3", (0,)))
-    elif m == 2:
-        if bits[0] ^ bits[1] ^ bits[2] == 0:
-            matches.append(("Q", "m=2", (0, 1, 2)))
-    elif m == 1:
-        if r == 3:
-            perm = find(
-                5,
-                lambda h: h[4] == 0
-                and h[3] == h[0] ^ h[1] ^ h[2]
-                and _f2_rank(h[:3]) == 3,
+    for case_m, case_r, tag, case, relations in _DIM7_CASES:
+        if (case_m, case_r) == (m, r):
+            perm = next(
+                (p for p in permutations(range(len(bits))) if holds(p, relations)),
+                None,
             )
-            if perm:
-                matches.append(("Q", "m=1 r=3", perm))
-        elif r == 4:
-            perm = find(
-                5,
-                lambda h: _f2_rank(h[:4]) == 4
-                and h[4] == h[0] ^ h[1] ^ h[2] ^ h[3],
-            )
-            if perm:
-                matches.append(("QQ", "m=1 r=4", perm))
-    elif m == 0:
-        if r == 6:
-            perm = find(
-                7,
-                lambda h: _f2_rank(h[:6]) == 6
-                and h[6] == h[0] ^ h[1] ^ h[2] ^ h[3] ^ h[4] ^ h[5],
-            )
-            if perm:
-                matches.append(("QQQ", "m=0 r=6", perm))
-        elif r == 5:
-            perm = find(
-                7,
-                lambda h: _f2_rank(h[:5]) == 5
-                and h[5] == h[0] ^ h[1] ^ h[2] ^ h[3] ^ h[4]
-                and h[6] == 0,
-            )
-            if perm:
-                matches.append(("QQ", "m=0 r=5 (i)", perm))
-            perm = find(
-                7,
-                lambda h: _f2_rank(h[:5]) == 5
-                and h[5] == h[0] ^ h[1]
-                and h[6] == h[2] ^ h[3] ^ h[4],
-            )
-            if perm:
-                matches.append(("QQ", "m=0 r=5 (ii)", perm))
-        elif r == 4:
-            perm = find(
-                7,
-                lambda h: _f2_rank(h[:4]) == 4
-                and h[4] == h[0] ^ h[1]
-                and h[5] == h[2] ^ h[3]
-                and h[6] == 0,
-            )
-            if perm:
-                matches.append(("QQ", "m=0 r=4 (i)", perm))
-            perm = find(
-                7,
-                lambda h: _f2_rank(h[:4]) == 4
-                and h[4] == h[0] ^ h[1]
-                and h[5] == h[0] ^ h[2]
-                and h[6] == h[0] ^ h[3],
-            )
-            if perm:
-                matches.append(("Q", "m=0 r=4 (ii)", perm))
-        elif r == 3:
-            span = {0}
-            for b in bits:
-                span |= {s ^ b for s in span}
-            if set(bits) == span - {0}:
-                matches.append(("F", "m=0 r=3", tuple(range(7))))
+            if perm is not None:
+                matches.append((tag, case, perm))
 
     if not matches:
         raise CliffordError(

@@ -269,14 +269,14 @@ def rref(mat):
     A dense view of :func:`sparse_row_reduce`: the pivot rows in pivot order,
     then zero rows up to the row count of ``mat``.
     """
-    basis = sparse_row_reduce(mat.transpose().columns, mat.ncols)
+    basis = sparse_row_reduce(mat.transpose().columns)
     pivots = tuple(sorted(basis))
     rows = tuple(basis[p] for p in pivots) + tuple({} for _ in range(mat.nrows - len(pivots)))
     return Mat._of(rows, mat.ncols).transpose(), pivots
 
 
 def rank(mat):
-    return len(sparse_row_reduce(mat.columns, mat.nrows))
+    return len(sparse_row_reduce(mat.columns))
 
 
 def kernel(mat):
@@ -299,7 +299,7 @@ def solve(mat, rhs):
     n = mat.ncols
     # the rows [mat | rhs]; a pivot in column n makes the system inconsistent
     rows = ({**r, n: b} if b.num else r for r, b in zip(mat.transpose().columns, rhs))
-    basis = sparse_row_reduce(rows, n + 1)
+    basis = sparse_row_reduce(rows)
     if n in basis:
         return None
     x = [ZERO] * n
@@ -314,7 +314,7 @@ def inverse(mat):
         raise LinAlgError("inverse of a non-square matrix")
     # the rows [mat | I] reduce to [I | mat^-1] exactly when mat is invertible
     rows = ({**r, n + i: ONE} for i, r in enumerate(mat.transpose().columns))
-    basis = sparse_row_reduce(rows, 2 * n)
+    basis = sparse_row_reduce(rows)
     if any(p not in basis for p in range(n)):
         raise LinAlgError("matrix is singular")
     inv_rows = tuple({c - n: v for c, v in basis[p].items() if c >= n} for p in range(n))
@@ -337,9 +337,7 @@ def span_solver(cols, dim):
     cols = list(cols)
     for j, col in enumerate(cols):
         _check_entries(col, dim, "span column %d" % j)
-    basis = sparse_row_reduce(
-        ({**col, dim + j: ONE} for j, col in enumerate(cols)), dim + len(cols)
-    )
+    basis = sparse_row_reduce({**col, dim + j: ONE} for j, col in enumerate(cols))
     if any(p >= dim for p in basis):
         raise LinAlgError("span columns are linearly dependent")
     # pivot -> the combination of columns giving its echelon basis vector
@@ -402,7 +400,7 @@ def _dense(vec, dim):
     return tuple(out)
 
 
-def sparse_row_reduce(rows, ncols):
+def sparse_row_reduce(rows):
     """Reduced row basis of a (possibly huge) iterable of sparse rows.
 
     Rows are dicts ``{column: Scalar}``.  Returns ``{pivot_column: row_dict}``
@@ -450,7 +448,7 @@ def sparse_kernel(rows, ncols):
     """Kernel basis of the linear system given by sparse rows, one sparse
     vector ``{column: Scalar}`` per free column, ascending, with a 1 at that
     column."""
-    basis = sparse_row_reduce(rows, ncols)
+    basis = sparse_row_reduce(rows)
     pivots = sorted(basis)
     out = []
     for fc in range(ncols):

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -253,17 +254,18 @@ def test_megabyte_alpha_is_a_short_usage_error(text, capsys):
 
 
 @pytest.mark.parametrize("text", [
-    "Z_" + "9" * 5000 + "\n([];[1])\n",
-    "Z_2\n([];[" + "1" * 100000 + "])\n",
-], ids=["modulus-digits", "element-line"])
+    b"Z_" + b"9" * 5000 + b"\n([];[1])\n",
+    b"Z_2\n([];[" + b"1" * 100000 + b"])\n",
+    b"Z_2\n([];[1])\xff\xfe\n",
+], ids=["modulus-digits", "element-line", "not-utf8"])
 def test_hostile_clifford_config_is_a_short_error(text, tmp_path, capsys):
     cfg = tmp_path / "hostile.cfg"
-    cfg.write_text(text)
+    cfg.write_bytes(text)
     with pytest.raises(SystemExit) as err:
         main(["clifford-class", str(cfg)])
     assert err.value.code == 1
     stderr = capsys.readouterr().err
-    assert "Traceback" not in stderr
+    assert str(cfg) in stderr and "Traceback" not in stderr
     assert len(stderr) < 1000
 
 
@@ -377,6 +379,22 @@ def test_clifford_class_nine_lines_is_error(tmp_path, capsys):
     cfg.write_text("Z_2\n" + "([];[0])\n" * 9)
     assert main(["clifford-class", str(cfg)]) == 1
     assert "dimension 9 quadratic space is out of scope" in capsys.readouterr().out
+
+
+def test_clifford_class_long_config_is_rejected_before_parsing(tmp_path, capsys):
+    # only the group line and seven element lines are kept, so the malformed
+    # last line is never parsed and memory does not grow with the file
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("Z_2\n" + "([];[1])\n" * 99999 + "nonsense\n")
+    tracemalloc.start()
+    try:
+        code = main(["clifford-class", str(cfg)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "dimension 100000 quadratic space is out of scope" in capsys.readouterr().out
+    assert peak < 1 << 20
 
 
 def test_grading_report_d21a(capsys):

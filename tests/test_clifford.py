@@ -8,14 +8,21 @@ frozen here; the two independent routes -- idempotent refinement inside the
 algebra and the degree-pattern case table -- must both reproduce it.
 """
 
+import random
 from fractions import Fraction
+from functools import reduce
+from itertools import permutations
+from operator import xor
 
 import pytest
 
 from finegrading import clifford
-from finegrading.abgroup import GradingGroup
+from finegrading.abgroup import GradingGroup, parse_group
 from finegrading.clifford import (
+    DivisionClass,
     GradedQuadraticSpace,
+    _f2_rank,
+    _torsion_bits,
     build_even_clifford,
     clifford_algebra,
     dim7_case_classify,
@@ -376,7 +383,9 @@ def test_normalize_pairs_by_duality():
 def test_normalize_unpaired_raises():
     Z = GradingGroup(1, ())
     el = lambda k: Z.element((k,), ())
-    with pytest.raises(CliffordError):
+    with pytest.raises(
+        CliffordError, match=r"no partner of opposite degree for basis vector\(s\) 1, 2$"
+    ):
         normalize_quadratic_basis(Z, [el(1), el(1), el(0)])
 
 
@@ -397,40 +406,11 @@ def test_normalize_merge_and_shift():
     assert division_class(built) == "Q"
 
 
-def test_normalize_rescales_lengths():
-    G = z2n(1)
-    e = lambda t: G.element((), (t,))
-    gram = [[scalar(8), 0, 0], [0, scalar(-2), 0], [0, 0, 2]]
-    sp = normalize_quadratic_basis(G, [e(1), e(1), e(0)], gram)
-    assert sp.m == 1 and sp.l == 0
-    assert any("rescaled" in line for line in sp.trace)
-    built = build_even_clifford(sp)
-    assert division_class(built) == "F"
-
-
-def test_normalize_isotropic_diagonal():
-    G = z2n(1)
-    e = lambda t: G.element((), (t,))
-    gram = [[0, 1, 0], [1, 0, 0], [0, 0, 2]]
-    sp = normalize_quadratic_basis(G, [e(1), e(1), e(0)], gram)
-    assert sp.m == 1 and sp.l == 0
-
-
 def test_normalize_rejects():
-    Z = GradingGroup(1, ())
-    el = lambda k: Z.element((k,), ())
     G = z2n(1)
     e = lambda t: G.element((), (t,))
     with pytest.raises(CliffordError):  # even dimension
         normalize_quadratic_basis(G, [e(0), e(1)])
-    with pytest.raises(CliffordError):  # gram pairs incompatible degrees
-        normalize_quadratic_basis(
-            Z, [el(1), el(0), el(0)], [[0, 1, 0], [1, 2, 0], [0, 0, 2]]
-        )
-    with pytest.raises(CliffordError):  # degenerate
-        normalize_quadratic_basis(
-            G, [e(0), e(1), e(1)], [[2, 0, 0], [0, 0, 0], [0, 0, 2]]
-        )
 
 
 def test_normalize_rejects_dimension_over_seven_up_front():
@@ -439,6 +419,242 @@ def test_normalize_rejects_dimension_over_seven_up_front():
     G = z2n(1)
     with pytest.raises(CliffordError, match="dimension 9 quadratic space is out of scope"):
         normalize_quadratic_basis(G, [G.element((), (0,))] * 9)
+
+
+NORMALIZE_PINS = (
+    (
+        "Z",
+        "([2];[]) ([1];[]) ([-1];[]) ([-2];[]) ([0];[])",
+        (
+            "degrees ([2];[]) / ([-2];[]): 1 hyperbolic pair(s) by duality",
+            "degrees ([1];[]) / ([-1];[]): 1 hyperbolic pair(s) by duality",
+            "degree ([0];[]): 1 unit vector(s)",
+        ),
+        ("([2];[])", "([1];[])"),
+        ("([0];[])",),
+        "([0];[])",
+        (
+            {0: "1"}, {3: "1"}, {1: "1"}, {2: "1"}, {4: "1"},
+        ),
+    ),
+    (
+        "Z",
+        "([1];[]) ([1];[]) ([-1];[]) ([0];[]) ([-1];[])",
+        (
+            "degrees ([1];[]) / ([-1];[]): 2 hyperbolic pair(s) by duality",
+            "degree ([0];[]): 1 unit vector(s)",
+        ),
+        ("([1];[])", "([1];[])"),
+        ("([0];[])",),
+        "([0];[])",
+        (
+            {0: "1"}, {2: "1"}, {1: "1"}, {4: "1"}, {3: "1"},
+        ),
+    ),
+    (
+        "Z",
+        "([-1];[]) ([1];[]) ([1];[]) ([-1];[]) ([0];[]) ([0];[]) ([0];[])",
+        (
+            "degrees ([-1];[]) / ([1];[]): 2 hyperbolic pair(s) by duality",
+            "degree ([0];[]): 3 unit vector(s), orthogonalized",
+            "degree ([0];[]): merged two unit vectors into a hyperbolic pair",
+        ),
+        ("([-1];[])", "([-1];[])", "([0];[])"),
+        ("([0];[])",),
+        "([0];[])",
+        (
+            {0: "1"}, {1: "1"}, {3: "1"}, {2: "1"}, {4: "1/2", 5: "1/2*z^3"},
+            {4: "1/2", 5: "-1/2*z^3"}, {6: "1"},
+        ),
+    ),
+    (
+        "Z",
+        "([1];[]) ([2];[]) ([-2];[]) ([-1];[]) ([1];[]) ([-1];[]) ([0];[])",
+        (
+            "degrees ([1];[]) / ([-1];[]): 2 hyperbolic pair(s) by duality",
+            "degrees ([2];[]) / ([-2];[]): 1 hyperbolic pair(s) by duality",
+            "degree ([0];[]): 1 unit vector(s)",
+        ),
+        ("([1];[])", "([1];[])", "([2];[])"),
+        ("([0];[])",),
+        "([0];[])",
+        (
+            {0: "1"}, {3: "1"}, {4: "1"}, {5: "1"}, {1: "1"}, {2: "1"}, {6: "1"},
+        ),
+    ),
+    (
+        "Z x Z",
+        "([1,0];[]) ([0,1];[]) ([-1,0];[]) ([0,-1];[]) ([0,0];[])",
+        (
+            "degrees ([1,0];[]) / ([-1,0];[]): 1 hyperbolic pair(s) by duality",
+            "degrees ([0,1];[]) / ([0,-1];[]): 1 hyperbolic pair(s) by duality",
+            "degree ([0,0];[]): 1 unit vector(s)",
+        ),
+        ("([1,0];[])", "([0,1];[])"),
+        ("([0,0];[])",),
+        "([0,0];[])",
+        (
+            {0: "1"}, {2: "1"}, {1: "1"}, {3: "1"}, {4: "1"},
+        ),
+    ),
+    (
+        "Z_4",
+        "([];[1]) ([];[3]) ([];[1]) ([];[3]) ([];[2])",
+        (
+            "degrees ([];[1]) / ([];[3]): 2 hyperbolic pair(s) by duality",
+            "degree ([];[2]): 1 unit vector(s)",
+            "applied the global shift ([];[2])",
+        ),
+        ("([];[3])", "([];[3])"),
+        ("([];[0])",),
+        "([];[2])",
+        (
+            {0: "1"}, {1: "1"}, {2: "1"}, {3: "1"}, {4: "1"},
+        ),
+    ),
+    (
+        "Z_6",
+        "([];[1]) ([];[5]) ([];[2]) ([];[4]) ([];[3])",
+        (
+            "degrees ([];[1]) / ([];[5]): 1 hyperbolic pair(s) by duality",
+            "degrees ([];[2]) / ([];[4]): 1 hyperbolic pair(s) by duality",
+            "degree ([];[3]): 1 unit vector(s)",
+            "applied the global shift ([];[3])",
+        ),
+        ("([];[4])", "([];[5])"),
+        ("([];[0])",),
+        "([];[3])",
+        (
+            {0: "1"}, {1: "1"}, {2: "1"}, {3: "1"}, {4: "1"},
+        ),
+    ),
+    (
+        "Z x Z_2",
+        "([1];[1]) ([-1];[1]) ([1];[0]) ([-1];[0]) ([0];[1])",
+        (
+            "degrees ([1];[1]) / ([-1];[1]): 1 hyperbolic pair(s) by duality",
+            "degrees ([1];[0]) / ([-1];[0]): 1 hyperbolic pair(s) by duality",
+            "degree ([0];[1]): 1 unit vector(s)",
+            "applied the global shift ([0];[1])",
+        ),
+        ("([1];[0])", "([1];[1])"),
+        ("([0];[0])",),
+        "([0];[1])",
+        (
+            {0: "1"}, {1: "1"}, {2: "1"}, {3: "1"}, {4: "1"},
+        ),
+    ),
+    (
+        "Z x Z_2",
+        "([0];[1]) ([0];[1]) ([0];[1])",
+        (
+            "degree ([0];[1]): 3 unit vector(s), orthogonalized",
+            "degree ([0];[1]): merged two unit vectors into a hyperbolic pair",
+            "applied the global shift ([0];[1])",
+        ),
+        ("([0];[0])",),
+        ("([0];[0])",),
+        "([0];[1])",
+        (
+            {0: "1/2", 1: "1/2*z^3"}, {0: "1/2", 1: "-1/2*z^3"}, {2: "1"},
+        ),
+    ),
+    (
+        "Z x Z_4",
+        "([1];[1]) ([-1];[3]) ([0];[2]) ([0];[2]) ([0];[0])",
+        (
+            "degrees ([1];[1]) / ([-1];[3]): 1 hyperbolic pair(s) by duality",
+            "degree ([0];[2]): 2 unit vector(s), orthogonalized",
+            "degree ([0];[0]): 1 unit vector(s)",
+            "degree ([0];[2]): merged two unit vectors into a hyperbolic pair",
+        ),
+        ("([1];[1])", "([0];[2])"),
+        ("([0];[0])",),
+        "([0];[0])",
+        (
+            {0: "1"}, {1: "1"}, {2: "1/2", 3: "1/2*z^3"}, {2: "1/2", 3: "-1/2*z^3"},
+            {4: "1"},
+        ),
+    ),
+    (
+        "Z_2 x Z_2",
+        "([];[1,0]) ([];[1,0]) ([];[0,1]) ([];[1,1]) ([];[0,0])",
+        (
+            "degree ([];[1,0]): 2 unit vector(s), orthogonalized",
+            "degree ([];[0,1]): 1 unit vector(s)",
+            "degree ([];[1,1]): 1 unit vector(s)",
+            "degree ([];[0,0]): 1 unit vector(s)",
+            "degree ([];[1,0]): merged two unit vectors into a hyperbolic pair",
+            "applied the global shift ([];[1,0])",
+        ),
+        ("([];[0,0])",),
+        ("([];[1,1])", "([];[0,1])", "([];[1,0])"),
+        "([];[1,0])",
+        (
+            {0: "1/2", 1: "1/2*z^3"}, {0: "1/2", 1: "-1/2*z^3"}, {2: "1"}, {3: "1"},
+            {4: "1"},
+        ),
+    ),
+    (
+        "Z_2 x Z_2 x Z_2",
+        "([];[1,0,0]) ([];[0,1,0]) ([];[1,0,0]) ([];[0,1,0]) ([];[1,1,0]) "
+        "([];[0,0,1]) ([];[0,0,1])",
+        (
+            "degree ([];[1,0,0]): 2 unit vector(s), orthogonalized",
+            "degree ([];[0,1,0]): 2 unit vector(s), orthogonalized",
+            "degree ([];[1,1,0]): 1 unit vector(s)",
+            "degree ([];[0,0,1]): 2 unit vector(s), orthogonalized",
+            "degree ([];[1,0,0]): merged two unit vectors into a hyperbolic pair",
+            "degree ([];[0,1,0]): merged two unit vectors into a hyperbolic pair",
+            "degree ([];[0,0,1]): merged two unit vectors into a hyperbolic pair",
+            "applied the global shift ([];[1,1,0])",
+        ),
+        ("([];[0,1,0])", "([];[1,0,0])", "([];[1,1,1])"),
+        ("([];[0,0,0])",),
+        "([];[1,1,0])",
+        (
+            {0: "1/2", 2: "1/2*z^3"}, {0: "1/2", 2: "-1/2*z^3"},
+            {1: "1/2", 3: "1/2*z^3"}, {1: "1/2", 3: "-1/2*z^3"},
+            {5: "1/2", 6: "1/2*z^3"}, {5: "1/2", 6: "-1/2*z^3"}, {4: "1"},
+        ),
+    ),
+    (
+        "Z_2 x Z_2 x Z_2",
+        "([];[1,0,0]) ([];[0,1,0]) ([];[0,0,1]) ([];[1,1,0]) ([];[1,0,1]) "
+        "([];[0,1,1]) ([];[1,1,1])",
+        (
+            "degree ([];[1,0,0]): 1 unit vector(s)",
+            "degree ([];[0,1,0]): 1 unit vector(s)",
+            "degree ([];[0,0,1]): 1 unit vector(s)",
+            "degree ([];[1,1,0]): 1 unit vector(s)",
+            "degree ([];[1,0,1]): 1 unit vector(s)",
+            "degree ([];[0,1,1]): 1 unit vector(s)",
+            "degree ([];[1,1,1]): 1 unit vector(s)",
+        ),
+        (),
+        (
+            "([];[1,0,0])", "([];[0,1,0])", "([];[0,0,1])", "([];[1,1,0])",
+            "([];[1,0,1])", "([];[0,1,1])", "([];[1,1,1])",
+        ),
+        "([];[0,0,0])",
+        (
+            {0: "1"}, {1: "1"}, {2: "1"}, {3: "1"}, {4: "1"}, {5: "1"}, {6: "1"},
+        ),
+    ),
+)
+
+
+@pytest.mark.parametrize("pin", NORMALIZE_PINS)
+def test_normalize_pins(pin):
+    # repeated, opposite and 2-torsion degrees: the whole normal form is pinned
+    literal, degrees, trace, pair_degrees, unit_degrees, shift, columns = pin
+    G = parse_group(literal)
+    sp = normalize_quadratic_basis(G, [G.parse_element(d) for d in degrees.split()])
+    assert sp.trace == trace
+    assert tuple(g.literal() for g in sp.pair_degrees) == pair_degrees
+    assert tuple(h.literal() for h in sp.unit_degrees) == unit_degrees
+    assert sp.shift.literal() == shift
+    assert tuple({k: str(v) for k, v in c.items()} for c in sp.basis.columns) == columns
 
 
 def test_normalize_fixes_normal_input():
@@ -532,9 +748,8 @@ def test_division_class_label_handling():
     built = build_even_clifford(space_of(CONFIGS[9]))
     label = next(iter(built.gradings))
     built.gradings["other"] = built.gradings[label]
-    with pytest.raises(CliffordError):
+    with pytest.raises(CliffordError, match="2 gradings attached, expected one"):
         division_class(built)
-    assert division_class(built, label) == "F"
 
 
 def test_division_class_needs_a_unit():
@@ -558,6 +773,144 @@ def test_dim7_records_permutation():
     dc = dim7_case_classify(sp)
     perm = dc.info["permutation"]
     assert sorted(perm) == list(range(7))
+
+
+def dim7_oracle(space):
+    """Reference for :func:`dim7_case_classify`: the ten cases written out as
+    separate pattern tests, each checking the rank of its leading degrees."""
+    m = space.m
+    bits = [_torsion_bits(space.group, h) for h in space.unit_degrees]
+    r = _f2_rank(bits)
+
+    def find(k, pattern):
+        for perm in permutations(range(k)):
+            h = [bits[p] for p in perm]
+            if pattern(h):
+                return perm
+        return None
+
+    matches = []
+    if m == 3:
+        if bits == [0]:
+            matches.append(("F", "m=3", (0,)))
+    elif m == 2:
+        if bits[0] ^ bits[1] ^ bits[2] == 0:
+            matches.append(("Q", "m=2", (0, 1, 2)))
+    elif m == 1:
+        if r == 3:
+            perm = find(
+                5,
+                lambda h: h[4] == 0
+                and h[3] == h[0] ^ h[1] ^ h[2]
+                and _f2_rank(h[:3]) == 3,
+            )
+            if perm:
+                matches.append(("Q", "m=1 r=3", perm))
+        elif r == 4:
+            perm = find(
+                5,
+                lambda h: _f2_rank(h[:4]) == 4
+                and h[4] == h[0] ^ h[1] ^ h[2] ^ h[3],
+            )
+            if perm:
+                matches.append(("QQ", "m=1 r=4", perm))
+    elif m == 0:
+        if r == 6:
+            perm = find(
+                7,
+                lambda h: _f2_rank(h[:6]) == 6
+                and h[6] == h[0] ^ h[1] ^ h[2] ^ h[3] ^ h[4] ^ h[5],
+            )
+            if perm:
+                matches.append(("QQQ", "m=0 r=6", perm))
+        elif r == 5:
+            perm = find(
+                7,
+                lambda h: _f2_rank(h[:5]) == 5
+                and h[5] == h[0] ^ h[1] ^ h[2] ^ h[3] ^ h[4]
+                and h[6] == 0,
+            )
+            if perm:
+                matches.append(("QQ", "m=0 r=5 (i)", perm))
+            perm = find(
+                7,
+                lambda h: _f2_rank(h[:5]) == 5
+                and h[5] == h[0] ^ h[1]
+                and h[6] == h[2] ^ h[3] ^ h[4],
+            )
+            if perm:
+                matches.append(("QQ", "m=0 r=5 (ii)", perm))
+        elif r == 4:
+            perm = find(
+                7,
+                lambda h: _f2_rank(h[:4]) == 4
+                and h[4] == h[0] ^ h[1]
+                and h[5] == h[2] ^ h[3]
+                and h[6] == 0,
+            )
+            if perm:
+                matches.append(("QQ", "m=0 r=4 (i)", perm))
+            perm = find(
+                7,
+                lambda h: _f2_rank(h[:4]) == 4
+                and h[4] == h[0] ^ h[1]
+                and h[5] == h[0] ^ h[2]
+                and h[6] == h[0] ^ h[3],
+            )
+            if perm:
+                matches.append(("Q", "m=0 r=4 (ii)", perm))
+        elif r == 3:
+            span = {0}
+            for b in bits:
+                span |= {s ^ b for s in span}
+            if set(bits) == span - {0}:
+                matches.append(("F", "m=0 r=3", tuple(range(7))))
+
+    if not matches:
+        raise CliffordError(
+            "configuration matches no case (m=%d, rank=%d)" % (m, r)
+        )
+    tags = {t for t, _, _ in matches}
+    if len(tags) > 1:
+        raise CliffordError("ambiguous classification: %s" % sorted(tags))
+    tag, case, perm = matches[0]
+    return DivisionClass(
+        tag, case=case, m=m, l=space.l, rank=r, permutation=perm
+    )
+
+
+def dim7_configurations():
+    """(k, m, unit degree bits) for the dimension-7 spaces over F2^k with m
+    hyperbolic pairs: every ordering of distinct bits that sum to zero for
+    k <= 3 and m <= 3, then 60 seeded ones for each k in 4..6 and m <= 2."""
+    for k in range(4):
+        for m in range(4):
+            for bits in permutations(range(2**k), 7 - 2 * m):
+                if reduce(xor, bits, 0) == 0:
+                    yield k, m, bits
+    rng = random.Random(28)
+    for k in range(4, 7):
+        for m in range(3):
+            found = 0
+            while found < 60:
+                bits = rng.sample(range(2**k), 6 - 2 * m)
+                last = reduce(xor, bits, 0)
+                if last not in bits:
+                    found += 1
+                    yield k, m, tuple(bits) + (last,)
+
+
+def test_dim7_table_matches_oracle():
+    cases = set()
+    for k, m, bits in dim7_configurations():
+        G = z2n(k)
+        units = [G.element((), tuple(b >> i & 1 for i in range(k))) for b in bits]
+        sp = GradedQuadraticSpace(G, [G.zero()] * m, units)
+        got = dim7_case_classify(sp)
+        want = dim7_oracle(sp)
+        assert (got.tag, got.info) == (want.tag, want.info), (k, m, bits)
+        cases.add(got.info["case"])
+    assert len(cases) == 10
 
 
 # ---------------------------------------------------------------------------

@@ -712,7 +712,7 @@ def test_sparse_row_reduce_matches_forward_then_back_reduce(field, seed):
     for _ in range(12):
         m, n = rng.randint(1, 9), rng.randint(1, 10)
         rows = random_sparse_system(rng, pool, m, n)
-        basis = sparse_row_reduce([dict(r) for r in rows], n)
+        basis = sparse_row_reduce([dict(r) for r in rows])
         want = forward_then_back_reduce([dict(r) for r in rows], n)
         assert basis == want
         assert list(basis) == list(want)
