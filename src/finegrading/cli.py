@@ -7,7 +7,7 @@ classification of a graded quadratic configuration file), and
 ``grading-report`` (catalog dump).  ``--alpha`` (the d21a parameter) is
 taken by ``build``, ``theorem-check`` and ``grading-report``; ``--model`` (the
 F(4) model) by ``build`` only, since ``theorem-check f4`` checks all three.
-``theorem-check f4`` and ``g3`` build each model once: inside
+``theorem-check`` builds each model once: inside
 :class:`~finegrading.constructions.shared_builds` the axiom records build the
 models and the catalog takes each one over; the records keep their order.
 Exit code 0 iff every check passes; usage problems exit 2.  When stdout is
@@ -53,10 +53,13 @@ from .groups import (
     maximal_abelian_FxQ82K,
     maximal_abelian_Q83K,
 )
-from .scalars import ALPHA, MINUS_ONE, ZERO, parse_scalar
+from .scalars import MINUS_ONE, ZERO, parse_scalar
 from .superalg import check_lie_super, dumps_algebra, load_algebra, save_algebra
 
 _MODELS = ("cayley", "tkk", "quaternion")
+
+# the longest clifford-class config line, in characters
+MAX_LINE = 200_000
 
 
 def _build_parser():
@@ -155,10 +158,17 @@ def _dict_record(name, expected, result):
 
 
 def _theorem_records(target, alpha):
+    # the axiom records build each model and the catalog takes it over
+    with shared_builds():
+        if target == "d21a":
+            axioms = [_axiom_record("axioms-d21a", build_D21(alpha), 17, 9, 8)]
+        elif target == "g3":
+            axioms = [_axiom_record("axioms-g3", build_G3(), 31, 17, 14)]
+        else:
+            axioms = [_axiom_record("axioms-f4-%s" % model, build_F4(model),
+                                    40, 24, 16) for model in _MODELS]
+        recs = _catalog_records(target, alpha) + axioms
     if target == "d21a":
-        recs = _catalog_records(target, alpha)
-        built = build_D21(ALPHA if alpha is None else alpha)
-        recs.append(_axiom_record("axioms-d21a", built, 17, 9, 8))
         recs.append(_dict_record(
             "groups-q8cubed-mod-k", "135 maximal abelian subgroups, all "
             "Z_2^2 x Z_4, 3 orbits", maximal_abelian_Q83K()))
@@ -172,16 +182,7 @@ def _theorem_records(target, alpha):
         recs.append(_dict_record(
             "groups-torus-q8sq-mod-k", "two families of maximal abelian "
             "subgroups", torus))
-        return recs
-    # the axiom records build each model and the catalog takes it over
-    with shared_builds():
-        if target == "g3":
-            axioms = [_axiom_record("axioms-g3", build_G3(), 31, 17, 14)]
-        else:
-            axioms = [_axiom_record("axioms-f4-%s" % model, build_F4(model),
-                                    40, 24, 16) for model in _MODELS]
-        recs = _catalog_records(target, alpha) + axioms
-    if target == "f4":
+    elif target == "f4":
         recs.append(_dict_record(
             "octonion-clifford-model",
             "even Clifford algebra of the trace-zero octonions is End(C)",
@@ -209,7 +210,7 @@ def _cmd_build(args, parser):
     elif target == "k10":
         built = build_kac()[1]
     elif target == "d21a":
-        built = build_D21(ALPHA if alpha is None else alpha)
+        built = build_D21(alpha)
     elif target == "g3":
         built = build_G3()
     else:
@@ -231,23 +232,44 @@ def _config_error(path, lineno, message):
     raise SystemExit(1)
 
 
+def _config_lines(fh, path):
+    """(number, line) for each line of the text file ``fh``, numbered as
+    str.splitlines numbers the whole text, each line with its line break.
+
+    At most MAX_LINE + 1 characters of one line are held: a longer line is
+    a config error, raised before the rest of it is read.
+    """
+    lineno, tail = 0, ""
+    while True:
+        chunk = fh.readline(MAX_LINE + 1 - len(tail))
+        lines = (tail + chunk).splitlines(True)
+        # a last line without its break goes on in the next chunk
+        tail = ""
+        if chunk and not chunk.endswith("\n") and lines[-1].splitlines() == [lines[-1]]:
+            tail = lines.pop()
+            if len(tail) > MAX_LINE:
+                _config_error(path, lineno + len(lines) + 1,
+                              "line longer than %d characters" % MAX_LINE)
+        for line in lines:
+            lineno += 1
+            yield lineno, line
+        if not chunk:
+            return
+
+
 def _cmd_clifford_class(args):
     # the group line and at most MAX_DIM element lines are kept and the
-    # rest only counted, so a long file is rejected before it is parsed;
-    # lines are numbered as str.splitlines numbers them in the whole text
+    # rest only counted, so a long file is rejected before it is parsed
     rows = []
     count = 0
-    lineno = 0
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            for chunk in fh:
-                for line in chunk.splitlines():
-                    lineno += 1
-                    stripped = line.strip()
-                    if stripped and not stripped.startswith("#"):
-                        count += 1
-                        if count <= 1 + MAX_DIM:
-                            rows.append((lineno, stripped))
+            for lineno, line in _config_lines(fh, args.config):
+                stripped = line.strip()
+                if stripped and not stripped.startswith("#"):
+                    count += 1
+                    if count <= 1 + MAX_DIM:
+                        rows.append((lineno, stripped))
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         raise SystemExit(1)

@@ -30,8 +30,9 @@ basis vectors is one signed basis vector (the split quaternions).  The
 elements handed out (the ``z`` extra, the ``h_sample`` report value, the
 idempotent of ``DivisionClass.info``) and those handed to ``linalg`` are
 sparse as well; no dense coordinate tuple is formed.  The full Clifford
-table is written by ``constructions._straighten``; outside the even part
-only the check z^2 = (-1)^l in :func:`build_even_clifford` reads it.  One
+table is written by ``_straighten``, which reduces a word in the generators
+to the square-free increasing monomials; outside the even part only the
+check z^2 = (-1)^l in :func:`build_even_clifford` reads it.  One
 bilinear-form evaluation ``_form`` serves the normalization and the
 octonion model.
 """
@@ -48,7 +49,6 @@ from .constructions import (
     BuiltAlgebra,
     _cube_phi,
     _right_mat,
-    _straighten,
     _W_TRIPLES,
     build_cayley,
     build_quaternions,
@@ -141,6 +141,38 @@ def check_dimension(n):
 
 def _mono_name(names, word):
     return "*".join(names[t] for t in word) if word else "1"
+
+
+def _straighten(word, polar, squares):
+    """A word in the generators, reduced to the square-free increasing
+    basis: {sorted_word: Fraction} of nonzero coefficients.
+
+    Uses x_a x_b = -x_b x_a + B_ab for a > b and x_a^2 = B_aa / 2 (``polar``
+    is B, ``squares[a]`` is B_aa / 2).
+    """
+    out = {}
+    stack = [(list(word), Fraction(1))]
+    while stack:
+        w, c = stack.pop()
+        for p in range(len(w) - 1):
+            a, b = w[p], w[p + 1]
+            if a == b:
+                if squares[a]:
+                    stack.append((w[:p] + w[p + 2 :], c * squares[a]))
+                break
+            if a > b:
+                stack.append((w[:p] + [b, a] + w[p + 2 :], -c))
+                if polar[a][b]:
+                    stack.append((w[:p] + w[p + 2 :], c * polar[a][b]))
+                break
+        else:
+            key = tuple(w)
+            tot = out.get(key, Fraction(0)) + c
+            if tot:
+                out[key] = tot
+            else:
+                out.pop(key, None)
+    return out
 
 
 def clifford_algebra(names, gram):

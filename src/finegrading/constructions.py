@@ -28,15 +28,19 @@ sparse columns; the dense element API of
 Brackets of matrices are written by
 :func:`~finegrading.superalg._commutator_table` (one supercommutator per
 unordered pair, the mirror entry by super-antisymmetry), actions by matrices
-by ``_action_table`` (one entry per nonzero column), the sl2 part of the
-models by ``_quaternion_brackets`` (commutators read off a table) or by the
-one ``_sl2_table`` and the one action ``_SL2_ON_V`` on V = (u, v), the so7
-part of the quaternion model by ``_straighten`` (the word straightening that
-also writes the Clifford tables of
-:func:`~finegrading.clifford.clifford_algebra`), and linear combinations of
-matrices by ``linalg._lincomb``.  Derivations of K3 lift into K10 as
-kron(D, I3) and kron(diag(signs), D), and ``_weight_split`` splits commuting
-operators into weight vectors.  G(3) and the Cayley model of F(4) are both
+by ``_action_table`` (one entry per nonzero column), and linear
+combinations of matrices by ``linalg._lincomb``.  No bracket is
+transcribed: sl2 is the three 2 x 2 matrices ``_SL2`` of (E, H, F), whose
+commutator table ``_SL2_TABLE`` is formed once, and it acts on V (x) W and on
+each letter of V (x) V (x) V through kron lifts of those matrices (the TKK
+models read sl2 off the split quaternions through ``_quaternion_brackets``).
+Both F(4) models with even part sl2 + so7 build so7 through ``_so_pairs``:
+the matrices M_{w,w'}(x) = q(w', x) w - q(w, x) w' of pairs of vectors, with
+q = -N on the trace-zero Cayley algebra and q = diag(w_k^2) on the span of
+the seven anticommuting generators of the quaternion model, and exact
+coordinates over them.  Derivations of K3 lift into K10 as kron(D, I3) and
+kron(diag(signs), D), and ``_weight_split`` splits commuting operators into
+weight vectors.  G(3) and the Cayley model of F(4) are both
 sl2 + g' acting on V (x) W; the one routine ``_sl2_tensor_model`` builds that
 g0, its action and degrees, and solves for the odd bracket.
 
@@ -44,8 +48,8 @@ The builders check the data they are given (Leibniz rules, closure, unique
 odd bracket) but not the Lie superalgebra axioms of what they return; run
 :func:`~finegrading.superalg.check_lie_super` on ``built.algebra`` for that.
 Every call builds afresh, except inside a :class:`shared_builds` block, where
-``build_F4`` and ``build_G3`` hand each model they build to the next call for
-the same model.
+``build_F4``, ``build_G3`` and ``build_D21`` hand each model they build to the
+next call for the same model.
 """
 
 from __future__ import annotations
@@ -142,7 +146,8 @@ _SHARED = None
 
 
 class shared_builds:
-    """Block in which each model of build_F4 and build_G3 is built once.
+    """Block in which each model of build_F4, build_G3 and build_D21 is built
+    once.
 
     Inside ``with shared_builds():`` the model that a call builds is kept
     for the next call that asks for the same model, which gets that very
@@ -208,6 +213,42 @@ def _action_table(mats, copies, first):
                 for slot in range(copies):
                     table[(first + r, slot * n + c)] = [(slot * n + k, v) for k, v in col]
     return table
+
+
+def _so_pairs(vecs, gram, shift=0):
+    """so(q) on the span of the sparse ``vecs``, in its pair basis.
+
+    For each pair r < s the n x n matrix M_{w,w'}(x) = q(w', x) w - q(w, x) w'
+    with w = vecs[r], w' = vecs[s] and q the symmetric Gram matrix ``gram``.
+    Returns the pairs, the matrices, their commutator table (indices shifted
+    by ``shift``) and ``coords(X)``, the exact coordinates of a matrix X over
+    the M (None when X is not in their span).
+    """
+    n = gram.nrows
+    forms = [_apply_columns(gram.columns, w) for w in vecs]
+    pairs = [(r, s) for r in range(len(vecs)) for s in range(r + 1, len(vecs))]
+    mats = []
+    for r, s in pairs:
+        cols = tuple({} for _ in range(n))
+        for j, x in forms[s].items():
+            _accumulate(cols[j], x, vecs[r].items())
+        for j, x in forms[r].items():
+            _accumulate(cols[j], -x, vecs[s].items())
+        mats.append(Mat._of(cols, n))
+    solver = span_solver([_entries(m) for m in mats], n * n)
+
+    def coords(X):
+        return solver(_entries(X))
+
+    return pairs, mats, _commutator_table(mats, (0,) * len(mats), coords, shift), coords
+
+
+# sl2 as (E, H, F) = (gamma_uu, gamma_uv, gamma_vv) on the natural module
+# V = (u, v): E v = 2u, H u = -u, H v = v, F u = -2v.  Its bracket is formed
+# once, here: theorem-check d21a runs without dense matrix products.
+_SL2 = (Mat([[0, 2], [0, 0]]), Mat([[-1, 0], [0, 1]]), Mat([[0, 0], [-2, 0]]))
+_SL2_COORDS = span_solver([_entries(m) for m in _SL2], 4)
+_SL2_TABLE = _commutator_table(_SL2, (0, 0, 0), lambda m: _SL2_COORDS(_entries(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -728,11 +769,16 @@ def build_D21(alpha=None):
     F_l = gamma_vv; odd part: the eight tensor words in u, v.  The odd
     bracket weights the three symplectic components by 1, a, -1-a.  With
     ``alpha=None`` the parameter stays symbolic; values 0 and -1 are
-    rejected (the algebra degenerates there).
+    rejected (the algebra degenerates there).  Inside
+    :class:`shared_builds`, two calls for one parameter share one build.
     """
     avalue = ALPHA if alpha is None else scalar(alpha)
     if avalue.is_zero() or (avalue + ONE).is_zero():
         raise AlgebraError("the parameter must avoid 0 and -1")
+    return _shared(("D21", avalue), lambda: _build_d21(avalue))
+
+
+def _build_d21(avalue):
     sigma = (ONE, avalue, -ONE - avalue)
 
     sp_names = []
@@ -743,21 +789,14 @@ def build_D21(alpha=None):
     word_at = {w: 9 + k for k, w in enumerate(_WORDS)}
 
     table = {}
-    sl2 = _sl2_table()
     for l in range(3):
-        for (i, j), terms in sl2.items():
+        for (i, j), terms in _SL2_TABLE.items():
             table[(3 * l + i, 3 * l + j)] = [(3 * l + k, c) for k, c in terms]
-        for g, rules in enumerate(_SL2_ON_V):
-            gi = 3 * l + g
-            for w in _WORDS:
-                rule = rules.get(w[l])
-                if rule is None:
-                    continue
-                letter, coeff = rule
-                w2 = w[:l] + letter + w[l + 1:]
-                wi = word_at[w]
-                table[(gi, wi)] = [(word_at[w2], coeff)]
-                table[(wi, gi)] = [(word_at[w2], -coeff)]
+        # sp(V_l) acts on letter l of the words: I (x) M (x) I on V (x) V (x) V
+        lift = [kron(kron(Mat.identity(2 ** l), m), Mat.identity(2 ** (2 - l))) for m in _SL2]
+        for (g, w), terms in _action_table(lift, 1, 3 * l).items():
+            table[(g, 9 + w)] = [(9 + k, c) for k, c in terms]
+            table[(9 + w, g)] = [(9 + k, -c) for k, c in terms]
 
     others = ((1, 2), (0, 2), (0, 1))
     for w in _WORDS:
@@ -869,29 +908,6 @@ def d21_ideal_automorphism(built, perm=(0, 1, 2), fs=None):
 # ---------------------------------------------------------------------------
 
 
-# the action of (E, H, F) = (gamma_uu, gamma_uv, gamma_vv) on the natural
-# module V = (u, v): per basis element, {letter: (image letter, coeff)};
-# E: v -> 2u, H: u -> -u, v -> v, F: u -> -2v
-_SL2_ON_V = (
-    {"v": ("u", scalar(2))},
-    {"u": ("u", MINUS_ONE), "v": ("v", ONE)},
-    {"u": ("v", scalar(-2))},
-)
-
-
-def _sl2_table():
-    # brackets of (E, H, F) acting on column vectors (u, v), from the matrix
-    # commutators
-    return {
-        (0, 2): [(1, scalar(4))],
-        (2, 0): [(1, scalar(-4))],
-        (1, 0): [(0, scalar(-2))],
-        (0, 1): [(0, scalar(2))],
-        (1, 2): [(2, scalar(2))],
-        (2, 1): [(2, scalar(-2))],
-    }
-
-
 def _sl2_tensor_model(group, g_names, g_table, g_degrees, w_names, w_mats, w_degrees):
     """sl2 + g' acting on V (x) W, completed by its odd bracket.
 
@@ -903,18 +919,13 @@ def _sl2_tensor_model(group, g_names, g_table, g_degrees, w_names, w_mats, w_deg
     part (both lists of int tuples).  The odd bracket is the unique (up to scale) degree-0 equivariant
     pairing that satisfies the odd Jacobi identity.
     """
-    table0 = _sl2_table()
+    table0 = dict(_SL2_TABLE)
     for (i, j), terms in g_table.items():
         table0[(3 + i, 3 + j)] = [(3 + k, c) for k, c in terms]
     g0 = SuperAlgebra(["E", "H", "F"] + list(g_names), (0,) * (3 + len(g_names)), table0)
 
-    nw = len(w_names)
-    mtab = {}
-    # sl2 on the first slot: letter x of V is the copy "uv".index(x) of W
-    for c in range(nw):
-        for g, rules in enumerate(_SL2_ON_V):
-            for x, (y, coeff) in rules.items():
-                mtab[(g, "uv".index(x) * nw + c)] = [("uv".index(y) * nw + c, coeff)]
+    # sl2 on the first slot as kron(M, I), g' on each of the two copies of W
+    mtab = _action_table([kron(m, Mat.identity(len(w_names))) for m in _SL2], 1, 0)
     mtab.update(_action_table(w_mats, 2, 3))
     m_names = ["%s.%s" % (v, nm) for v in "uv" for nm in w_names]
     action = ModuleAction(g0, m_names, mtab)
@@ -1011,37 +1022,12 @@ def _build_f4_cayley():
     # weights of the trace-zero basis for the orthogonal Cartan c1, c2, c3
     wt3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 0, -1))
 
-    # the trace-zero vectors in the e1..e7 coordinates
+    # so7 on the trace-zero part, in the e1..e7 coordinates, with q = -N:
+    # N(e_i, e_j) = 2 delta_ij
     v7 = [{k - 1: c for k, c in w.items()} for w in cz["vectors"]]
-    pairs = [(r, s) for r in range(7) for s in range(r + 1, 7)]
+    pairs, so7_mats, so7_table, so7_coords = _so_pairs(v7, diag([scalar(-2)] * 7))
     so7_names = ["B(%s,%s)" % (cz["names"][r], cz["names"][s]) for (r, s) in pairs]
     so7_wt = [tuple(a + b for a, b in zip(wt3[r], wt3[s])) for (r, s) in pairs]
-
-    # M_{w,w'}(e_j) = q(w', e_j) w - q(w, e_j) w' with q = -N, N(w, e_j) = 2 w_j
-    def pair_mat(r, s):
-        w, wp = v7[r], v7[s]
-        cols = tuple({} for _ in range(7))
-        for j, x in wp.items():
-            _accumulate(cols[j], -2 * x, w.items())
-        for j, x in w.items():
-            _accumulate(cols[j], 2 * x, wp.items())
-        return Mat._of(cols, 7)
-
-    so7_mats = [pair_mat(r, s) for (r, s) in pairs]
-    # coordinates in the pair basis, through the elementary skew basis: the
-    # entries X[b, a] below the diagonal, halved (w_a w'_b - w_b w'_a for M)
-    epair = {p: k for k, p in enumerate(pairs)}
-
-    def lower(X):
-        return {
-            epair[a, b]: x * HALF
-            for a, col in enumerate(X.columns) for b, x in col.items() if b > a
-        }
-
-    pair_coords = span_solver([lower(m) for m in so7_mats], 21)
-
-    def so7_coords(X):
-        return pair_coords(lower(X))
 
     # spin action: rho(M_{w,w'}) = (l_w l_w' - l_w' l_w)/2 on the Cayley algebra
     P, Pinv = wb["P"], wb["Pinv"]
@@ -1060,7 +1046,7 @@ def _build_f4_cayley():
     spin_wt = [tuple(_int_of(2 * rho_c[c, c]) for rho_c in cartans) for c in range(8)]
 
     built = _sl2_tensor_model(
-        GradingGroup(4), so7_names, _commutator_table(so7_mats, (0,) * 21, so7_coords),
+        GradingGroup(4), so7_names, so7_table,
         [tuple(2 * x for x in w) for w in so7_wt], wb["names"], rho_wb, spin_wt,
     )
     built.extras.update(
@@ -1205,38 +1191,6 @@ _W_DEGREES = (
 )
 
 
-def _straighten(word, polar, squares, out=None, coeff=1):
-    """Add coeff times a word in the generators, reduced to the square-free
-    increasing basis, to ``out`` (a new dict by default) and return it.
-
-    Uses x_a x_b = -x_b x_a + B_ab for a > b and x_a^2 = B_aa / 2 (``polar``
-    is B, ``squares[a]`` is B_aa / 2); ``out`` is {sorted_word: Fraction}.
-    """
-    out = {} if out is None else out
-    stack = [(list(word), Fraction(coeff))]
-    while stack:
-        w, c = stack.pop()
-        for p in range(len(w) - 1):
-            a, b = w[p], w[p + 1]
-            if a == b:
-                if squares[a]:
-                    stack.append((w[:p] + w[p + 2 :], c * squares[a]))
-                break
-            if a > b:
-                stack.append((w[:p] + [b, a] + w[p + 2 :], -c))
-                if polar[a][b]:
-                    stack.append((w[:p] + w[p + 2 :], c * polar[a][b]))
-                break
-        else:
-            key = tuple(w)
-            tot = out.get(key, Fraction(0)) + c
-            if tot:
-                out[key] = tot
-            else:
-                out.pop(key, None)
-    return out
-
-
 def _right_mat(A, b):
     """Matrix of right multiplication x -> x e_b on the algebra A; column j
     is the table entry of e_j e_b."""
@@ -1266,29 +1220,16 @@ def _build_f4_quaternion():
                     "generators %d and %d do not anticommute" % (k + 1, l + 1)
                 )
 
-    spairs = [(k, l) for k in range(7) for l in range(k + 1, 7)]
-    s_at = {p: i for i, p in enumerate(spairs)}
+    # sl2 = q1, q2, q3 under the commutator; so7 through the action of
+    # s_(k,l) = w_k w_l / 2 on span(w_1..w_7), which is the pair matrix of
+    # q = diag(w_k^2)
+    table0 = _quaternion_brackets(Qa)
+    spairs, _, so7_table, _ = _so_pairs(
+        [{k: ONE} for k in range(7)], diag([scalar(x) for x in _W_SQUARES]), shift=3
+    )
+    table0.update(so7_table)
     s_names = ["s(%d,%d)" % (k + 1, l + 1) for (k, l) in spairs]
     s_mats = [Tw[k] * Tw[l] * HALF for (k, l) in spairs]
-
-    # sl2 = q1, q2, q3 under the commutator; the orthogonal part by
-    # straightening words in the anticommuting w_k:
-    # [s_p, s_r] = [w_p, w_r] / 4 with s_p = w_p / 2 for a pair p
-    table0 = _quaternion_brackets(Qa)
-    polar = [[0] * 7 for _ in range(7)]
-    for i, p1 in enumerate(spairs):
-        for j, p2 in enumerate(spairs):
-            if i == j:
-                continue
-            acc = _straighten(p1 + p2, polar, _W_SQUARES)
-            _straighten(p2 + p1, polar, _W_SQUARES, acc, -1)
-            terms = []
-            for mono, cf in acc.items():
-                if len(mono) != 2:
-                    raise AlgebraError("bracket left the pair span")
-                terms.append((3 + s_at[mono], scalar(cf / 2)))
-            if terms:
-                table0[(3 + i, 3 + j)] = terms
     names0 = ["q1", "q2", "q3"] + s_names
     g0 = SuperAlgebra(names0, (0,) * 24, table0)
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import io
 import json
 import os
 import pathlib
@@ -395,6 +396,39 @@ def test_clifford_class_long_config_is_rejected_before_parsing(tmp_path, capsys)
     assert code == 1
     assert "dimension 100000 quadratic space is out of scope" in capsys.readouterr().out
     assert peak < 1 << 20
+
+
+def test_clifford_class_wide_line_is_rejected_before_it_is_read(tmp_path, capsys):
+    # a line is read with a length bound, so memory does not grow with it
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("Z_2\n([];[" + "1" * 5_000_000 + "])\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as err:
+            main(["clifford-class", str(cfg)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert "%s:2: line longer than" % cfg in stderr
+    assert len(stderr) < 1000
+    assert peak < 2 << 20
+
+
+def test_config_lines_keep_their_splitlines_numbers(monkeypatch, capsys):
+    # at a bound of 4 characters the reader cuts lines into several chunks;
+    # every separator of str.splitlines still ends a line, "\r\n" is one
+    monkeypatch.setattr(cli, "MAX_LINE", 4)
+    text = "ab\x85cd\r\nabcd\x1c\x1cxy\rz\u2028\nw"
+    fh = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+    got = [(n, line.strip()) for n, line in cli._config_lines(fh, "f")]
+    assert got == list(enumerate(text.replace("\r\n", "\n").splitlines(), 1))
+    fh = io.TextIOWrapper(io.BytesIO("ab\x85abcd\nx\x85abcde\n".encode("utf-8")),
+                          encoding="utf-8")
+    with pytest.raises(SystemExit):
+        list(cli._config_lines(fh, "f"))
+    assert capsys.readouterr().err == "error: f:4: line longer than 4 characters\n"
 
 
 def test_grading_report_d21a(capsys):

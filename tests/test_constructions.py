@@ -14,6 +14,7 @@ import pytest
 from test_clifford import dense
 
 from finegrading import constructions
+from finegrading.clifford import _straighten
 from finegrading.constructions import (
     BuiltAlgebra,
     build_cayley,
@@ -726,6 +727,46 @@ def test_f4_quaternion_generators(f4_quaternion):
         for l in range(k + 1, 7):
             anti = Tw[k] * Tw[l] + Tw[l] * Tw[k]
             assert anti.is_zero()
+
+
+def test_f4_quaternion_so7_matches_straightened_words(f4_quaternion):
+    # oracle: s_p = w_p / 2 for a pair p = (k, l) of the anticommuting
+    # generators, so [s_p, s_r] is the straightened [w_p, w_r] / 4
+    g0 = f4_quaternion.extras["g0"]
+    squares = f4_quaternion.extras["generator_squares"]
+    polar = [[0] * 7 for _ in range(7)]
+    pairs = [(k, l) for k in range(7) for l in range(k + 1, 7)]
+    at = {p: i for i, p in enumerate(pairs)}
+    expected = {}
+    for i, p in enumerate(pairs):
+        for j, r in enumerate(pairs):
+            acc = _straighten(p + r, polar, squares)
+            for mono, cf in _straighten(r + p, polar, squares).items():
+                acc[mono] = acc.get(mono, Fraction(0)) - cf
+            terms = []
+            for mono, cf in sorted(acc.items()):
+                if cf:
+                    assert len(mono) == 2
+                    terms.append((3 + at[mono], scalar(cf / 2)))
+            if terms:
+                expected[(3 + i, 3 + j)] = tuple(sorted(terms))
+    got = {key: terms for key, terms in g0.table.items() if min(key) >= 3}
+    assert got == expected
+    assert len(expected) == 210
+
+
+def test_f4_cayley_so7_coords_are_exact(f4_cayley):
+    # coordinates read every entry: the strict lower triangle of a pair
+    # matrix is not in so7
+    mats, coords = f4_cayley.extras["so7_mats"], f4_cayley.extras["so7_coords"]
+    for k, m in enumerate(mats):
+        assert coords(m) == {k: ONE}
+    lower = Mat._of(
+        tuple({i: x for i, x in col.items() if i > j} for j, col in enumerate(mats[0].columns)),
+        7,
+    )
+    assert not lower.is_zero()
+    assert coords(lower) is None
 
 
 def test_f4_quaternion_dimensions_and_grading(f4_quaternion):
