@@ -243,13 +243,14 @@ def _config_lines(fh, path):
     while True:
         chunk = fh.readline(MAX_LINE + 1 - len(tail))
         lines = (tail + chunk).splitlines(True)
-        # a last line without its break goes on in the next chunk
+        # a last line without its break goes on in the next chunk; tail +
+        # chunk holds at most MAX_LINE + 1 characters, so a tail longer than
+        # MAX_LINE is all of them and is line lineno + 1
         tail = ""
         if chunk and not chunk.endswith("\n") and lines[-1].splitlines() == [lines[-1]]:
             tail = lines.pop()
             if len(tail) > MAX_LINE:
-                _config_error(path, lineno + len(lines) + 1,
-                              "line longer than %d characters" % MAX_LINE)
+                _config_error(path, lineno + 1, "line longer than %d characters" % MAX_LINE)
         for line in lines:
             lineno += 1
             yield lineno, line
